@@ -175,6 +175,10 @@ class ShellSums:
     The per-shell exponential sums E_m(z) = sum_{|xi|^2 = m} cos(2*pi*<xi,z>)
     are the lambda-independent part of every Green's evaluation; grouping by
     shell makes repeated evaluations at many spectral parameters cheap.
+    ``weights`` evaluates them directly from cosines at one difference
+    vector; ``weights_many`` gets every pair of a configuration from the
+    phase table of its positions (``phase_table``), which field assembly
+    reuses.
     """
 
     def __init__(self, dim: int, radius_sq: int):
@@ -203,13 +207,52 @@ class ShellSums:
         np.cos(t, out=t)
         return np.add.reduceat(t, self.starts)
 
-    def weights_many(self, zs: np.ndarray) -> np.ndarray:
-        """E_m(z) for a batch of difference vectors; returns (S, K)."""
-        zs = np.asarray(zs, dtype=np.float64)
-        t = self.pts @ zs.T
-        np.multiply(t, 2.0 * math.pi, out=t)
-        np.cos(t, out=t)
-        return np.add.reduceat(t, self.starts, axis=0)
+    def phase_table(self, positions) -> np.ndarray:
+        """phi[j, p] = e_xi(-x_j) = exp(-2*pi*i*<xi_p, x_j>), as an (N, P) array.
+
+        Built from one 1-D table per axis, exp(-2*pi*i*a*x_{j,c}) for the
+        integer coordinates a of the ball, multiplied by lookup: N*d*(2*sqrt(R)+1)
+        exponentials instead of N*P.
+        """
+        positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+        if positions.shape[1] != self.dim:
+            raise ValidationError(f"positions must be {self.dim}-vectors")
+        a = math.isqrt(self.radius_sq)
+        coords = np.arange(-a, a + 1, dtype=np.float64)
+        axes = [
+            np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(self.dim)
+        ]
+        index = (self.pts.T + a).astype(np.intp)
+        phi = np.empty((positions.shape[0], self.pts.shape[0]), dtype=np.complex128)
+        for j, row in enumerate(phi):
+            np.take(axes[0][j], index[0], out=row)
+            for c in range(1, self.dim):
+                row *= axes[c][j][index[c]]
+        return phi
+
+    def weights_many(self, phi: np.ndarray) -> np.ndarray:
+        """E_m(x_k - x_j) for every ordered pair of a configuration.
+
+        ``phi`` is the (N, P) table from ``phase_table``.  Returns W of
+        shape (S, N*N) with W[s, k*N + j] = E_{m_s}(x_k - x_j), summing
+        Re(phi_k * conj(phi_j)) over each shell; the diagonal is the exact
+        shell multiplicity.  One row k is reduced at a time, so the largest
+        temporary is (N - 1, 2P) reals.
+        """
+        n = phi.shape[0]
+        s = self.shell_ms.size
+        w = np.empty((s, n, n), dtype=np.float64)
+        mult = self.mult.astype(np.float64)
+        # interleaved (re, im) pairs: the real part of phi_k * conj(phi_j) is
+        # the sum of each adjacent pair of the elementwise product
+        flat = np.ascontiguousarray(phi).view(np.float64)
+        for k in range(n):
+            w[:, k, k] = mult
+            if k + 1 < n:
+                row = np.add.reduceat(flat[k + 1 :] * flat[k], 2 * self.starts, axis=1).T
+                w[:, k, k + 1 :] = row
+                w[:, k + 1 :, k] = row
+        return w.reshape(s, n * n)
 
     def coeffs(self, lam_physical: float) -> np.ndarray:
         """c_lambda on each shell: (4*pi^2*m - lambda)^{-1}."""

@@ -25,6 +25,8 @@ from .greens import ShellSums, SpectralParameter, TruncationPolicy
 from .lattice import FOUR_PI_SQ, GapTriple, SpectrumTable, enumerate_spectrum
 from .measure import (
     Observable,
+    _branch_weights,
+    annulus_range,
     assemble_field,
     equidistribution_error,
     functional_A,
@@ -195,16 +197,9 @@ class RunContext:
         theory_b = 1.0 / interval.outer_gap**2
         # complement sum with unit weights: the expectation-level version of
         # the annulus-complement functional at this truncation
-        norms = shells.norms
-        mask = np.abs(FOUR_PI_SQ * (norms.astype(np.float64) - interval.center)) > width
-        masked = norms[mask]
-        low = masked < interval.center
-        high = masked > interval.next
-        tc = math.fsum(
-            1.0 / (FOUR_PI_SQ * masked[low].astype(np.float64) - interval.n_center) ** 2
-        ) + math.fsum(
-            1.0 / (FOUR_PI_SQ * masked[high].astype(np.float64) - interval.n_next) ** 2
-        )
+        lo, hi = annulus_range(shells.norms, interval.center, width)
+        complement = np.concatenate((shells.norms[:lo], shells.norms[hi:]))
+        tc = math.fsum(_branch_weights(complement, interval)[0])
         covers = FOUR_PI_SQ * (interval.next - interval.center) <= width
         return cls(
             spec=spec,
@@ -254,9 +249,11 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
     positions = sample_positions(spec.seed, trial_index, spec.n_scatterers, spec.dim)
     config = spec.config_for(positions)
     interval = ctx.interval
+    # e_xi(-x_j) on the whole ball, shared by the secular weights and the field
+    phi = ctx.shells.phase_table(config.positions)
 
     if spec.coefficient_mode == "solver":
-        ws = SecularWorkspace(config, ctx.radius_sq, shells=ctx.shells)
+        ws = SecularWorkspace(config, ctx.radius_sq, shells=ctx.shells, phi=phi)
         roots = find_new_eigenvalues(
             config,
             interval,
@@ -295,7 +292,7 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
         )
 
     field_ = assemble_field(
-        d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells
+        d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells, phi=phi
     )
     res.norm_sq = field_.norm_sq
     res.annulus_sq, res.remainder_sq = split_annulus(field_, interval.center, ctx.width)

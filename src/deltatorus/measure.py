@@ -141,8 +141,13 @@ def assemble_field(
     lam: SpectralParameter,
     policy: TruncationPolicy,
     shells: ShellSums | None = None,
+    phi: np.ndarray | None = None,
 ) -> FourierField:
-    """Evaluate D(xi) on the truncation ball for given coefficients/positions."""
+    """Evaluate D(xi) on the truncation ball for given coefficients/positions.
+
+    ``phi`` is the positions' phase table (ShellSums.phase_table) when the
+    caller already has it; w = sum_j d_j phi_j.
+    """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     dim = positions.shape[1]
@@ -152,8 +157,9 @@ def assemble_field(
     if shells is None:
         shells = ShellSums.get(dim, policy.resolve(lam, dim))
     shells.pole_check(lam)
-    phases = np.exp(-2j * math.pi * (shells.pts @ positions.T))
-    w = phases @ d_coeffs
+    if phi is None:
+        phi = shells.phase_table(positions)
+    w = d_coeffs @ phi
     c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(np.float64) - lam.physical)
     return FourierField(lam=lam, shells=shells, weights=w, values=c * w)
 
@@ -183,6 +189,29 @@ def pair_with_observable(field: FourierField, a: Observable) -> complex:
     return acc
 
 
+def annulus_range(norms: np.ndarray, m_center: int, width: float) -> tuple[int, int]:
+    """Bounds [lo, hi) of the ascending integer norms n with
+    |4*pi^2*(n - m_center)| <= width.
+
+    The test depends on n only through k = |n - m_center| and holds exactly
+    for k <= K, the largest integer whose 4*pi^2*K does not exceed width in
+    floating point, so the selected entries are one contiguous range.
+    """
+    reach = int(norms[-1]) + abs(int(m_center))
+    if FOUR_PI_SQ * reach <= width:
+        return 0, norms.size
+    k = math.floor(width / FOUR_PI_SQ)
+    while FOUR_PI_SQ * (k + 1) <= width:
+        k += 1
+    while k >= 0 and FOUR_PI_SQ * k > width:
+        k -= 1
+    if k < 0:
+        return 0, 0
+    lo = int(np.searchsorted(norms, m_center - k, side="left"))
+    hi = int(np.searchsorted(norms, m_center + k, side="right"))
+    return lo, hi
+
+
 def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[float, float]:
     """(annulus mass, complement mass) of |D|^2; parts reassemble exactly.
 
@@ -197,8 +226,8 @@ def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[flo
         raise ValidationError(
             f"truncation ball |xi|^2 <= {field.radius_sq} does not cover the annulus"
         )
-    mask = np.abs(FOUR_PI_SQ * (field.norms.astype(np.float64) - m_center)) <= width
-    annulus = float(np.sum(field.abs_sq[mask]))
+    lo, hi = annulus_range(field.norms, m_center, width)
+    annulus = float(np.sum(field.abs_sq[lo:hi]))
     return annulus, field.norm_sq - annulus
 
 
@@ -216,10 +245,6 @@ def _branch_weights(
     return w, ~(low | high)
 
 
-def _annulus_mask(field: FourierField, m_center: int, width: float) -> np.ndarray:
-    return np.abs(FOUR_PI_SQ * (field.norms.astype(np.float64) - m_center)) <= width
-
-
 def functional_A(
     field: FourierField, zeta, interval: GapTriple, width: float
 ) -> float:
@@ -234,10 +259,10 @@ def functional_A(
     zeta = np.asarray([int(z) for z in zeta], dtype=np.int64)
     if not np.any(zeta):
         raise ValidationError("zeta must be nonzero")
-    mask = _annulus_mask(field, interval.center, width)
-    pts = field.pts[mask].astype(np.int64)
-    if pts.shape[0] == 0:
+    lo, hi = annulus_range(field.norms, interval.center, width)
+    if lo == hi:
         return 0.0
+    pts = field.pts[lo:hi].astype(np.int64)
     shifted_norms = ((pts + zeta) ** 2).sum(axis=1)
     w, in_gap = _branch_weights(shifted_norms, interval)
     if np.any(in_gap):
@@ -245,7 +270,7 @@ def functional_A(
         raise NonSPrimeError(
             f"shift {tuple(zeta)} lands on endpoint shells {sorted(set(bad.tolist()))}"
         )
-    contrib = w * np.abs(field.weights[mask]) ** 2
+    contrib = w * np.abs(field.weights[lo:hi]) ** 2
     return float(np.sum(contrib))
 
 
@@ -267,13 +292,14 @@ def functional_B(field: FourierField, interval: GapTriple) -> float:
 def functional_C(field: FourierField, interval: GapTriple, width: float) -> float:
     """Two-branch endpoint-coefficient sum over the annulus complement
     (within the truncation ball)."""
-    mask = ~_annulus_mask(field, interval.center, width)
-    norms = field.norms[mask]
+    lo, hi = annulus_range(field.norms, interval.center, width)
+    norms = np.concatenate((field.norms[:lo], field.norms[hi:]))
     w, in_gap = _branch_weights(norms, interval)
     # complement vectors on the endpoint shells fall in neither branch and
     # carry weight zero by the strict inequalities
     w[in_gap] = 0.0
-    contrib = w * np.abs(field.weights[mask]) ** 2
+    weights = np.concatenate((field.weights[:lo], field.weights[hi:]))
+    contrib = w * np.abs(weights) ** 2
     return float(np.sum(contrib))
 
 

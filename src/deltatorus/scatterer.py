@@ -11,9 +11,11 @@ New eigenvalues are the parameters lambda strictly between consecutive
 unperturbed eigenvalues where M is singular; each root carries a null
 vector v and the normalized superposition coefficients d = (Id + U) v.
 
-Entries are assembled from shell sums: the per-shell cosine sums E_m(z)
-depend only on the positions, so scanning many lambda values over one
-interval costs a single small contraction per value.
+Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
+depend only on the positions and come from the configuration's phase table
+(ShellSums.phase_table / weights_many), so M at one more lambda is one
+matrix product of the shell coefficients c_lambda with an (S, N*N) weight
+array.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: grid parameters per matrix product in SecularWorkspace.smin_grid; bounds
+#: the (block, S) coefficient matrix and keeps the product small enough
+#: that it does not wake a threaded BLAS for a few microseconds of work
+SMIN_GRID_BLOCK = 32
 
 
 def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,56 +147,58 @@ class ScattererConfig:
 class SecularWorkspace:
     """Shell data bound to one configuration for fast matrix assembly.
 
-    The (shell, k, j) weight tensor and the two deficiency sums are
-    lambda-independent; a matrix at one more lambda is a single real
-    contraction over shells.
+    W[s, k*N + j] = E_{m_s}(x_k - x_j) and the two deficiency sums
+    G_{+-i}(x_k, x_j) are lambda-independent; a matrix at one more lambda
+    is the product c_lambda @ W, reshaped to N x N.  ``phi`` is the
+    configuration's phase table (ShellSums.phase_table), built here when
+    the caller has none to share.
     """
 
-    def __init__(self, config: ScattererConfig, radius_sq: int, shells: ShellSums | None = None):
+    def __init__(
+        self,
+        config: ScattererConfig,
+        radius_sq: int,
+        shells: ShellSums | None = None,
+        phi: np.ndarray | None = None,
+    ):
         self.config = config
         self.shells = shells if shells is not None else ShellSums.get(config.dim, radius_sq)
         if shells is not None and shells.radius_sq != radius_sq:
             raise ValidationError("prebuilt shells disagree with radius_sq")
+        if phi is None:
+            phi = self.shells.phase_table(config.positions)
         n = config.n_scatterers
-        s = self.shells.shell_ms.size
-        w = np.empty((s, n, n), dtype=np.float64)
-        mult = self.shells.mult.astype(np.float64)
-        for k in range(n):
-            w[:, k, k] = mult
-        if n > 1:
-            diffs = [
-                config.positions[k] - config.positions[j]
-                for k in range(n)
-                for j in range(k + 1, n)
-            ]
-            cols = self.shells.weights_many(np.asarray(diffs))
-            i = 0
-            for k in range(n):
-                for j in range(k + 1, n):
-                    w[:, k, j] = cols[:, i]
-                    w[:, j, k] = cols[:, i]
-                    i += 1
-        self._w = w
+        self._w = self.shells.weights_many(phi)
+        # G_{+-i} = sum_s W_s / (n_s -+ i) = sum_s W_s (n_s +- i) / (n_s^2 + 1)
         ns = self.shells.ns_physical
-        self._g_plus = np.einsum("s,sij->ij", 1.0 / (ns - 1j), w)
-        self._g_minus = np.einsum("s,sij->ij", 1.0 / (ns + 1j), w)
+        re = ((ns / (ns * ns + 1.0)) @ self._w).reshape(n, n)
+        im = ((1.0 / (ns * ns + 1.0)) @ self._w).reshape(n, n)
+        self._g_plus = re + 1j * im
+        self._g_minus = re - 1j * im
         self._uinv_t = config.u_inv.T.copy()
 
+    def _from_products(self, cw: np.ndarray) -> np.ndarray:
+        """M from c_lambda @ W, for one lambda (N*N,) or a stack (G, N*N)."""
+        a = cw.reshape(cw.shape[:-1] + self._g_plus.shape)
+        return (a - self._g_plus) + (a - self._g_minus) @ self._uinv_t
+
     def matrix(self, lam_physical: float) -> np.ndarray:
-        a = np.einsum("s,sij->ij", self.shells.coeffs(lam_physical), self._w)
-        p_plus = a - self._g_plus
-        p_minus = a - self._g_minus
-        return p_plus + p_minus @ self._uinv_t
+        return self._from_products(self.shells.coeffs(lam_physical) @ self._w)
 
     def smin(self, lam_physical: float) -> float:
         return float(np.linalg.svd(self.matrix(lam_physical), compute_uv=False)[-1])
 
     def smin_grid(self, lams: np.ndarray) -> np.ndarray:
-        """Smallest singular value at each grid parameter, in one batch."""
-        c = 1.0 / (self.shells.ns_physical[None, :] - np.asarray(lams)[:, None])
-        a = np.einsum("gs,sij->gij", c, self._w)
-        m = (a - self._g_plus) + (a - self._g_minus) @ self._uinv_t
-        return np.linalg.svd(m, compute_uv=False)[:, -1]
+        """Smallest singular value at each grid parameter, SMIN_GRID_BLOCK at a time."""
+        lams = np.asarray(lams, dtype=np.float64)
+        out = np.empty(lams.shape[0], dtype=np.float64)
+        ns = self.shells.ns_physical
+        for i in range(0, lams.shape[0], SMIN_GRID_BLOCK):
+            block = lams[i : i + SMIN_GRID_BLOCK]
+            c = 1.0 / (ns[None, :] - block[:, None])
+            m = self._from_products(c @ self._w)
+            out[i : i + block.shape[0]] = np.linalg.svd(m, compute_uv=False)[:, -1]
+        return out
 
     def secular(self, lam_physical: float) -> tuple[complex, float]:
         m = self.matrix(lam_physical)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import NonSPrimeError, ValidationError
-from deltatorus.greens import SpectralParameter, TruncationPolicy
+from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy
 from deltatorus.lattice import FOUR_PI_SQ, enumerate_spectrum, shell_vectors
 from deltatorus.measure import (
     Observable,
+    annulus_range,
     assemble_field,
     equidistribution_error,
     functional_A,
@@ -146,6 +147,32 @@ def test_split_annulus():
     # annulus sticking out of the ball without swallowing it: rejected
     with pytest.raises(ValidationError):
         split_annulus(f, 150, FOUR_PI_SQ * 60.0)
+
+
+def test_field_from_phase_table_matches_direct_exponentials_d3():
+    rng = np.random.default_rng(8)
+    d = rng.normal(size=3) + 1j * rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    x = rng.uniform(size=(3, 3))
+    lam = SpectralParameter(9.4)
+    shells = ShellSums.get(3, 400)
+    f = assemble_field(
+        d, x, lam, TruncationPolicy.by_radius(400), shells=shells, phi=shells.phase_table(x)
+    )
+    direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
+    assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize(
+    "m_center,width",
+    [(25, 0.5 * FOUR_PI_SQ), (25, 3 * FOUR_PI_SQ), (25, 3.0), (40, 0.0), (40, -1.0),
+     (100, 10 * FOUR_PI_SQ), (25, FOUR_PI_SQ * 1000.0), (25, math.inf)],
+)
+def test_annulus_range_is_the_annulus_mask(m_center, width):
+    norms = ShellSums.get(2, 200).norms
+    lo, hi = annulus_range(norms, m_center, width)
+    mask = np.abs(FOUR_PI_SQ * (norms.astype(np.float64) - m_center)) <= width
+    assert np.array_equal(np.flatnonzero(mask), np.arange(lo, hi))
 
 
 def test_functional_A_against_resummation_oracle():

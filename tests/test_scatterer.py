@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import DegenerateExtensionError, ValidationError
-from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy
+from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy, regularized_pair
 from deltatorus.lattice import enumerate_spectrum
 from deltatorus.scatterer import (
+    SMIN_GRID_BLOCK,
     ScattererConfig,
     SecularWorkspace,
     build_matrix,
@@ -151,6 +152,46 @@ def test_secular_value_sign_flip_and_smin():
     assert abs(det_lo.imag) < 1e-10 * abs(det_lo)
     _, smin = secular_value(cfg, SpectralParameter.from_physical(root), POLICY)
     assert smin < 1e-10
+
+
+@pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
+def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
+    # M[k, j] = R+(x_k, x_j) + sum_m U^{-1}[j, m] R-(x_k, x_m), with R+- from
+    # the cosine path of ShellSums.weights, entry by entry
+    rng = np.random.default_rng(40 + dim)
+    cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.array([0.4, -1.1, 2.0]))
+    policy = TruncationPolicy.by_radius(radius_sq)
+    lam = SpectralParameter(9.4)
+    got = SecularWorkspace(cfg, radius_sq).matrix(lam.physical)
+    x = cfg.positions
+
+    def r(sign):
+        return np.array(
+            [[regularized_pair(x[k], x[j], lam, sign, policy).value for j in range(3)] for k in range(3)]
+        )
+
+    r_plus, r_minus = r(1), r(-1)
+    uinv = cfg.u_inv
+    for k in range(3):
+        for j in range(3):
+            want = r_plus[k, j] + sum(uinv[j, m] * r_minus[k, m] for m in range(3))
+            assert abs(got[k, j] - want) <= 1e-12 * abs(want)
+
+
+def test_smin_grid_matches_pointwise_smin_across_blocks():
+    cfg = ScattererConfig(
+        2, np.array([[0.13, 0.71], [0.42, 0.09], [0.88, 0.55]]), phases=np.array([0.3, 0.0, -0.8])
+    )
+    tri = enumerate_spectrum(2, 4000).gap_triple(100)
+    ws = SecularWorkspace(cfg, 4000)
+    # a root-free stretch of the gap: smin stays above 0.2, so a relative
+    # comparison measures assembly, not cancellation next to a root
+    length = tri.n_next - tri.n_center
+    lams = np.linspace(tri.n_center + 0.05 * length, tri.n_center + 0.6 * length, 70)
+    assert lams.size % SMIN_GRID_BLOCK != 0
+    grid = ws.smin_grid(lams)
+    for lam, s in zip(lams, grid):
+        assert s == pytest.approx(ws.smin(lam), rel=1e-12)
 
 
 def test_determinant_continuity_under_refinement():
