@@ -193,6 +193,7 @@ class ShellSums:
         self.mult = data.mult
         self.ns_physical = FOUR_PI_SQ * self.shell_ms.astype(np.float64)
         self._grid = None
+        self._index = None
         self._partners: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -222,12 +223,16 @@ class ShellSums:
         axes = [
             np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(self.dim)
         ]
-        index = (self.pts.T + a).astype(np.intp)
+        index = self._axis_index()
         phi = np.empty((positions.shape[0], self.pts.shape[0]), dtype=np.complex128)
+        factor = np.empty(self.pts.shape[0], dtype=np.complex128)
+        # every index lies in [0, 2a], so mode="clip" only skips the buffered
+        # copy that the default bounds-checking mode makes of ``out``
         for j, row in enumerate(phi):
-            np.take(axes[0][j], index[0], out=row)
+            np.take(axes[0][j], index[0], out=row, mode="clip")
             for c in range(1, self.dim):
-                row *= axes[c][j][index[c]]
+                np.take(axes[c][j], index[c], out=factor, mode="clip")
+                row *= factor
         return phi
 
     def weights_many(self, phi: np.ndarray) -> np.ndarray:
@@ -236,8 +241,8 @@ class ShellSums:
         ``phi`` is the (N, P) table from ``phase_table``.  Returns W of
         shape (S, N*N) with W[s, k*N + j] = E_{m_s}(x_k - x_j), summing
         Re(phi_k * conj(phi_j)) over each shell; the diagonal is the exact
-        shell multiplicity.  One row k is reduced at a time, so the largest
-        temporary is (N - 1, 2P) reals.
+        shell multiplicity.  One pair is reduced at a time into a single
+        2P-real buffer, so no temporary grows with N.
         """
         n = phi.shape[0]
         s = self.shell_ms.size
@@ -246,17 +251,25 @@ class ShellSums:
         # interleaved (re, im) pairs: the real part of phi_k * conj(phi_j) is
         # the sum of each adjacent pair of the elementwise product
         flat = np.ascontiguousarray(phi).view(np.float64)
+        product = np.empty(flat.shape[1], dtype=np.float64)
+        bounds = 2 * self.starts
         for k in range(n):
             w[:, k, k] = mult
-            if k + 1 < n:
-                row = np.add.reduceat(flat[k + 1 :] * flat[k], 2 * self.starts, axis=1).T
-                w[:, k, k + 1 :] = row
-                w[:, k + 1 :, k] = row
+            for j in range(k + 1, n):
+                np.multiply(flat[j], flat[k], out=product)
+                w[:, k, j] = w[:, j, k] = np.add.reduceat(product, bounds)
         return w.reshape(s, n * n)
 
     def coeffs(self, lam_physical: float) -> np.ndarray:
         """c_lambda on each shell: (4*pi^2*m - lambda)^{-1}."""
         return 1.0 / (self.ns_physical - lam_physical)
+
+    def _axis_index(self) -> np.ndarray:
+        """(d, P) offsets xi_c + a of the ball points into the 1-D phase tables."""
+        if self._index is None:
+            a = math.isqrt(self.radius_sq)
+            self._index = np.ascontiguousarray((self.pts + a).T, dtype=np.intp)
+        return self._index
 
     def _coord_grid(self) -> np.ndarray:
         if self._grid is None:

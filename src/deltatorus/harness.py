@@ -294,6 +294,9 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
     field_ = assemble_field(
         d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells, phi=phi
     )
+    # the functionals below allocate field-sized temporaries: release the
+    # table first so they reuse its memory instead of growing the heap
+    del phi
     res.norm_sq = field_.norm_sq
     res.annulus_sq, res.remainder_sq = split_annulus(field_, interval.center, ctx.width)
     res.b_val = functional_B(field_, interval)

@@ -159,7 +159,13 @@ def assemble_field(
     shells.pole_check(lam)
     if phi is None:
         phi = shells.phase_table(positions)
-    w = d_coeffs @ phi
+    # one row at a time: a threaded BLAS product of this shape costs more
+    # in thread wake-up than in arithmetic and makes concurrent trials contend
+    w = phi[0] * d_coeffs[0]
+    term = np.empty_like(w)
+    for dj, row in zip(d_coeffs[1:], phi[1:]):
+        np.multiply(row, dj, out=term)
+        w += term
     c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(np.float64) - lam.physical)
     return FourierField(lam=lam, shells=shells, weights=w, values=c * w)
 
