@@ -134,11 +134,7 @@ def cmd_solve(args) -> int:
     table = lattice.enumerate_spectrum(config.dim, radius)
     triple = table.gap_triple(args.mk)
     roots = scatterer.find_new_eigenvalues(
-        config,
-        triple,
-        TruncationPolicy.by_radius(radius),
-        solver_tol=args.tol,
-        grid_points=args.grid,
+        config, triple, TruncationPolicy.by_radius(radius), solver_tol=args.tol
     )
     out = Path(args.out)
     written: dict = {}
@@ -149,7 +145,6 @@ def cmd_solve(args) -> int:
         "m_k": args.mk,
         "tol": args.tol,
         "radius_factor": args.radius_factor,
-        "grid": args.grid,
     }
     _emit_manifest(out, f"{stem}.manifest.json", "solve", params, written)
     vals = [r.lambda_norm * (lattice.FOUR_PI_SQ if args.physical else 1.0) for r in roots]
@@ -367,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mk", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--radius-factor", dest="radius_factor", type=float, default=1.6)
-    sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--physical", action="store_true")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_solve)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +91,6 @@ class TrialSpec:
     synthetic_coeffs: list | None = None  # [[re, im], ...] unit vector
     synthetic_lambda_frac: float = 0.5
     solver_tol: float = 1e-8
-    grid_points: int = 256
     eps_shift: float = 0.05  # shift-range exponent for the strict window check
     strict_sprime: bool = False
     gamma: float | None = None
@@ -135,7 +134,6 @@ class TrialSpec:
             "synthetic_coeffs": self.synthetic_coeffs,
             "synthetic_lambda_frac": self.synthetic_lambda_frac,
             "solver_tol": self.solver_tol,
-            "grid_points": self.grid_points,
             "eps_shift": self.eps_shift,
             "strict_sprime": self.strict_sprime,
             "gamma": self.gamma,
@@ -145,6 +143,9 @@ class TrialSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "TrialSpec":
         obj = dict(obj)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown trial spec keys: {', '.join(unknown)}")
         if obj.get("observable") is not None:
             obj["observable"] = Observable.from_json(obj["observable"])
         return cls(**obj)
@@ -259,7 +260,6 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
             interval,
             TruncationPolicy.by_radius(ctx.radius_sq),
             solver_tol=spec.solver_tol,
-            grid_points=spec.grid_points,
             workspace=ws,
         )
         if not roots:

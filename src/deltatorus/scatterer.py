@@ -8,14 +8,28 @@ by scatterers:
                       + sum_m (U^{-1})[j, m] (G_lambda - G_{-i})(x_k, x_m).
 
 New eigenvalues are the parameters lambda strictly between consecutive
-unperturbed eigenvalues where M is singular; each root carries a null
-vector v and the normalized superposition coefficients d = (Id + U) v.
+unperturbed eigenvalues where M is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and come from the configuration's phase table
 (ShellSums.phase_table / weights_many), so M at one more lambda is one
 matrix product of the shell coefficients c_lambda with an (S, N*N) weight
 array.
+
+The root solver takes one common phase, U = e^{i theta} Id.  Then
+M = (1 + e^{-i theta}) H with the real symmetric
+
+    H(lambda) = c_lambda @ W - Re G_{+i} + tan(theta/2) Im G_{+i},
+
+whose derivative c_lambda^2 @ W is positive semidefinite, so every ordered
+eigenvalue of H is nondecreasing across a gap.  The number of roots in a
+gap is the drop in the count of negative eigenvalues of H from one end to
+the other (Sylvester inertia), each root is the zero of one eigenvalue
+branch, and its superposition coefficients d are that branch's unit
+eigenvector ((Id + U) v is a multiple of v).  A U with distinct eigenvalues
+in general does not preserve the deficiency Gram matrix Im G_{+i}, so it
+defines no self-adjoint operator in this parametrization; the solver
+rejects it, while matrix assembly accepts any unitary.
 """
 
 from __future__ import annotations
@@ -36,11 +50,6 @@ from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: grid parameters per matrix product in SecularWorkspace.smin_grid; bounds
-#: the (block, S) coefficient matrix and keeps the product small enough
-#: that it does not wake a threaded BLAS for a few microseconds of work
-SMIN_GRID_BLOCK = 32
 
 
 def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -53,8 +62,10 @@ def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
 class ScattererConfig:
     """N scatterer positions on the unit torus plus the extension parameter.
 
-    The parameter is either a vector of diagonal phases theta_j (local
-    impurities, U = diag(exp(i theta_j))) or a full N x N unitary matrix.
+    The parameter is either a vector of diagonal phases theta_j
+    (U = diag(exp(i theta_j))) or a full N x N unitary matrix.  Any unitary
+    without eigenvalue -1 is accepted here and by matrix assembly;
+    find_new_eigenvalues needs one common phase, U = exp(i theta) Id.
     """
 
     dim: int
@@ -149,9 +160,10 @@ class SecularWorkspace:
 
     W[s, k*N + j] = E_{m_s}(x_k - x_j) and the two deficiency sums
     G_{+-i}(x_k, x_j) are lambda-independent; a matrix at one more lambda
-    is the product c_lambda @ W, reshaped to N x N.  ``phi`` is the
-    configuration's phase table (ShellSums.phase_table), built here when
-    the caller has none to share.
+    is the product c_lambda @ W, reshaped to N x N, and the symmetric form
+    H with its slope is one product of (c_lambda, c_lambda^2) with W.
+    ``phi`` is the configuration's phase table (ShellSums.phase_table),
+    built here when the caller has none to share.
     """
 
     def __init__(
@@ -177,28 +189,18 @@ class SecularWorkspace:
         self._g_minus = re - 1j * im
         self._uinv_t = config.u_inv.T.copy()
 
-    def _from_products(self, cw: np.ndarray) -> np.ndarray:
-        """M from c_lambda @ W, for one lambda (N*N,) or a stack (G, N*N)."""
-        a = cw.reshape(cw.shape[:-1] + self._g_plus.shape)
+    def matrix(self, lam_physical: float) -> np.ndarray:
+        a = (self.shells.coeffs(lam_physical) @ self._w).reshape(self._g_plus.shape)
         return (a - self._g_plus) + (a - self._g_minus) @ self._uinv_t
 
-    def matrix(self, lam_physical: float) -> np.ndarray:
-        return self._from_products(self.shells.coeffs(lam_physical) @ self._w)
+    def symmetric(self, lam_physical: float, tan_half: float) -> tuple[np.ndarray, np.ndarray]:
+        """H = c_lambda @ W - Re G_{+i} + tan_half Im G_{+i} and dH/dlambda = c_lambda^2 @ W.
 
-    def smin(self, lam_physical: float) -> float:
-        return float(np.linalg.svd(self.matrix(lam_physical), compute_uv=False)[-1])
-
-    def smin_grid(self, lams: np.ndarray) -> np.ndarray:
-        """Smallest singular value at each grid parameter, SMIN_GRID_BLOCK at a time."""
-        lams = np.asarray(lams, dtype=np.float64)
-        out = np.empty(lams.shape[0], dtype=np.float64)
-        ns = self.shells.ns_physical
-        for i in range(0, lams.shape[0], SMIN_GRID_BLOCK):
-            block = lams[i : i + SMIN_GRID_BLOCK]
-            c = 1.0 / (ns[None, :] - block[:, None])
-            m = self._from_products(c @ self._w)
-            out[i : i + block.shape[0]] = np.linalg.svd(m, compute_uv=False)[:, -1]
-        return out
+        For U = e^{i theta} Id and tan_half = tan(theta/2), M = (1 + e^{-i theta}) H.
+        """
+        c = self.shells.coeffs(lam_physical)
+        h, slope = (np.stack((c, c * c)) @ self._w).reshape((2,) + self._g_plus.shape)
+        return h - self._g_plus.real + tan_half * self._g_plus.imag, slope
 
     def secular(self, lam_physical: float) -> tuple[complex, float]:
         m = self.matrix(lam_physical)
@@ -261,39 +263,22 @@ class NewEigenvalue:
     residual: float
     second_smin: float
     near_degenerate: bool
-    sign_bracketed: bool | None = None
 
     @property
     def lambda_physical(self) -> float:
         return FOUR_PI_SQ * self.lambda_norm
 
 
-def _golden_minimize(f, lo, hi, width_target, f_target, floor_width, max_iter=300):
-    """Golden-section minimization; returns (x_best, f_best, lo, hi).
-
-    Shrinks until the bracket is below width_target AND the best value is
-    below f_target, or the bracket reaches the floating-point floor.
-    """
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        width = hi - lo
-        if width <= floor_width:
-            break
-        if width <= width_target and min(f1, f2) <= f_target:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1, lo, hi
-    return x2, f2, lo, hi
+def _common_phase(config: ScattererConfig) -> float:
+    """theta with U = e^{i theta} Id; any other U raises ValidationError."""
+    u = config.u_matrix
+    z = complex(u[0, 0])
+    if np.linalg.norm(u - z * np.eye(config.n_scatterers)) > UNITARITY_TOL:
+        raise ValidationError(
+            "the root solver needs one common phase, U = exp(i theta) Id: other "
+            "unitaries do not preserve the deficiency Gram matrix Im G_{+i}"
+        )
+    return math.atan2(z.imag, z.real)
 
 
 def find_new_eigenvalues(
@@ -301,120 +286,82 @@ def find_new_eigenvalues(
     interval: GapTriple,
     policy: TruncationPolicy,
     solver_tol: float = 1e-8,
-    grid_points: int = 256,
     workspace: SecularWorkspace | None = None,
 ) -> list[NewEigenvalue]:
-    """All spectral-equation roots in the open gap (n_k, n_{k+1}).
+    """All spectral-equation roots in the open gap (n_k, n_{k+1}), ascending.
 
-    Scans the smallest singular value on a uniform grid, refines each dip
-    by golden section until the bracket is below solver_tol times the
-    interval length and the residual is below solver_tol, then extracts the
-    null vector.  For one diagonal scatterer a sign-bracketing pass on the
-    (real) normalized determinant backs up the scan, since that secular
-    function is strictly increasing between poles.
+    Needs U = e^{i theta} Id, so that M = (1 + e^{-i theta}) H with H real
+    symmetric and every ordered eigenvalue of H nondecreasing in lambda.
+    The root count is the number of negative eigenvalues of H a few ulps
+    above n_k minus the number a few ulps below n_{k+1}.  Root i, counted
+    from the left, is the zero of eigenvalue branch n_lo - 1 - i: Newton
+    steps on that branch (slope v^T H' v) kept inside its sign bracket, with
+    bisection whenever a step leaves the bracket or fails to halve.  Each
+    eigen-solve tightens the brackets of every branch.  A root is accepted
+    once the last step or its bracket is at most solver_tol times the gap
+    length and the residual |1 + e^{-i theta}| |mu| is at most solver_tol,
+    or once its bracket reaches the floating-point floor; the latter keeps a
+    root that sits so close to a pole that float64 cannot reach the
+    residual, and reports the residual it measured.
     """
     if not solver_tol > 0:
         raise ValidationError("solver_tol must be positive")
+    theta = _common_phase(config)
+    tan_half = math.tan(theta / 2.0)
+    scale = 2.0 * abs(math.cos(theta / 2.0))  # |1 + e^{-i theta}|
     n = config.n_scatterers
     if workspace is None:
         lam_hi = SpectralParameter(float(interval.next))
         workspace = SecularWorkspace(config, policy.resolve(lam_hi, config.dim))
     ws = workspace
     a, b = interval.n_center, interval.n_next
-    length = b - a
-    inset = length / (4.0 * grid_points)
-    grid = np.linspace(a + inset, b - inset, grid_points)
-    smins = ws.smin_grid(grid)
+    floor = 4.0 * float(np.spacing(b))
+    width = max(solver_tol * (b - a), floor)
+    x_lo, x_hi = a + floor, b - floor
+    lo, hi = np.full(n, x_lo), np.full(n, x_hi)  # sign bracket of each branch
 
-    candidates = [
-        i
-        for i in range(grid_points)
-        if (i == 0 or smins[i] < smins[i - 1]) and (i == grid_points - 1 or smins[i] <= smins[i + 1])
-    ]
+    def eigen(x):
+        h, slope = ws.symmetric(x, tan_half)
+        mu, vecs = np.linalg.eigh(h)
+        neg = mu < 0.0
+        np.copyto(lo, np.maximum(lo, x), where=neg)
+        np.copyto(hi, np.minimum(hi, x), where=~neg)
+        return mu, vecs, slope
 
+    n_lo = int(np.count_nonzero(eigen(x_lo)[0] < 0.0))
+    n_hi = int(np.count_nonzero(eigen(x_hi)[0] < 0.0))
     roots: list[NewEigenvalue] = []
-    width_target = solver_tol * length
-    floor_width = 64.0 * np.finfo(float).eps * b
-    for i in candidates:
-        lo = grid[i - 1] if i > 0 else a + inset / 4.0
-        hi = grid[i + 1] if i < grid_points - 1 else b - inset / 4.0
-        x, fx, blo, bhi = _golden_minimize(
-            ws.smin, lo, hi, max(width_target, floor_width), solver_tol, floor_width
-        )
-        if fx > solver_tol:
-            continue  # a dip, not a root
-        if any(abs(r.lambda_physical - x) <= 2.0 * max(width_target, floor_width) for r in roots):
-            continue
-        m = ws.matrix(x)
-        _, sigma, vh = np.linalg.svd(m)
-        v = vh[-1].conj()
-        d = coefficient_vector(config, v)
-        smin, s2 = float(sigma[-1]), float(sigma[-2]) if n > 1 else math.inf
-        sign_flag = None
-        if config.is_diagonal and n == 1:
-            f_lo = normalized_determinant(config, complex(np.linalg.det(ws.matrix(blo)))).real
-            f_hi = normalized_determinant(config, complex(np.linalg.det(ws.matrix(bhi)))).real
-            sign_flag = f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo
+    for i in range(n_lo - n_hi):
+        j = n_lo - 1 - i
+        x, last_step = 0.5 * (lo[j] + hi[j]), math.inf
+        for _ in range(200):  # bisection alone needs about 60
+            mu, vecs, slope = eigen(x)
+            v = vecs[:, j]
+            residual = scale * abs(float(mu[j]))
+            deriv = float(v @ slope @ v)
+            step = -float(mu[j]) / deriv if deriv > 0.0 else math.inf
+            bracket = hi[j] - lo[j]
+            if residual <= solver_tol and min(abs(step), bracket) <= width:
+                break
+            if bracket <= floor:
+                break
+            if lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last_step:
+                x, last_step = x + step, abs(step)
+            else:
+                x, last_step = 0.5 * (lo[j] + hi[j]), 0.5 * bracket
+        else:
+            raise NumericError(f"root search did not converge on branch {j}")
+        others = np.abs(np.delete(mu, j))
+        s2 = scale * float(others.min()) if others.size else math.inf
         roots.append(
             NewEigenvalue(
                 lambda_norm=x / FOUR_PI_SQ,
                 interval=interval,
                 v=v,
-                d=d,
-                residual=smin,
+                d=v.astype(np.complex128),
+                residual=residual,
                 second_smin=s2,
-                near_degenerate=bool(s2 < 1e3 * smin),
-                sign_bracketed=sign_flag,
+                near_degenerate=bool(s2 < 1e3 * residual),
             )
         )
-
-    if config.is_diagonal and n == 1 and not roots:
-        root = _bisect_n1(
-            config, ws, interval, a + inset / 8.0, b - inset / 8.0,
-            max(width_target, floor_width), solver_tol, floor_width,
-        )
-        if root is not None:
-            roots.append(root)
-
-    if len(roots) > n:
-        raise NumericError(
-            f"found {len(roots)} roots in one gap for a rank-{n} perturbation"
-        )
-    roots.sort(key=lambda r: r.lambda_norm)
     return roots
-
-
-def _bisect_n1(
-    config, ws, interval, lo, hi, width_target, solver_tol, floor_width
-) -> NewEigenvalue | None:
-    """Sign bisection on the real normalized determinant (N = 1 fallback)."""
-
-    def f(x):
-        return normalized_determinant(config, complex(np.linalg.det(ws.matrix(x)))).real
-
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        return None
-    while hi - lo > floor_width:
-        if hi - lo <= width_target and ws.smin(0.5 * (lo + hi)) <= solver_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    x = 0.5 * (lo + hi)
-    m = ws.matrix(x)
-    _, sigma, vh = np.linalg.svd(m)
-    v = vh[-1].conj()
-    return NewEigenvalue(
-        lambda_norm=x / FOUR_PI_SQ,
-        interval=interval,
-        v=v,
-        d=coefficient_vector(config, v),
-        residual=float(sigma[-1]),
-        second_smin=math.inf,
-        near_degenerate=False,
-        sign_bracketed=True,
-    )

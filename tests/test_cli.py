@@ -22,7 +22,6 @@ SPEC = {
     "l0_override": 4 * math.pi**2 * 1.2,
     "radius_factor": 8.0,
     "observable": {"0,0": [1.0, 0.0], "2,0": [0.5, 0.0], "-2,0": [0.5, 0.0]},
-    "grid_points": 128,
 }
 
 
@@ -74,6 +73,15 @@ def test_validation_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "ValidationError"
+
+
+def test_unknown_spec_key_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, grid_points=128)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert "grid_points" in record["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_sprime_outputs(tmp_path):

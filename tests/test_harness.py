@@ -39,7 +39,6 @@ def small_spec(**kw):
         l0_override=FOUR_PI_SQ * 1.2,
         radius_factor=8.0,
         observable=Observable.from_json(OBS),
-        grid_points=128,
     )
     base.update(kw)
     return TrialSpec(**base)
@@ -113,7 +112,7 @@ def test_solver_n1_always_one_root():
 
 
 def test_chain_holds_on_every_trial():
-    spec = small_spec(n_scatterers=3, phases=[0.0, 0.2, -0.4], trials=12)
+    spec = small_spec(n_scatterers=3, phases=[0.2, 0.2, 0.2], trials=12)
     results, _ = run_trials(spec)
     usable = [r for r in results if not r.no_root]
     assert usable
@@ -183,7 +182,7 @@ def test_err_quantiles():
 
 
 def test_reproducibility_across_thread_counts():
-    spec = small_spec(n_scatterers=3, phases=[0.0, 0.1, 0.2], trials=12)
+    spec = small_spec(n_scatterers=3, phases=[0.1, 0.1, 0.1], trials=12)
     r1, ctx = run_trials(spec, threads=1)
     r2, _ = run_trials(spec, threads=3)
     assert trials_csv_text(r1, ctx.zetas) == trials_csv_text(r2, ctx.zetas)
@@ -248,7 +247,6 @@ def test_d3_solver_trials():
         l0_override=FOUR_PI_SQ * 1.2,
         radius_factor=3.0,
         observable=obs,
-        grid_points=128,
     )
     results, ctx = run_trials(spec)
     assert (ctx.interval.prev, ctx.interval.center, ctx.interval.next) == (42, 43, 44)

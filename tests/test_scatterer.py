@@ -5,9 +5,9 @@ import pytest
 
 from deltatorus.errors import DegenerateExtensionError, ValidationError
 from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy, regularized_pair
+from deltatorus.harness import sample_positions
 from deltatorus.lattice import enumerate_spectrum
 from deltatorus.scatterer import (
-    SMIN_GRID_BLOCK,
     ScattererConfig,
     SecularWorkspace,
     build_matrix,
@@ -178,20 +178,23 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
             assert abs(got[k, j] - want) <= 1e-12 * abs(want)
 
 
-def test_smin_grid_matches_pointwise_smin_across_blocks():
-    cfg = ScattererConfig(
-        2, np.array([[0.13, 0.71], [0.42, 0.09], [0.88, 0.55]]), phases=np.array([0.3, 0.0, -0.8])
-    )
-    tri = enumerate_spectrum(2, 4000).gap_triple(100)
-    ws = SecularWorkspace(cfg, 4000)
-    # a root-free stretch of the gap: smin stays above 0.2, so a relative
-    # comparison measures assembly, not cancellation next to a root
-    length = tri.n_next - tri.n_center
-    lams = np.linspace(tri.n_center + 0.05 * length, tri.n_center + 0.6 * length, 70)
-    assert lams.size % SMIN_GRID_BLOCK != 0
-    grid = ws.smin_grid(lams)
-    for lam, s in zip(lams, grid):
-        assert s == pytest.approx(ws.smin(lam), rel=1e-12)
+@pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
+def test_symmetric_form_matches_matrix(dim, radius_sq):
+    # U = e^{i theta} Id: M = (1 + e^{-i theta}) H, and H' = c^2 @ W is the
+    # derivative of H
+    theta = 0.9
+    rng = np.random.default_rng(50 + dim)
+    cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.full(3, theta))
+    ws = SecularWorkspace(cfg, radius_sq)
+    lam = SpectralParameter(9.4).physical
+    h, slope = ws.symmetric(lam, math.tan(theta / 2.0))
+    assert np.array_equal(h, h.T) and np.array_equal(slope, slope.T)
+    m = ws.matrix(lam)
+    assert np.abs(m - (1.0 + np.exp(-1j * theta)) * h).max() <= 1e-12 * np.abs(m).max()
+    assert np.linalg.eigvalsh(slope).min() >= -1e-12 * np.abs(slope).max()
+    step = 1e-4
+    diff = (ws.symmetric(lam + step, 0.0)[0] - ws.symmetric(lam - step, 0.0)[0]) / (2 * step)
+    assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
 
 
 def test_determinant_continuity_under_refinement():
@@ -230,7 +233,6 @@ def test_root_matches_closed_form(theta):
         expected = closed_form_root(shells, theta, tri)
         assert roots[0].lambda_physical == pytest.approx(expected, rel=1e-10)
         assert roots[0].residual <= 1e-8
-        assert roots[0].sign_bracketed in (True, None)
 
 
 def test_root_count_bounded_by_rank():
@@ -243,9 +245,7 @@ def test_root_count_bounded_by_rank():
         cfg = ScattererConfig(2, pos, phases=np.zeros(n))
         m_k = int(rng.choice([100, 101, 104, 106]))
         tri = table.gap_triple(m_k)
-        roots = find_new_eigenvalues(
-            cfg, tri, TruncationPolicy.by_radius(2000), grid_points=128
-        )
+        roots = find_new_eigenvalues(cfg, tri, TruncationPolicy.by_radius(2000))
         assert 0 <= len(roots) <= n
         if n == 1 and len(roots) != 1:
             one_root_always = False
@@ -255,20 +255,65 @@ def test_root_count_bounded_by_rank():
     assert one_root_always
 
 
-def test_root_stability_under_grid_refinement():
-    table = enumerate_spectrum(2, 2000)
+def _acceptance_gap_fractions(trial_index, n):
+    # the acceptance spec: m_k = 10036, R = ceil(1.6 m_k), zero phases
+    tri = enumerate_spectrum(2, 16058).gap_triple(10036)
+    cfg = ScattererConfig(2, sample_positions(5, trial_index, n, 2), phases=np.zeros(n))
+    roots = find_new_eigenvalues(cfg, tri, TruncationPolicy.by_radius(16058))
+    length = tri.n_next - tri.n_center
+    return [(r.lambda_physical - tri.n_center) / length for r in roots]
+
+
+def test_two_roots_closer_than_a_grid_cell():
+    fracs = _acceptance_gap_fractions(12, 4)
+    assert len(fracs) == 4
+    assert fracs == sorted(fracs)
+    assert fracs[2] == pytest.approx(0.98408, abs=5e-6)
+    assert fracs[3] == pytest.approx(0.98499, abs=5e-6)
+
+
+def test_root_next_to_the_upper_pole():
+    fracs = _acceptance_gap_fractions(0, 8)
+    assert len(fracs) == 8
+    assert fracs[-1] == pytest.approx(0.99941, abs=5e-6)
+
+
+def test_roots_with_a_common_nonzero_phase():
+    # every root is a root of the complex matrix M, by its own SVD
+    theta = -1.3
     cfg = ScattererConfig(
-        2,
-        np.array([[0.13, 0.71], [0.42, 0.09], [0.88, 0.55]]),
-        phases=np.zeros(3),
+        2, np.array([[0.13, 0.71], [0.42, 0.09], [0.88, 0.55]]), phases=np.full(3, theta)
     )
-    tri = table.gap_triple(100)
-    pol = TruncationPolicy.by_radius(2000)
-    r1 = find_new_eigenvalues(cfg, tri, pol, solver_tol=1e-9, grid_points=256)
-    r2 = find_new_eigenvalues(cfg, tri, pol, solver_tol=1e-9, grid_points=512)
-    assert len(r1) == len(r2)
-    for a, b in zip(r1, r2):
-        assert a.lambda_physical == pytest.approx(b.lambda_physical, abs=1e-9 * tri.n_next)
+    tri = enumerate_spectrum(2, 4000).gap_triple(100)
+    roots = find_new_eigenvalues(cfg, tri, POLICY)
+    assert roots
+    for r in roots:
+        m = build_matrix(cfg, SpectralParameter(r.lambda_norm), POLICY)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert sigma[-1] <= 1e-8
+        # the same quantity, up to the cancellation next to a root
+        assert abs(r.residual - sigma[-1]) <= 1e-10
+        assert np.abs(m @ r.d).max() <= 1e-8
+
+
+def test_solver_rejects_non_scalar_extension():
+    pos = np.array([[0.13, 0.71], [0.42, 0.09]])
+    tri = enumerate_spectrum(2, 4000).gap_triple(100)
+    distinct = ScattererConfig(2, pos, phases=np.array([0.0, 0.4]))
+    with pytest.raises(ValidationError):
+        find_new_eigenvalues(distinct, tri, POLICY)
+    phase = np.exp(0.25j)
+    swap = ScattererConfig(2, pos, matrix=np.array([[0, phase], [phase, 0]]))
+    with pytest.raises(ValidationError):
+        find_new_eigenvalues(swap, tri, POLICY)
+    # assembly still takes any unitary
+    assert np.all(np.isfinite(build_matrix(swap, SpectralParameter(9.4), POLICY)))
+    # a scalar matrix is the common phase it stands for
+    scalar = ScattererConfig(2, pos, matrix=np.exp(0.6j) * np.eye(2))
+    common = ScattererConfig(2, pos, phases=np.full(2, 0.6))
+    got = [r.lambda_norm for r in find_new_eigenvalues(scalar, tri, POLICY)]
+    want = [r.lambda_norm for r in find_new_eigenvalues(common, tri, POLICY)]
+    assert want and got == pytest.approx(want, rel=1e-14)
 
 
 def test_simplicity_certificate():
