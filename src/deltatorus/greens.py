@@ -175,10 +175,11 @@ class ShellSums:
     The per-shell exponential sums E_m(z) = sum_{|xi|^2 = m} cos(2*pi*<xi,z>)
     are the lambda-independent part of every Green's evaluation; grouping by
     shell makes repeated evaluations at many spectral parameters cheap.
-    ``weights`` evaluates them directly from cosines at one difference
-    vector; ``weights_many`` gets every pair of a configuration from the
-    phase table of its positions (``phase_table``), which field assembly
-    reuses.
+    ``weights`` evaluates them directly from cosines over the whole ball at
+    one difference vector; ``weights_many`` gets every unordered pair of a
+    configuration from the nonnegative orthant of the ball and 1-D cosine
+    tables.  ``phase_table`` builds e_xi(-x_j) on the whole ball for field
+    assembly.
     """
 
     def __init__(self, dim: int, radius_sq: int):
@@ -194,6 +195,7 @@ class ShellSums:
         self.ns_physical = FOUR_PI_SQ * self.shell_ms.astype(np.float64)
         self._grid = None
         self._index = None
+        self._orthant_index = None
         self._partners: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -215,9 +217,7 @@ class ShellSums:
         integer coordinates a of the ball, multiplied by lookup: N*d*(2*sqrt(R)+1)
         exponentials instead of N*P.
         """
-        positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        if positions.shape[1] != self.dim:
-            raise ValidationError(f"positions must be {self.dim}-vectors")
+        positions = self._positions(positions)
         a = math.isqrt(self.radius_sq)
         coords = np.arange(-a, a + 1, dtype=np.float64)
         axes = [
@@ -235,34 +235,64 @@ class ShellSums:
                 row *= factor
         return phi
 
-    def weights_many(self, phi: np.ndarray) -> np.ndarray:
-        """E_m(x_k - x_j) for every ordered pair of a configuration.
+    def weights_many(self, positions) -> np.ndarray:
+        """E_m(x_k - x_j) for every unordered pair of a configuration.
 
-        ``phi`` is the (N, P) table from ``phase_table``.  Returns W of
-        shape (S, N*N) with W[s, k*N + j] = E_{m_s}(x_k - x_j), summing
-        Re(phi_k * conj(phi_j)) over each shell; the diagonal is the exact
-        shell multiplicity.  One pair is reduced at a time into a single
-        2P-real buffer, so no temporary grows with N.
+        Returns W of shape (S, N*(N+1)/2) whose column t holds the pair
+        (k, j) = (np.triu_indices(N)[0][t], np.triu_indices(N)[1][t]).  A
+        shell is invariant under flipping the sign of any coordinate, and the
+        2^d flips of xi sum to prod_c 2*cos(2*pi*xi_c*z_c), so with z = x_k - x_j
+
+            E_m(z) = sum over xi in shell m with every xi_c >= 0 of
+                     2^{#nonzero xi_c} * prod_c cos(2*pi*xi_c*z_c),
+
+        read from one 1-D cosine table per axis over the orthant points of
+        the ball (``_orthant``) and reduced into the shells by one bincount
+        per pair.  The diagonal columns are the exact shell multiplicities.
         """
-        n = phi.shape[0]
+        positions = self._positions(positions)
+        coords, weight, shell = self._orthant()
         s = self.shell_ms.size
-        w = np.empty((s, n, n), dtype=np.float64)
-        mult = self.mult.astype(np.float64)
-        # interleaved (re, im) pairs: the real part of phi_k * conj(phi_j) is
-        # the sum of each adjacent pair of the elementwise product
-        flat = np.ascontiguousarray(phi).view(np.float64)
-        product = np.empty(flat.shape[1], dtype=np.float64)
-        bounds = 2 * self.starts
-        for k in range(n):
-            w[:, k, k] = mult
-            for j in range(k + 1, n):
-                np.multiply(flat[j], flat[k], out=product)
-                w[:, k, j] = w[:, j, k] = np.add.reduceat(product, bounds)
-        return w.reshape(s, n * n)
+        rows, cols = np.triu_indices(positions.shape[0])
+        w = np.empty((rows.size, s), dtype=np.float64)
+        steps = (2.0 * math.pi) * np.arange(math.isqrt(self.radius_sq) + 1, dtype=np.float64)
+        product = np.empty(weight.size, dtype=np.float64)
+        factor = np.empty(weight.size, dtype=np.float64)
+        for t, (k, j) in enumerate(zip(rows, cols)):
+            if k == j:
+                w[t] = self.mult
+                continue
+            tables = np.cos(np.outer(positions[k] - positions[j], steps))
+            # every coordinate lies in [0, sqrt(R)]: see phase_table on "clip"
+            np.take(tables[0], coords[0], out=product, mode="clip")
+            for c in range(1, self.dim):
+                np.take(tables[c], coords[c], out=factor, mode="clip")
+                product *= factor
+            product *= weight
+            w[t] = np.bincount(shell, weights=product, minlength=s)
+        return w.T
 
     def coeffs(self, lam_physical: float) -> np.ndarray:
         """c_lambda on each shell: (4*pi^2*m - lambda)^{-1}."""
         return 1.0 / (self.ns_physical - lam_physical)
+
+    def _positions(self, positions) -> np.ndarray:
+        positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+        if positions.ndim != 2 or positions.shape[1] != self.dim:
+            raise ValidationError(f"positions must be {self.dim}-vectors")
+        return positions
+
+    def _orthant(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ball points with every coordinate >= 0, in point order:
+        coordinates as a (d, Q) index into the 1-D cosine tables, the number
+        of sign flips 2^{#nonzero xi_c} each one stands for, and shell ids."""
+        if self._orthant_index is None:
+            inside = np.flatnonzero(np.all(self.pts >= 0, axis=1))
+            coords = np.ascontiguousarray(self.pts[inside].T, dtype=np.intp)
+            weight = np.ldexp(1.0, np.count_nonzero(coords, axis=0))
+            shell = np.repeat(np.arange(self.shell_ms.size), self.mult)[inside]
+            self._orthant_index = (coords, weight, shell)
+        return self._orthant_index
 
     def _axis_index(self) -> np.ndarray:
         """(d, P) offsets xi_c + a of the ball points into the 1-D phase tables."""

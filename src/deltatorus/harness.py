@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
 from .greens import ShellSums, SpectralParameter, TruncationPolicy
-from .lattice import FOUR_PI_SQ, GapTriple, SpectrumTable, enumerate_spectrum
+from .lattice import FOUR_PI_SQ, GapTriple, SpectrumTable, _check_dim, enumerate_spectrum
 from .measure import (
     Observable,
     _branch_weights,
@@ -97,6 +97,11 @@ class TrialSpec:
     gamma_eps: float = 0.0
 
     def __post_init__(self):
+        _check_dim(self.dim)
+        if self.n_scatterers < 1:
+            raise ValidationError("n_scatterers must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.coefficient_mode not in ("solver", "synthetic"):
@@ -250,11 +255,9 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
     positions = sample_positions(spec.seed, trial_index, spec.n_scatterers, spec.dim)
     config = spec.config_for(positions)
     interval = ctx.interval
-    # e_xi(-x_j) on the whole ball, shared by the secular weights and the field
-    phi = ctx.shells.phase_table(config.positions)
 
     if spec.coefficient_mode == "solver":
-        ws = SecularWorkspace(config, ctx.radius_sq, shells=ctx.shells, phi=phi)
+        ws = SecularWorkspace(config, ctx.radius_sq, shells=ctx.shells)
         roots = find_new_eigenvalues(
             config,
             interval,
@@ -292,11 +295,8 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
         )
 
     field_ = assemble_field(
-        d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells, phi=phi
+        d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells
     )
-    # the functionals below allocate field-sized temporaries: release the
-    # table first so they reuse its memory instead of growing the heap
-    del phi
     res.norm_sq = field_.norm_sq
     res.annulus_sq, res.remainder_sq = split_annulus(field_, interval.center, ctx.width)
     res.b_val = functional_B(field_, interval)

@@ -141,12 +141,11 @@ def assemble_field(
     lam: SpectralParameter,
     policy: TruncationPolicy,
     shells: ShellSums | None = None,
-    phi: np.ndarray | None = None,
 ) -> FourierField:
     """Evaluate D(xi) on the truncation ball for given coefficients/positions.
 
-    ``phi`` is the positions' phase table (ShellSums.phase_table) when the
-    caller already has it; w = sum_j d_j phi_j.
+    w = sum_j d_j phi_j over the positions' phase table phi_j(xi) = e_xi(-x_j)
+    (ShellSums.phase_table), built here and released on return.
     """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -157,8 +156,7 @@ def assemble_field(
     if shells is None:
         shells = ShellSums.get(dim, policy.resolve(lam, dim))
     shells.pole_check(lam)
-    if phi is None:
-        phi = shells.phase_table(positions)
+    phi = shells.phase_table(positions)
     # one row at a time: a threaded BLAS product of this shape costs more
     # in thread wake-up than in arithmetic and makes concurrent trials contend
     w = phi[0] * d_coeffs[0]

@@ -11,10 +11,10 @@ New eigenvalues are the parameters lambda strictly between consecutive
 unperturbed eigenvalues where M is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
-depend only on the positions and come from the configuration's phase table
-(ShellSums.phase_table / weights_many), so M at one more lambda is one
-matrix product of the shell coefficients c_lambda with an (S, N*N) weight
-array.
+depend only on the positions and are symmetric in the pair, so they are
+computed once per unordered pair (ShellSums.weights_many), and M at one
+more lambda is one matrix product of the shell coefficients c_lambda with
+an (S, N*(N+1)/2) weight array, unpacked to N x N.
 
 The root solver takes one common phase, U = e^{i theta} Id.  Then
 M = (1 + e^{-i theta}) H with the real symmetric
@@ -158,39 +158,36 @@ class ScattererConfig:
 class SecularWorkspace:
     """Shell data bound to one configuration for fast matrix assembly.
 
-    W[s, k*N + j] = E_{m_s}(x_k - x_j) and the two deficiency sums
-    G_{+-i}(x_k, x_j) are lambda-independent; a matrix at one more lambda
-    is the product c_lambda @ W, reshaped to N x N, and the symmetric form
-    H with its slope is one product of (c_lambda, c_lambda^2) with W.
-    ``phi`` is the configuration's phase table (ShellSums.phase_table),
-    built here when the caller has none to share.
+    W[s, t] = E_{m_s}(x_k - x_j) for the unordered pair (k, j) in column t
+    of np.triu_indices(N) (ShellSums.weights_many), and the two deficiency
+    sums G_{+-i}(x_k, x_j) are lambda-independent.  Every contraction is a
+    product with W over the N*(N+1)/2 pairs, unpacked to N x N through a
+    fixed index map: a matrix at one more lambda from c_lambda @ W, and the
+    symmetric form H with its slope from one product of (c_lambda,
+    c_lambda^2) with W.
     """
 
-    def __init__(
-        self,
-        config: ScattererConfig,
-        radius_sq: int,
-        shells: ShellSums | None = None,
-        phi: np.ndarray | None = None,
-    ):
+    def __init__(self, config: ScattererConfig, radius_sq: int, shells: ShellSums | None = None):
         self.config = config
         self.shells = shells if shells is not None else ShellSums.get(config.dim, radius_sq)
         if shells is not None and shells.radius_sq != radius_sq:
             raise ValidationError("prebuilt shells disagree with radius_sq")
-        if phi is None:
-            phi = self.shells.phase_table(config.positions)
         n = config.n_scatterers
-        self._w = self.shells.weights_many(phi)
+        self._w = self.shells.weights_many(config.positions)
+        # unpack[k, j] = unpack[j, k] is the column of the pair {k, j} in W
+        rows, cols = np.triu_indices(n)
+        self._unpack = np.empty((n, n), dtype=np.intp)
+        self._unpack[rows, cols] = self._unpack[cols, rows] = np.arange(rows.size)
         # G_{+-i} = sum_s W_s / (n_s -+ i) = sum_s W_s (n_s +- i) / (n_s^2 + 1)
         ns = self.shells.ns_physical
-        re = ((ns / (ns * ns + 1.0)) @ self._w).reshape(n, n)
-        im = ((1.0 / (ns * ns + 1.0)) @ self._w).reshape(n, n)
+        re = ((ns / (ns * ns + 1.0)) @ self._w)[self._unpack]
+        im = ((1.0 / (ns * ns + 1.0)) @ self._w)[self._unpack]
         self._g_plus = re + 1j * im
         self._g_minus = re - 1j * im
         self._uinv_t = config.u_inv.T.copy()
 
     def matrix(self, lam_physical: float) -> np.ndarray:
-        a = (self.shells.coeffs(lam_physical) @ self._w).reshape(self._g_plus.shape)
+        a = (self.shells.coeffs(lam_physical) @ self._w)[self._unpack]
         return (a - self._g_plus) + (a - self._g_minus) @ self._uinv_t
 
     def symmetric(self, lam_physical: float, tan_half: float) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +196,7 @@ class SecularWorkspace:
         For U = e^{i theta} Id and tan_half = tan(theta/2), M = (1 + e^{-i theta}) H.
         """
         c = self.shells.coeffs(lam_physical)
-        h, slope = (np.stack((c, c * c)) @ self._w).reshape((2,) + self._g_plus.shape)
+        h, slope = (np.stack((c, c * c)) @ self._w)[:, self._unpack]
         return h - self._g_plus.real + tan_half * self._g_plus.imag, slope
 
     def secular(self, lam_physical: float) -> tuple[complex, float]:
@@ -225,31 +222,6 @@ def secular_value(
     ws = SecularWorkspace(config, r)
     ws.shells.pole_check(lam)
     return ws.secular(lam.physical)
-
-
-def normalized_determinant(config: ScattererConfig, det: complex) -> complex:
-    """det divided by prod(1 + e^{-i theta_j}); real for diagonal configs."""
-    if not config.is_diagonal:
-        raise ValidationError("normalized determinant needs a diagonal config")
-    return det / np.prod(1.0 + np.exp(-1j * config.phases))
-
-
-def coefficient_vector(u_param, v: np.ndarray) -> np.ndarray:
-    """d = (Id + U) v rescaled to a unit vector."""
-    v = np.asarray(v, dtype=np.complex128)
-    if not np.any(v):
-        raise ValidationError("null vector must be nonzero")
-    if isinstance(u_param, ScattererConfig):
-        u = u_param.u_matrix
-    else:
-        u = np.asarray(u_param, dtype=np.complex128)
-        if u.ndim == 1:
-            u = np.diag(np.exp(1j * u.real)) if np.isrealobj(u_param) else np.diag(u)
-    w = v + u @ v
-    norm = math.sqrt(float(np.sum(np.abs(w) ** 2)))
-    if norm < 1e-12 * math.sqrt(float(np.sum(np.abs(v) ** 2))):
-        raise DegenerateExtensionError("(Id + U) v vanishes; degenerate direction")
-    return w / norm
 
 
 @dataclass

@@ -29,6 +29,8 @@ from deltatorus.reporting import plotdata_text, trials_csv_text
 from deltatorus.scatterer import ScattererConfig, find_new_eigenvalues
 from deltatorus.sprime import SPrimeParams, build_window, recheck_conclusion
 
+pytestmark = pytest.mark.acceptance
+
 THREADS = 3
 MEANS_SEED = 2026080901
 EVENTS_SEED = 2026080902

@@ -84,6 +84,21 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "spec_overrides,extra_args",
+    [({}, ["--seed", "-1"]), ({}, ["--seed", str(2**64)]), ({"dim": 4}, []),
+     ({"n_scatterers": 0, "phases": []}, [])],
+    ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers"],
+)
+def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
+    spec = write_spec(tmp_path, **spec_overrides)
+    code = main(["mc", "--spec", str(spec), "--out", str(tmp_path / "run"), *extra_args])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert not (tmp_path / "run").exists()
+
+
 def test_sprime_outputs(tmp_path):
     out = tmp_path / "win"
     code = main([

@@ -222,6 +222,29 @@ def test_shellsums_weights_zero_is_multiplicity():
     assert np.allclose(w, shells.mult.astype(float), rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
+@pytest.mark.parametrize("n", [1, 5])
+def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
+    # every unordered pair against the whole-ball cosine path at x_k - x_j
+    shells = ShellSums.get(dim, radius_sq)
+    mult = shells.mult.astype(np.float64)
+    coords, weight, shell = shells._orthant()
+    assert np.all(coords >= 0) and weight.size < shells.pts.shape[0]
+    assert np.array_equal(np.bincount(shell, weights=weight, minlength=mult.size), mult)
+    x = np.random.default_rng(70 + dim).uniform(size=(n, dim))
+    if n == 5:
+        x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
+        x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
+    w = shells.weights_many(x)
+    rows, cols = np.triu_indices(n)
+    assert w.shape == (mult.size, rows.size)
+    for t, (k, j) in enumerate(zip(rows, cols)):
+        if k == j:
+            assert np.array_equal(w[:, t], mult)
+        else:
+            assert np.all(np.abs(w[:, t] - shells.weights(x[k] - x[j])) <= 1e-12 * mult)
+
+
 def test_d3_shell_enumeration_matches_brute_force():
     from conftest import brute_counts_d3
 

@@ -229,6 +229,21 @@ def test_trial_spec_json_round_trip():
     assert back.to_json() == spec.to_json()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [dict(dim=1), dict(dim=4), dict(seed=-1), dict(seed=2**64), dict(n_scatterers=0)],
+    ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers"],
+)
+def test_trial_spec_rejects_out_of_range_fields(override):
+    with pytest.raises(ValidationError):
+        small_spec(**override)
+
+
+def test_trial_spec_accepts_the_largest_seed():
+    spec = small_spec(seed=2**64 - 1, trials=1)
+    assert sample_positions(spec.seed, 0, 2, 2).shape == (2, 2)
+
+
 def test_d3_solver_trials():
     obs = Observable.from_json(
         {

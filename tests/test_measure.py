@@ -156,9 +156,7 @@ def test_field_from_phase_table_matches_direct_exponentials_d3():
     x = rng.uniform(size=(3, 3))
     lam = SpectralParameter(9.4)
     shells = ShellSums.get(3, 400)
-    f = assemble_field(
-        d, x, lam, TruncationPolicy.by_radius(400), shells=shells, phi=shells.phase_table(x)
-    )
+    f = assemble_field(d, x, lam, TruncationPolicy.by_radius(400), shells=shells)
     direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
     assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
 

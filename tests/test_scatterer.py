@@ -11,9 +11,7 @@ from deltatorus.scatterer import (
     ScattererConfig,
     SecularWorkspace,
     build_matrix,
-    coefficient_vector,
     find_new_eigenvalues,
-    normalized_determinant,
     secular_value,
 )
 
@@ -142,12 +140,10 @@ def test_secular_value_sign_flip_and_smin():
     tri = table.gap_triple(100)
     shells = ShellSums.get(2, 4000)
     root = closed_form_root(shells, 0.0, tri)
-    det_lo = normalized_determinant(
-        cfg, secular_value(cfg, SpectralParameter.from_physical(root - 1.0), POLICY)[0]
-    )
-    det_hi = normalized_determinant(
-        cfg, secular_value(cfg, SpectralParameter.from_physical(root + 1.0), POLICY)[0]
-    )
+    # det M = (1 + e^{-i theta}) H for one scatterer, and H is real
+    scale = 1.0 + np.exp(-1j * cfg.phases[0])
+    det_lo = secular_value(cfg, SpectralParameter.from_physical(root - 1.0), POLICY)[0] / scale
+    det_hi = secular_value(cfg, SpectralParameter.from_physical(root + 1.0), POLICY)[0] / scale
     assert det_lo.real < 0 < det_hi.real
     assert abs(det_lo.imag) < 1e-10 * abs(det_lo)
     _, smin = secular_value(cfg, SpectralParameter.from_physical(root), POLICY)
@@ -176,6 +172,14 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
         for j in range(3):
             want = r_plus[k, j] + sum(uinv[j, m] * r_minus[k, m] for m in range(3))
             assert abs(got[k, j] - want) <= 1e-12 * abs(want)
+
+
+def test_workspace_rejects_shells_of_the_other_dimension():
+    x = np.array([[0.1, 0.2, 0.3], [0.6, 0.5, 0.4]])
+    for dim in (2, 3):
+        cfg = ScattererConfig(dim, x[:, :dim], phases=np.zeros(2))
+        with pytest.raises(ValidationError):
+            SecularWorkspace(cfg, 400, shells=ShellSums.get(5 - dim, 400))
 
 
 @pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
@@ -324,17 +328,3 @@ def test_simplicity_certificate():
     for r in roots:
         if not r.near_degenerate:
             assert r.second_smin > 1e3 * r.residual
-
-
-def test_coefficient_vector():
-    d = coefficient_vector(np.eye(1, dtype=complex), np.array([1.0 + 0j]))
-    assert np.allclose(d, [1.0])
-    with pytest.raises(DegenerateExtensionError):
-        coefficient_vector(-np.eye(2, dtype=complex), np.array([1.0, 2.0]))
-    with pytest.raises(ValidationError):
-        coefficient_vector(np.eye(2, dtype=complex), np.zeros(2))
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    d = coefficient_vector(q, v)
-    assert float(np.sum(np.abs(d) ** 2)) == pytest.approx(1.0, abs=1e-14)
