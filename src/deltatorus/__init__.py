@@ -13,7 +13,6 @@ from .errors import (
 from .greens import ShellSums, SpectralParameter, TruncationPolicy
 from .lattice import (
     FOUR_PI_SQ,
-    AnnulusSpec,
     GapTriple,
     SpectrumTable,
     annulus_points,
@@ -28,7 +27,6 @@ from .harness import TrialSpec, run_trials, sample_positions
 
 __all__ = [
     "FOUR_PI_SQ",
-    "AnnulusSpec",
     "ArtifactConflictError",
     "DegenerateExtensionError",
     "FourierField",

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, OnSpectrumError, ValidationError
-from .lattice import FOUR_PI_SQ, _check_dim
+from .lattice import FOUR_PI_SQ, _check_dim, ball_points
 
 #: hard ceiling on enumerated lattice points when resolving a tolerance
 MAX_POINTS_DEFAULT = 8_000_000
@@ -111,56 +111,13 @@ class _ShellData(NamedTuple):
     mult: np.ndarray  # (S,) int64 shell sizes
 
 
-def _floor_isqrt(x: np.ndarray) -> np.ndarray:
-    """Elementwise exact integer sqrt floor for nonnegative int64 input."""
-    r = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
-    r = np.where(r * r > x, r - 1, r)
-    return r
-
-
-def _enumerate_ball_d2(radius_sq: int):
-    rows_a, rows_b, rows_n = [], [], []
-    for a in range(-math.isqrt(radius_sq), math.isqrt(radius_sq) + 1):
-        bmax = math.isqrt(radius_sq - a * a)
-        b = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        rows_a.append(np.full(b.size, a, dtype=np.int64))
-        rows_b.append(b)
-        rows_n.append(a * a + b * b)
-    coords = np.stack([np.concatenate(rows_a), np.concatenate(rows_b)], axis=1)
-    return coords, np.concatenate(rows_n)
-
-
-def _enumerate_ball_d3(radius_sq: int):
-    blocks = []
-    for a in range(-math.isqrt(radius_sq), math.isqrt(radius_sq) + 1):
-        rem_a = radius_sq - a * a
-        bmax = math.isqrt(rem_a)
-        b = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        cmax = _floor_isqrt(rem_a - b * b)
-        counts = 2 * cmax + 1
-        total = int(counts.sum())
-        ends = np.cumsum(counts)
-        idx = np.arange(total, dtype=np.int64)
-        offs = np.repeat(ends - counts, counts)
-        c = idx - offs - np.repeat(cmax, counts)
-        bb = np.repeat(b, counts)
-        aa = np.full(total, a, dtype=np.int64)
-        blocks.append((aa, bb, c, a * a + bb * bb + c * c))
-    coords = np.stack(
-        [np.concatenate([blk[k] for blk in blocks]) for k in range(3)], axis=1
-    )
-    norms = np.concatenate([blk[3] for blk in blocks])
-    return coords, norms
-
-
 @lru_cache(maxsize=6)
 def _shell_data(dim: int, radius_sq: int) -> _ShellData:
     if _points_estimate(dim, radius_sq) > 4 * MAX_POINTS_DEFAULT:
         raise NumericError(f"truncation ball |xi|^2 <= {radius_sq} is too large to enumerate")
-    coords, norms = (_enumerate_ball_d2 if dim == 2 else _enumerate_ball_d3)(radius_sq)
-    keys = tuple(coords[:, k] for k in range(dim - 1, -1, -1)) + (norms,)
-    order = np.lexsort(keys)
+    coords, norms = ball_points(dim, radius_sq)
+    # a stable sort keeps the lexicographic order within each shell
+    order = np.argsort(norms, kind="stable")
     coords = np.ascontiguousarray(coords[order].astype(np.int32))
     norms = norms[order]
     boundary = np.flatnonzero(np.r_[True, np.diff(norms) > 0])

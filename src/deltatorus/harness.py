@@ -22,11 +22,17 @@ import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
 from .greens import ShellSums, SpectralParameter, TruncationPolicy
-from .lattice import FOUR_PI_SQ, GapTriple, SpectrumTable, _check_dim, enumerate_spectrum
+from .lattice import (
+    FOUR_PI_SQ,
+    GapTriple,
+    SpectrumTable,
+    _check_dim,
+    annulus_range,
+    enumerate_spectrum,
+)
 from .measure import (
     Observable,
     _branch_weights,
-    annulus_range,
     assemble_field,
     equidistribution_error,
     functional_A,
@@ -97,6 +103,10 @@ class TrialSpec:
     gamma_eps: float = 0.0
 
     def __post_init__(self):
+        for name in ("dim", "n_scatterers", "m_center", "seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         _check_dim(self.dim)
         if self.n_scatterers < 1:
             raise ValidationError("n_scatterers must be >= 1")
@@ -123,27 +133,9 @@ class TrialSpec:
         return ScattererConfig(self.dim, positions, matrix=mat)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_scatterers": self.n_scatterers,
-            "m_center": self.m_center,
-            "seed": self.seed,
-            "trials": self.trials,
-            "phases": self.phases,
-            "u_matrix": self.u_matrix,
-            "delta": self.delta,
-            "l0_override": self.l0_override,
-            "radius_factor": self.radius_factor,
-            "observable": self.observable.to_json(),
-            "coefficient_mode": self.coefficient_mode,
-            "synthetic_coeffs": self.synthetic_coeffs,
-            "synthetic_lambda_frac": self.synthetic_lambda_frac,
-            "solver_tol": self.solver_tol,
-            "eps_shift": self.eps_shift,
-            "strict_sprime": self.strict_sprime,
-            "gamma": self.gamma,
-            "gamma_eps": self.gamma_eps,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["observable"] = self.observable.to_json()
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrialSpec":

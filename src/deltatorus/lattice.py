@@ -1,10 +1,15 @@
-"""Unperturbed torus spectrum as exact integer arithmetic.
+"""Unperturbed torus spectrum and lattice point sets as exact integer arithmetic.
 
 The Laplacian eigenvalues on the unit torus are n = 4*pi^2*m where m runs
 over the integers representable as a sum of d squares (d = 2 or 3).  All
 set membership, gap and annulus logic in this module is done on the exact
 integer norms m; the physical factor 4*pi^2 enters only when a real-valued
 width or spectral parameter has to be compared against the table.
+
+This is the only module that turns a radius or a width into lattice points:
+``ball_points`` enumerates a ball, ``annulus_half_width`` maps a physical
+half-width to the integer half-width K of the annulus |n - m_k| <= K, and
+``annulus_points`` lists the annulus vectors in ball order.
 """
 
 from __future__ import annotations
@@ -87,19 +92,6 @@ class GapTriple:
     def outer_gap(self) -> float:
         """Physical width n_{k+1} - n_{k-1}."""
         return FOUR_PI_SQ * (self.next - self.prev)
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Lattice vectors xi with |4pi^2|xi - shift|^2 - 4pi^2*center_norm| <= width."""
-
-    center_norm: int
-    width: float
-    shift: tuple = ()
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValidationError(f"annulus width must be positive, got {self.width}")
 
 
 @dataclass
@@ -284,35 +276,89 @@ def shell_vectors(dim: int, m: int) -> np.ndarray:
     return np.array(vecs, dtype=np.int64)
 
 
-def annulus_norms(table: SpectrumTable, center_norm: int, width: float) -> list[int]:
-    """Representable norms m with |4pi^2*m - 4pi^2*center| <= width."""
-    half = width / FOUR_PI_SQ
-    lo = max(0, math.ceil(center_norm - half))
-    hi = min(table.m_max, math.floor(center_norm + half))
-    if hi < lo:
-        return []
-    return [int(m) for m in table.norms_in(lo, hi) if FOUR_PI_SQ * abs(int(m) - center_norm) <= width]
+def _floor_isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise exact integer sqrt floor for nonnegative int64 input."""
+    r = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
+    r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
+    r = np.where(r * r > x, r - 1, r)
+    return r
 
 
-def annulus_points(table: SpectrumTable, spec: AnnulusSpec) -> np.ndarray:
-    """Lattice vectors in the (shifted) annulus, lexicographically ordered.
+def ball_points(dim: int, radius_sq: int) -> tuple[np.ndarray, np.ndarray]:
+    """All lattice vectors with |xi|^2 <= radius_sq in lexicographic order,
+    as (P, d) int64 coordinates, with their (P,) int64 squared norms."""
+    _check_dim(dim)
+    if radius_sq < 0:
+        raise ValidationError("radius-squared must be nonnegative")
+    top = math.isqrt(radius_sq)
+    blocks = []
+    for a in range(-top, top + 1):
+        rem = radius_sq - a * a
+        bmax = math.isqrt(rem)
+        b = np.arange(-bmax, bmax + 1, dtype=np.int64)
+        if dim == 2:
+            blocks.append((np.full(b.size, a, dtype=np.int64), b))
+            continue
+        cmax = _floor_isqrt(rem - b * b)
+        counts = 2 * cmax + 1
+        c = np.arange(int(counts.sum()), dtype=np.int64)
+        c -= np.repeat(np.cumsum(counts) - counts + cmax, counts)
+        blocks.append((np.full(c.size, a, dtype=np.int64), np.repeat(b, counts), c))
+    coords = np.stack([np.concatenate(axis) for axis in zip(*blocks)], axis=1)
+    return coords, (coords * coords).sum(axis=1)
 
-    The membership test |4pi^2|xi - shift|^2 - 4pi^2*m_k| <= width is exact
-    on the integers, so the set is the shift-translate of the centered one.
+
+def annulus_half_width(width: float, reach: int) -> int:
+    """The integer half-width K of the annulus of physical half-width ``width``.
+
+    K is the largest integer k <= reach with 4*pi^2*k <= width in floating
+    point, or -1 when width < 0.  An integer norm n satisfies
+    |4*pi^2*(n - m)| <= width exactly when |n - m| <= K, for every
+    |n - m| <= reach; the cap keeps K finite for an infinite width.
     """
-    if not table.contains(spec.center_norm):
-        raise ValidationError(f"annulus center {spec.center_norm} not representable")
-    shells = annulus_norms(table, spec.center_norm, spec.width)
-    if not shells:
+    if FOUR_PI_SQ * reach <= width:
+        return reach
+    k = math.floor(width / FOUR_PI_SQ)
+    while FOUR_PI_SQ * (k + 1) <= width:
+        k += 1
+    while k >= 0 and FOUR_PI_SQ * k > width:
+        k -= 1
+    return k
+
+
+def annulus_range(norms: np.ndarray, m_center: int, width: float) -> tuple[int, int]:
+    """Bounds [lo, hi) of the ascending integer norms n with
+    |4*pi^2*(n - m_center)| <= width: the norms within K of m_center
+    (``annulus_half_width``), one contiguous range."""
+    k = annulus_half_width(width, int(norms[-1]) + abs(int(m_center)))
+    if k < 0:
+        return 0, 0
+    lo = int(np.searchsorted(norms, m_center - k, side="left"))
+    hi = int(np.searchsorted(norms, m_center + k, side="right"))
+    return lo, hi
+
+
+def annulus_norms(table: SpectrumTable, center_norm: int, width: float) -> np.ndarray:
+    """Representable norms m with |4pi^2*m - 4pi^2*center| <= width, ascending."""
+    lo, hi = annulus_range(table.ms, center_norm, width)
+    return table.ms[lo:hi]
+
+
+def annulus_points(table: SpectrumTable, m_center: int, width: float) -> np.ndarray:
+    """Lattice vectors xi with |4pi^2*|xi|^2 - 4pi^2*m_center| <= width, in
+    ball order: by norm, then lexicographic within a shell.
+
+    These are the points ``ShellSums.pts[lo:hi]`` of any ball that contains
+    the annulus, with [lo, hi) = annulus_range(ShellSums.norms, ...).
+    """
+    if not width > 0:
+        raise ValidationError(f"annulus width must be positive, got {width}")
+    if not table.contains(m_center):
+        raise ValidationError(f"annulus center {m_center} not representable")
+    shells = annulus_norms(table, m_center, width)
+    if shells.size == 0:
         return np.zeros((0, table.dim), dtype=np.int64)
-    pts = np.concatenate([shell_vectors(table.dim, m) for m in shells], axis=0)
-    if spec.shift:
-        shift = np.asarray(spec.shift, dtype=np.int64)
-        if shift.shape != (table.dim,):
-            raise ValidationError("annulus shift has wrong dimension")
-        pts = pts + shift
-    order = np.lexsort(tuple(pts[:, k] for k in range(table.dim - 1, -1, -1)))
-    return pts[order]
+    return np.concatenate([shell_vectors(table.dim, int(m)) for m in shells], axis=0)
 
 
 def bad_set_test(xi, zeta, delta: float) -> bool:

@@ -12,6 +12,11 @@ truncation ball, stored once and then queried read-only:
     functional, and the deterministic shifted-coefficient sum with its
     count/width bound.
 
+The annulus is the one ``lattice`` defines, |m - m_k| <= K for the integer
+half-width K of L_0: on a field it is the contiguous range
+``lattice.annulus_range`` of the norm-sorted ball points, and sigma_sum runs
+over ``lattice.annulus_points``, the same points in the same order.
+
 The two-branch sums freeze the coefficient at an interval endpoint, so
 they dominate or minorize the lambda-dependent quantities uniformly over
 the gap; that is what makes the per-sample inequality chain exact.
@@ -27,7 +32,15 @@ import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
 from .greens import ShellSums, SpectralParameter, TruncationPolicy
-from .lattice import FOUR_PI_SQ, GapTriple, SpectrumTable, annulus_norms, shell_vectors
+from .lattice import (
+    FOUR_PI_SQ,
+    GapTriple,
+    SpectrumTable,
+    annulus_half_width,
+    annulus_points,
+    annulus_range,
+    shell_vectors,
+)
 
 
 @dataclass
@@ -193,29 +206,6 @@ def pair_with_observable(field: FourierField, a: Observable) -> complex:
     return acc
 
 
-def annulus_range(norms: np.ndarray, m_center: int, width: float) -> tuple[int, int]:
-    """Bounds [lo, hi) of the ascending integer norms n with
-    |4*pi^2*(n - m_center)| <= width.
-
-    The test depends on n only through k = |n - m_center| and holds exactly
-    for k <= K, the largest integer whose 4*pi^2*K does not exceed width in
-    floating point, so the selected entries are one contiguous range.
-    """
-    reach = int(norms[-1]) + abs(int(m_center))
-    if FOUR_PI_SQ * reach <= width:
-        return 0, norms.size
-    k = math.floor(width / FOUR_PI_SQ)
-    while FOUR_PI_SQ * (k + 1) <= width:
-        k += 1
-    while k >= 0 and FOUR_PI_SQ * k > width:
-        k -= 1
-    if k < 0:
-        return 0, 0
-    lo = int(np.searchsorted(norms, m_center - k, side="left"))
-    hi = int(np.searchsorted(norms, m_center + k, side="right"))
-    return lo, hi
-
-
 def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[float, float]:
     """(annulus mass, complement mass) of |D|^2; parts reassemble exactly.
 
@@ -224,9 +214,9 @@ def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[flo
     """
     if not width > 0:
         raise ValidationError("width must be positive")
-    outer = m_center + width / FOUR_PI_SQ
-    full_capture = width >= FOUR_PI_SQ * m_center and outer >= field.radius_sq
-    if outer > field.radius_sq and not full_capture:
+    # the annulus |n - m_center| <= K may leave the ball only by swallowing it
+    k = annulus_half_width(width, field.radius_sq + abs(m_center))
+    if m_center + k > field.radius_sq and k < m_center:
         raise ValidationError(
             f"truncation ball |xi|^2 <= {field.radius_sq} does not cover the annulus"
         )
@@ -311,16 +301,15 @@ def sigma_sum(
     table: SpectrumTable, interval: GapTriple, width: float, zeta
 ) -> tuple[float, float]:
     """Deterministic shifted two-branch sum over the annulus, plus the
-    count bound #A / width^2."""
+    count bound #A / width^2.
+
+    The annulus is ``lattice.annulus_points``: the same points, in the same
+    order, that functional_A reads from the field.
+    """
     zeta = np.asarray([int(z) for z in zeta], dtype=np.int64)
     if not np.any(zeta):
         raise ValidationError("zeta must be nonzero")
-    shells = annulus_norms(table, interval.center, width)
-    pts = (
-        np.concatenate([shell_vectors(table.dim, m) for m in shells], axis=0)
-        if shells
-        else np.zeros((0, table.dim), dtype=np.int64)
-    )
+    pts = annulus_points(table, interval.center, width)
     if pts.shape[0] == 0:
         return 0.0, 0.0
     shifted_norms = ((pts + zeta) ** 2).sum(axis=1)

@@ -12,10 +12,14 @@ with explicit constants:
        uniformly in lambda.
 
 Both checks are exhaustive over the finite index sets, so acceptance is
-deterministic.  The asymptotic theory needs delta inside
-(theta/2, 1/2 - theta) with theta the circle-law remainder exponent; finite
-windows are often more interesting outside that range, so the range is
-recorded as a flag rather than enforced.
+deterministic.  The annulus is ``lattice.annulus_points``, the point set the
+Monte Carlo functionals use, and the shifts are the nonzero points of a
+``lattice.ball_points`` ball; ``recheck_conclusion`` enumerates the annulus
+again, shell by shell, as an independent check of the scan.
+
+The asymptotic theory needs delta inside (theta/2, 1/2 - theta) with theta
+the circle-law remainder exponent; finite windows are often more interesting
+outside that range, so the range is recorded as a flag rather than enforced.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
-from .lattice import FOUR_PI_SQ, SpectrumTable, annulus_norms, shell_vectors
+from .lattice import (
+    FOUR_PI_SQ,
+    SpectrumTable,
+    annulus_norms,
+    annulus_points,
+    ball_points,
+    shell_vectors,
+)
 
 #: circle-law remainder exponent (best known, used only for parameter bookkeeping)
 THETA_DEFAULT = 133.0 / 416.0
@@ -88,17 +99,8 @@ class SPrimeParams:
 
 def shift_vectors(dim: int, bound: float) -> np.ndarray:
     """All nonzero integer vectors with |zeta| <= bound, lexicographic order."""
-    top = math.floor(bound)
-    if top < 1:
-        return np.zeros((0, dim), dtype=np.int64)
-    rng = np.arange(-top, top + 1)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = (pts**2).sum(axis=1) <= bound * bound
-    keep &= np.any(pts != 0, axis=1)
-    pts = pts[keep]
-    order = np.lexsort(tuple(pts[:, k] for k in range(dim - 1, -1, -1)))
-    return pts[order].astype(np.int64)
+    pts, norms = ball_points(dim, math.floor(bound * bound))
+    return pts[norms > 0]
 
 
 def gap_condition(table: SpectrumTable, m_center: int, params: SPrimeParams) -> bool:
@@ -138,12 +140,7 @@ def coeff_condition(table: SpectrumTable, m_center: int, params: SPrimeParams) -
     """
     triple = table.gap_triple(m_center)
     l0 = params.l0(m_center)
-    shells = annulus_norms(table, m_center, l0)
-    points = (
-        np.concatenate([shell_vectors(table.dim, m) for m in shells], axis=0)
-        if shells
-        else np.zeros((0, table.dim), dtype=np.int64)
-    )
+    points = annulus_points(table, m_center, l0)
     if points.shape[0] == 0:
         return True
     shifts = shift_vectors(table.dim, params.shift_bound(m_center))

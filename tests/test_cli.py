@@ -87,8 +87,10 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec_overrides,extra_args",
     [({}, ["--seed", "-1"]), ({}, ["--seed", str(2**64)]), ({"dim": 4}, []),
-     ({"n_scatterers": 0, "phases": []}, [])],
-    ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers"],
+     ({"n_scatterers": 0, "phases": []}, []), ({"seed": 1.5}, []), ({"seed": True}, []),
+     ({"trials": 2.5}, []), ({"n_scatterers": 2.5}, []), ({"dim": 2.0}, [])],
+    ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
+         "trials_fraction", "scatterers_fraction", "dim_float"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)

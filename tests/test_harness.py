@@ -227,12 +227,22 @@ def test_trial_spec_json_round_trip():
     spec = small_spec(trials=3)
     back = TrialSpec.from_json(spec.to_json())
     assert back.to_json() == spec.to_json()
+    # manifests write the keys in this order
+    assert list(spec.to_json()) == [
+        "dim", "n_scatterers", "m_center", "seed", "trials", "phases", "u_matrix",
+        "delta", "l0_override", "radius_factor", "observable", "coefficient_mode",
+        "synthetic_coeffs", "synthetic_lambda_frac", "solver_tol", "eps_shift",
+        "strict_sprime", "gamma", "gamma_eps",
+    ]
 
 
 @pytest.mark.parametrize(
     "override",
-    [dict(dim=1), dict(dim=4), dict(seed=-1), dict(seed=2**64), dict(n_scatterers=0)],
-    ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers"],
+    [dict(dim=1), dict(dim=4), dict(seed=-1), dict(seed=2**64), dict(n_scatterers=0),
+     dict(seed=1.5), dict(seed=True), dict(trials=2.5), dict(n_scatterers=2.5),
+     dict(dim=2.0), dict(m_center=40.0)],
+    ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers", "seed_fraction",
+         "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float"],
 )
 def test_trial_spec_rejects_out_of_range_fields(override):
     with pytest.raises(ValidationError):

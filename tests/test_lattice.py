@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import OnSpectrumError, OutOfRangeError, ValidationError
+from deltatorus.greens import ShellSums
 from deltatorus.lattice import (
     FOUR_PI_SQ,
-    AnnulusSpec,
     GapTriple,
     SpectrumTable,
     annulus_norms,
     annulus_points,
+    annulus_range,
     bad_set_test,
     enumerate_spectrum,
     shell_vectors,
@@ -111,36 +112,49 @@ def test_gap_triple_requires_neighbors(table_d2_small):
 
 
 def test_annulus_points(table_d2_small):
-    pts = annulus_points(table_d2_small, AnnulusSpec(25, 1.5 * FOUR_PI_SQ))
+    pts = annulus_points(table_d2_small, 25, 1.5 * FOUR_PI_SQ)
     assert pts.shape == (20, 2)
     assert sorted(set((pts**2).sum(axis=1).tolist())) == [25, 26]
 
-    tight = annulus_points(table_d2_small, AnnulusSpec(25, 0.5 * FOUR_PI_SQ))
+    tight = annulus_points(table_d2_small, 25, 0.5 * FOUR_PI_SQ)
     assert tight.shape == (12, 2)
     assert set((tight**2).sum(axis=1).tolist()) == {25}
 
-    shifted = annulus_points(
-        table_d2_small, AnnulusSpec(25, 0.5 * FOUR_PI_SQ, shift=(1, 0))
-    )
-    assert sorted(map(tuple, (tight + np.array([1, 0])).tolist())) == sorted(
-        map(tuple, shifted.tolist())
-    )
+    with pytest.raises(ValidationError):
+        annulus_points(table_d2_small, 25, 0.0)
+    with pytest.raises(ValidationError):
+        annulus_points(table_d2_small, 3, 1.5 * FOUR_PI_SQ)  # 3 is not a norm
 
 
 def test_annulus_boundary_exactness(table_d2_small):
-    width = 1.5 * FOUR_PI_SQ
-    inside = set(annulus_norms(table_d2_small, 25, width))
-    for m in table_d2_small.norms_in(20, 30).tolist():
-        should = FOUR_PI_SQ * abs(m - 25) <= width
-        assert (m in inside) == should
-    # nothing just beyond the boundary sneaks in
-    for m in inside:
-        assert FOUR_PI_SQ * abs(m - 25) <= width
+    # the last case has 25 + width / 4pi^2 = 232.99999999999997 < 233 in
+    # floating point, although 4pi^2 * |233 - 25| <= width holds exactly
+    cases = [(table_d2_small, 1.5 * FOUR_PI_SQ, range(20, 31)),
+             (enumerate_spectrum(2, 20000), FOUR_PI_SQ * 208, range(0, 301))]
+    for table, width, window in cases:
+        inside = set(annulus_norms(table, 25, width).tolist())
+        for m in table.norms_in(window.start, window.stop - 1).tolist():
+            should = FOUR_PI_SQ * abs(m - 25) <= width
+            assert (m in inside) == should, (width, m)
+        # nothing just beyond the boundary sneaks in
+        for m in inside:
+            assert FOUR_PI_SQ * abs(m - 25) <= width
+    assert 233 in inside
 
 
-def test_annulus_ordering_is_lexicographic(table_d2_small):
-    pts = annulus_points(table_d2_small, AnnulusSpec(25, 1.5 * FOUR_PI_SQ))
-    assert sorted(map(tuple, pts.tolist())) == list(map(tuple, pts.tolist()))
+def test_annulus_points_in_ball_order():
+    # ball order (by norm, then lexicographic) is the order of ShellSums.pts,
+    # so the annulus is one contiguous slice of the truncation ball
+    for dim, radius_sq, m_center, width in [
+        (2, 16058, 10036, (FOUR_PI_SQ * 10036) ** 0.3),
+        (2, 16058, 10036, 3.5 * FOUR_PI_SQ),
+        (3, 400, 101, 3.0 * FOUR_PI_SQ),
+    ]:
+        shells = ShellSums.get(dim, radius_sq)
+        lo, hi = annulus_range(shells.norms, m_center, width)
+        pts = annulus_points(enumerate_spectrum(dim, radius_sq), m_center, width)
+        assert pts.shape[0] > 0
+        assert np.array_equal(pts, shells.pts[lo:hi])
 
 
 def test_bad_set():

@@ -5,10 +5,9 @@ import pytest
 
 from deltatorus.errors import NonSPrimeError, ValidationError
 from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy
-from deltatorus.lattice import FOUR_PI_SQ, enumerate_spectrum, shell_vectors
+from deltatorus.lattice import FOUR_PI_SQ, annulus_range, enumerate_spectrum, shell_vectors
 from deltatorus.measure import (
     Observable,
-    annulus_range,
     assemble_field,
     equidistribution_error,
     functional_A,
@@ -147,6 +146,10 @@ def test_split_annulus():
     # annulus sticking out of the ball without swallowing it: rejected
     with pytest.raises(ValidationError):
         split_annulus(f, 150, FOUR_PI_SQ * 60.0)
+    # on the |xi|^2 <= 27 ball, half-widths 2 and 2.5 (times 4pi^2) select
+    # the same norms 23..27, inside the ball
+    f27 = small_field(d, rng.uniform(size=(2, 2)), radius=27)
+    assert split_annulus(f27, 25, 2.5 * FOUR_PI_SQ) == split_annulus(f27, 25, 2 * FOUR_PI_SQ)
 
 
 def test_field_from_phase_table_matches_direct_exponentials_d3():
@@ -307,6 +310,11 @@ def test_sigma_sum():
     assert val_neg == pytest.approx(val, rel=1e-14)
     with pytest.raises(ValidationError):
         sigma_sum(table, tri, width, (0, 0))
+    # 4pi^2 * (233 - 25) <= width: the annulus is the whole |xi|^2 <= 233 ball
+    big = enumerate_spectrum(2, 20000)
+    width = FOUR_PI_SQ * 208
+    _, bound = sigma_sum(big, big.gap_triple(25), width, (1, 0))
+    assert bound == big.circle_count(233)[0] / width**2
 
 
 def test_per_sample_chain_on_random_fields():

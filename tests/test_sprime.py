@@ -42,6 +42,14 @@ def test_shift_vectors():
     unit = shift_vectors(2, 1.0)
     assert sorted(map(tuple, unit.tolist())) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     assert shift_vectors(2, 1.5).shape == (8, 2)
+    # norms 1, 2, 4, 5: 4 + 4 + 4 + 8 vectors in d = 2, 6 + 12 + 8 + 6 + 24 in d = 3
+    for dim, count in ((2, 20), (3, 56)):
+        vecs = shift_vectors(dim, math.sqrt(5))
+        assert vecs.shape == (count, dim)
+        assert sorted(map(tuple, vecs.tolist())) == list(map(tuple, vecs.tolist()))
+        norms = (vecs**2).sum(axis=1)
+        assert norms.min() == 1 and norms.max() == 5
+    assert shift_vectors(3, 1.0).shape == (6, 3)
 
 
 def test_gap_condition(table_d2_small):
