@@ -10,13 +10,12 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .greens import ShellSums, SpectralParameter, TruncationPolicy
+from .greens import ShellSums, SpectralParameter
 from .lattice import (
     FOUR_PI_SQ,
     GapTriple,
     SpectrumTable,
     annulus_points,
-    bad_set_test,
     enumerate_spectrum,
     shell_vectors,
 )
@@ -44,11 +43,9 @@ __all__ = [
     "SpectralParameter",
     "SpectrumTable",
     "TrialSpec",
-    "TruncationPolicy",
     "ValidationError",
     "annulus_points",
     "assemble_field",
-    "bad_set_test",
     "build_window",
     "enumerate_spectrum",
     "find_new_eigenvalues",

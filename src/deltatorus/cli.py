@@ -23,7 +23,7 @@ import numpy as np
 
 from . import harness, lattice, measure, reporting, scatterer, sprime
 from .errors import NumericError, ValidationError
-from .greens import SpectralParameter, TruncationPolicy
+from .greens import SpectralParameter
 
 CACHE_ENV = "DELTATORUS_CACHE"
 
@@ -130,12 +130,10 @@ def _roots_csv(roots, config) -> str:
 
 def cmd_solve(args) -> int:
     config = scatterer.ScattererConfig.load(args.config)
-    radius = int(math.ceil(args.radius_factor * args.mk))
+    radius = harness.truncation_radius(args.radius_factor, args.mk)
     table = lattice.enumerate_spectrum(config.dim, radius)
     triple = table.gap_triple(args.mk)
-    roots = scatterer.find_new_eigenvalues(
-        config, triple, TruncationPolicy.by_radius(radius), solver_tol=args.tol
-    )
+    roots = scatterer.find_new_eigenvalues(config, triple, radius, solver_tol=args.tol)
     out = Path(args.out)
     written: dict = {}
     stem = f"roots_m{args.mk}"
@@ -155,22 +153,21 @@ def cmd_solve(args) -> int:
 def cmd_measure(args) -> int:
     config = scatterer.ScattererConfig.load(args.config)
     obs = measure.Observable.load(args.observable)
-    radius = int(math.ceil(args.radius_factor * args.mk))
+    radius = harness.truncation_radius(args.radius_factor, args.mk)
     table = lattice.enumerate_spectrum(config.dim, radius)
     triple = table.gap_triple(args.mk)
     width = args.L0 if args.L0 is not None else (lattice.FOUR_PI_SQ * args.mk) ** args.delta
-    policy = TruncationPolicy.by_radius(radius)
     if args.coeffs:
+        lam = harness.gap_fraction_lambda(triple, args.lambda_frac)
         with open(args.coeffs, encoding="utf-8") as f:
             d = np.array([complex(re, im) for re, im in json.load(f)])
-        lam = SpectralParameter(triple.center + args.lambda_frac * (triple.next - triple.center))
     else:
-        roots = scatterer.find_new_eigenvalues(config, triple, policy, solver_tol=args.tol)
+        roots = scatterer.find_new_eigenvalues(config, triple, radius, solver_tol=args.tol)
         if not roots:
             raise NumericError(f"no new eigenvalue in the gap at m_k = {args.mk}")
         d = roots[0].d
         lam = SpectralParameter(roots[0].lambda_norm)
-    field = measure.assemble_field(d, config.positions, lam, policy)
+    field = measure.assemble_field(d, config.positions, lam, radius)
     report = measure.functional_report(field, table, triple, width, obs.nonzero_shifts())
     err, env = measure.equidistribution_error(
         field, obs, float(harness.GAMMA_BY_DIM[config.dim]), 0.0, config.n_scatterers

@@ -4,16 +4,17 @@ Convention: e_xi(x) = exp(2*pi*i*<xi, x>), so -Laplace e_xi = 4*pi^2*|xi|^2 e_xi
 and the resolvent kernel has Fourier coefficients c_lambda(xi) =
 (4*pi^2*|xi|^2 - lambda)^{-1}.
 
-Raw Green's sums are conditionally convergent; the differences
-c_lambda - c_{+-i} decay like |xi|^{-4} and admit a rigorous tail bound
-(see tail_estimate).  Sums are accumulated shell-by-shell in ascending
-|xi|^2 with exact (fsum) accumulation so results are reproducible to the
-last bit for a fixed truncation set.
+Every sum runs over one fixed ball |xi|^2 <= radius_sq, the only
+truncation input; ShellSums.get holds one instance per ball.  The
+differences c_lambda - c_{+-i} decay like |xi|^{-4}, so regularized_pair
+reports a rigorous tail bound; it accumulates shell-by-shell with exact
+(fsum) accumulation, reproducible to the last bit for a fixed ball.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import NumericError, OnSpectrumError, ValidationError
 from .lattice import FOUR_PI_SQ, _check_dim, ball_points
 
-#: hard ceiling on enumerated lattice points when resolving a tolerance
-MAX_POINTS_DEFAULT = 8_000_000
+#: largest truncation ball ShellSums will enumerate, in estimated points
+MAX_BALL_POINTS = 32_000_000
 
 
 @dataclass(frozen=True)
@@ -48,82 +49,32 @@ def _points_estimate(dim: int, radius_sq: float) -> float:
     return (4.0 * math.pi / 3.0) * radius_sq**1.5
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How to truncate a lattice sum: fixed ball or target tail bound.
+def check_radius(radius_sq: int, lam: SpectralParameter) -> int:
+    """radius_sq as an int, once the ball |xi|^2 <= radius_sq reaches past
+    lambda: radius_sq >= lambda_norm + 1."""
+    if isinstance(radius_sq, bool) or not isinstance(radius_sq, numbers.Integral):
+        raise ValidationError(f"radius_sq must be an integer, got {radius_sq!r}")
+    radius_sq = int(radius_sq)
+    if radius_sq < lam.lambda_norm + 1:
+        raise ValidationError(
+            f"radius_sq {radius_sq} is below lambda_norm + 1 = {lam.lambda_norm + 1}"
+        )
+    return radius_sq
 
-    mode "radius": include |xi|^2 <= radius_sq.
-    mode "tol": pick the smallest radius whose rigorous regularized-tail
-    bound is below tol; raises NumericError when that radius would exceed
-    max_points enumerated lattice points.
+
+class TruncationPolicy:
+    """Compatibility shim whose only caller is ``perfbench/run.py``.
+
+    Truncation is the integer radius_sq alone; ``by_radius`` checks it and
+    returns it unchanged.
     """
 
-    mode: str = "tol"
-    radius_sq: int | None = None
-    tol: float | None = 1e-8
-    max_points: int = MAX_POINTS_DEFAULT
-
-    def __post_init__(self):
-        if self.mode not in ("radius", "tol"):
-            raise ValidationError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "radius":
-            if self.radius_sq is None or self.radius_sq < 1:
-                raise ValidationError("by-radius policy needs radius_sq >= 1")
-        else:
-            if self.tol is None or not self.tol > 0:
-                raise ValidationError("by-tolerance policy needs tol > 0")
-
-    @classmethod
-    def by_radius(cls, radius_sq: int) -> "TruncationPolicy":
-        return cls(mode="radius", radius_sq=int(radius_sq), tol=None)
-
-    def resolve(self, lam: SpectralParameter, dim: int) -> int:
-        """Radius-squared cutoff R for this policy at spectral parameter lam."""
-        _check_dim(dim)
-        if self.mode == "radius":
-            r = int(self.radius_sq)
-            if r < lam.lambda_norm + 1:
-                raise ValidationError(
-                    f"radius_sq {r} is below lambda_norm + 1 = {lam.lambda_norm + 1}"
-                )
-            return r
-        # invert tail_estimate: C(lam, d) * R^{-(4-d)/2} <= tol
-        c = _tail_constant(lam, dim)
-        if dim == 2:
-            r = c / self.tol
-        else:
-            r = (c / self.tol) ** 2
-        r = max(16.0, 2.0 * lam.lambda_norm + 1.0, lam.lambda_norm + 1.0, r)
-        if _points_estimate(dim, r) > self.max_points:
-            raise NumericError(
-                f"tolerance {self.tol} needs radius_sq ~ {r:.3g} "
-                f"(~{_points_estimate(dim, r):.3g} lattice points, cap {self.max_points}); "
-                "pass a by-radius policy instead"
-            )
-        return int(math.ceil(r))
-
-
-class _ShellData(NamedTuple):
-    pts: np.ndarray  # (P, d) int32, ordered by (norm, lexicographic)
-    norms: np.ndarray  # (P,) int64
-    shell_ms: np.ndarray  # (S,) int64 distinct norms ascending
-    starts: np.ndarray  # (S,) first point index of each shell
-    mult: np.ndarray  # (S,) int64 shell sizes
-
-
-@lru_cache(maxsize=6)
-def _shell_data(dim: int, radius_sq: int) -> _ShellData:
-    if _points_estimate(dim, radius_sq) > 4 * MAX_POINTS_DEFAULT:
-        raise NumericError(f"truncation ball |xi|^2 <= {radius_sq} is too large to enumerate")
-    coords, norms = ball_points(dim, radius_sq)
-    # a stable sort keeps the lexicographic order within each shell
-    order = np.argsort(norms, kind="stable")
-    coords = np.ascontiguousarray(coords[order].astype(np.int32))
-    norms = norms[order]
-    boundary = np.flatnonzero(np.r_[True, np.diff(norms) > 0])
-    shell_ms = norms[boundary]
-    mult = np.diff(np.r_[boundary, norms.size])
-    return _ShellData(coords, norms, shell_ms, boundary, mult)
+    @staticmethod
+    def by_radius(radius_sq: int) -> int:
+        radius_sq = int(radius_sq)
+        if radius_sq < 1:
+            raise ValidationError("by-radius policy needs radius_sq >= 1")
+        return radius_sq
 
 
 class ShellSums:
@@ -143,12 +94,17 @@ class ShellSums:
         _check_dim(dim)
         self.dim = dim
         self.radius_sq = int(radius_sq)
-        data = _shell_data(dim, self.radius_sq)
-        self.pts = data.pts
-        self.norms = data.norms
-        self.shell_ms = data.shell_ms
-        self.starts = data.starts
-        self.mult = data.mult
+        if _points_estimate(dim, self.radius_sq) > MAX_BALL_POINTS:
+            raise NumericError(f"truncation ball |xi|^2 <= {radius_sq} is too large to enumerate")
+        coords, norms = ball_points(dim, self.radius_sq)
+        # pts ordered by (norm, lexicographic): a stable sort keeps the
+        # lexicographic order within each shell
+        order = np.argsort(norms, kind="stable")
+        self.pts = np.ascontiguousarray(coords[order].astype(np.int32))
+        self.norms = norms[order]
+        self.starts = np.flatnonzero(np.r_[True, np.diff(self.norms) > 0])
+        self.shell_ms = self.norms[self.starts]  # distinct norms ascending
+        self.mult = np.diff(np.r_[self.starts, self.norms.size])
         self.ns_physical = FOUR_PI_SQ * self.shell_ms.astype(np.float64)
         self._grid = None
         self._index = None
@@ -158,6 +114,7 @@ class ShellSums:
     @classmethod
     @lru_cache(maxsize=6)
     def get(cls, dim: int, radius_sq: int) -> "ShellSums":
+        """The one shared instance per ball; every caller builds it here."""
         return cls(dim, radius_sq)
 
     def weights(self, z) -> np.ndarray:
@@ -300,19 +257,6 @@ class ShellSums:
                 )
 
 
-def coefficient(xi, lam: SpectralParameter) -> float:
-    """c_lambda(xi) = (4*pi^2*|xi|^2 - lambda)^{-1}."""
-    m = int(sum(int(c) * int(c) for c in xi))
-    if lam.lambda_norm == m:
-        raise OnSpectrumError(f"pole: lambda_norm equals |xi|^2 = {m}")
-    return 1.0 / (FOUR_PI_SQ * m - lam.physical)
-
-
-class GreenValue(NamedTuple):
-    value: float
-    tail_bound: float
-
-
 class RegularizedValue(NamedTuple):
     value: complex
     tail_bound: float
@@ -333,36 +277,6 @@ def _tail_constant(lam: SpectralParameter, dim: int) -> float:
     return 4.0 * (lam_abs + 1.0) / math.pi**4
 
 
-def tail_estimate(policy: TruncationPolicy, lam: SpectralParameter, dim: int) -> float:
-    """Rigorous bound on the omitted tail of a regularized-difference sum."""
-    _check_dim(dim)
-    r = policy.resolve(lam, dim)
-    if r <= 2.0 * lam.lambda_norm or r < 16:
-        raise ValidationError(
-            f"radius_sq {r} too small for a tail bound (need > max(16, 2*lambda_norm))"
-        )
-    return _tail_constant(lam, dim) * r ** (-(4 - dim) / 2.0)
-
-
-def green_tail_envelope(radius_sq: int, lam: SpectralParameter, dim: int) -> float:
-    """Statistical envelope for the omitted tail of the raw Green's sum.
-
-    The raw sum is only conditionally convergent, so no absolute bound
-    exists.  Over positions z uniform on the torus the omitted tail has
-    mean square exactly sum_{|xi|^2 > R} c_lambda(xi)^2 <= 4/(pi^4 R) for
-    d = 2 (8/(pi^4 sqrt(R)) for d = 3, same lattice comparison as
-    tail_estimate); the envelope is 10x that RMS.
-    """
-    _check_dim(dim)
-    if radius_sq <= 2.0 * lam.lambda_norm or radius_sq < 16:
-        raise ValidationError("radius_sq too small for the raw-sum envelope")
-    if dim == 2:
-        ms = 4.0 / (math.pi**4 * radius_sq)
-    else:
-        ms = 8.0 / (math.pi**4 * math.sqrt(radius_sq))
-    return 10.0 * math.sqrt(ms)
-
-
 def _as_diff(x, y, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -371,44 +285,21 @@ def _as_diff(x, y, dim: int) -> np.ndarray:
     return x - y
 
 
-def green_sum(x, y, lam: SpectralParameter, policy: TruncationPolicy) -> GreenValue:
-    """Truncated G_lambda(x, y) = sum_{|xi|^2 <= R} c_lambda(xi) e_xi(x - y).
-
-    Shells are accumulated in ascending |xi|^2 with exact accumulation; the
-    +-xi pairing makes every shell contribution real.  Rejects coincident
-    points, where the raw sum diverges (use regularized_pair there).
-    """
-    dim = len(x)
-    z = _as_diff(x, y, dim)
-    frac = z - np.round(z)
-    if float(np.max(np.abs(frac))) < 1e-12:
-        raise ValidationError(
-            "x and y coincide on the torus; the raw Green's sum diverges there"
-        )
-    r = policy.resolve(lam, dim)
-    shells = ShellSums.get(dim, r)
-    shells.pole_check(lam)
-    terms = shells.coeffs(lam.physical) * shells.weights(z)
-    if r > max(16, 2.0 * lam.lambda_norm):
-        tail = green_tail_envelope(r, lam, dim)
-    else:
-        tail = math.inf  # no envelope this close to the cutoff
-    return GreenValue(math.fsum(terms), tail)
-
-
 def regularized_pair(
-    x, y, lam: SpectralParameter, sign: int, policy: TruncationPolicy
+    x, y, lam: SpectralParameter, sign: int, radius_sq: int
 ) -> RegularizedValue:
-    """Truncated sum of [c_lambda(xi) - (4*pi^2*|xi|^2 - sign*i)^{-1}] e_xi(x-y).
+    """Sum over |xi|^2 <= radius_sq of [c_lambda(xi) - (4*pi^2*|xi|^2 - sign*i)^{-1}] e_xi(x-y).
 
     The summand decays like |xi|^{-4}, so coincident points are allowed and
-    the reported tail bound is rigorous.
+    the reported tail bound is rigorous.  Evaluated from cosines at one
+    difference vector (ShellSums.weights), it is the entry-by-entry test
+    oracle for SecularWorkspace.matrix.
     """
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
     dim = len(x)
     z = _as_diff(x, y, dim)
-    r = policy.resolve(lam, dim)
+    r = check_radius(radius_sq, lam)
     shells = ShellSums.get(dim, r)
     shells.pole_check(lam)
     w = shells.weights(z)

@@ -14,6 +14,7 @@ density, which is exact over Fractions.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
-from .greens import ShellSums, SpectralParameter, TruncationPolicy
+from .greens import ShellSums, SpectralParameter
 from .lattice import (
     FOUR_PI_SQ,
     GapTriple,
@@ -49,6 +50,28 @@ from .sprime import SPrimeParams, coeff_condition, gap_condition
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
 
 MIN_PAIR_DISTANCE = 1e-9
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def truncation_radius(radius_factor: float, m_center: int) -> int:
+    """R = ceil(radius_factor * m_center): every lattice sum of a run is over
+    the ball |xi|^2 <= R."""
+    _check_real("radius_factor", radius_factor)
+    if not (math.isfinite(radius_factor) and radius_factor > 0):
+        raise ValidationError(f"radius_factor must be finite and > 0, got {radius_factor!r}")
+    return int(math.ceil(radius_factor * m_center))
+
+
+def gap_fraction_lambda(interval: GapTriple, frac: float) -> SpectralParameter:
+    """The spectral parameter at fraction frac of the gap (m_k, m_{k+1})."""
+    _check_real("gap fraction", frac)
+    if not 0.0 < frac < 1.0:
+        raise ValidationError(f"gap fraction must be in (0, 1), got {frac!r}")
+    return SpectralParameter(interval.center + frac * (interval.next - interval.center))
 
 
 def sample_positions(seed: int, trial_index: int, n: int, dim: int) -> np.ndarray:
@@ -108,6 +131,7 @@ class TrialSpec:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         _check_dim(self.dim)
+        truncation_radius(self.radius_factor, self.m_center)
         if self.n_scatterers < 1:
             raise ValidationError("n_scatterers must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -168,7 +192,7 @@ class RunContext:
 
     @classmethod
     def build(cls, spec: TrialSpec) -> "RunContext":
-        radius_sq = int(math.ceil(spec.radius_factor * spec.m_center))
+        radius_sq = truncation_radius(spec.radius_factor, spec.m_center)
         table = enumerate_spectrum(spec.dim, radius_sq)
         interval = table.gap_triple(spec.m_center)
         width = (
@@ -249,13 +273,9 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
     interval = ctx.interval
 
     if spec.coefficient_mode == "solver":
-        ws = SecularWorkspace(config, ctx.radius_sq, shells=ctx.shells)
+        ws = SecularWorkspace(config, ctx.radius_sq)
         roots = find_new_eigenvalues(
-            config,
-            interval,
-            TruncationPolicy.by_radius(ctx.radius_sq),
-            solver_tol=spec.solver_tol,
-            workspace=ws,
+            config, interval, ctx.radius_sq, solver_tol=spec.solver_tol, workspace=ws
         )
         if not roots:
             return TrialResult(trial_index=trial_index, no_root=True)
@@ -275,20 +295,13 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
         d = np.array([complex(re, im) for re, im in spec.synthetic_coeffs])
         if d.shape != (spec.n_scatterers,):
             raise ValidationError("synthetic_coeffs must have one entry per scatterer")
-        frac = spec.synthetic_lambda_frac
-        if not 0.0 < frac < 1.0:
-            raise ValidationError("synthetic_lambda_frac must be in (0, 1)")
-        lam = SpectralParameter(
-            interval.center + frac * (interval.next - interval.center)
-        )
+        lam = gap_fraction_lambda(interval, spec.synthetic_lambda_frac)
         res = TrialResult(
             trial_index=trial_index, root_count=1, lambda_norm=lam.lambda_norm,
             residual=0.0,
         )
 
-    field_ = assemble_field(
-        d, positions, lam, TruncationPolicy.by_radius(ctx.radius_sq), shells=ctx.shells
-    )
+    field_ = assemble_field(d, positions, lam, ctx.radius_sq)
     res.norm_sq = field_.norm_sq
     res.annulus_sq, res.remainder_sq = split_annulus(field_, interval.center, ctx.width)
     res.b_val = functional_B(field_, interval)

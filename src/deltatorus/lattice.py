@@ -35,11 +35,6 @@ def _check_dim(dim: int) -> None:
         raise ValidationError(f"dimension must be 2 or 3, got {dim!r}")
 
 
-def norm_sq(xi) -> int:
-    """Exact integer squared norm of a lattice vector."""
-    return int(sum(int(c) * int(c) for c in xi))
-
-
 def _r_counts_d2(m_max: int) -> np.ndarray:
     """counts[m] = #{(a,b) in Z^2 : a^2+b^2 = m} for 0 <= m <= m_max."""
     counts = np.zeros(m_max + 1, dtype=np.int64)
@@ -359,17 +354,3 @@ def annulus_points(table: SpectrumTable, m_center: int, width: float) -> np.ndar
     if shells.size == 0:
         return np.zeros((0, table.dim), dtype=np.int64)
     return np.concatenate([shell_vectors(table.dim, int(m)) for m in shells], axis=0)
-
-
-def bad_set_test(xi, zeta, delta: float) -> bool:
-    """Whether xi is nearly orthogonal to zeta: |<xi, zeta>| <= |xi|^{2*delta}."""
-    if not 0 < delta < 0.5:
-        raise ValidationError(f"delta must lie in (0, 1/2), got {delta}")
-    zeta = tuple(int(z) for z in zeta)
-    if all(z == 0 for z in zeta):
-        raise ValidationError("zeta must be nonzero")
-    xi = tuple(int(x) for x in xi)
-    if len(xi) != len(zeta):
-        raise ValidationError("xi and zeta must have equal dimension")
-    inner = abs(sum(a * b for a, b in zip(xi, zeta)))
-    return inner <= norm_sq(xi) ** delta

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
-from .greens import ShellSums, SpectralParameter, TruncationPolicy
+from .greens import ShellSums, SpectralParameter, check_radius
 from .lattice import (
     FOUR_PI_SQ,
     GapTriple,
@@ -152,10 +152,9 @@ def assemble_field(
     d_coeffs: np.ndarray,
     positions: np.ndarray,
     lam: SpectralParameter,
-    policy: TruncationPolicy,
-    shells: ShellSums | None = None,
+    radius_sq: int,
 ) -> FourierField:
-    """Evaluate D(xi) on the truncation ball for given coefficients/positions.
+    """Evaluate D(xi) on the ball |xi|^2 <= radius_sq for given coefficients/positions.
 
     w = sum_j d_j phi_j over the positions' phase table phi_j(xi) = e_xi(-x_j)
     (ShellSums.phase_table), built here and released on return.
@@ -166,8 +165,7 @@ def assemble_field(
     total = float(np.sum(np.abs(d_coeffs) ** 2))
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
-    if shells is None:
-        shells = ShellSums.get(dim, policy.resolve(lam, dim))
+    shells = ShellSums.get(dim, check_radius(radius_sq, lam))
     shells.pole_check(lam)
     phi = shells.phase_table(positions)
     # one row at a time: a threaded BLAS product of this shape costs more

@@ -45,7 +45,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .greens import ShellSums, SpectralParameter, TruncationPolicy
+from .greens import ShellSums, SpectralParameter, check_radius
 from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
 UNITARITY_TOL = 1e-10
@@ -110,10 +110,6 @@ class ScattererConfig:
         return self.positions.shape[0]
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.phases is not None
-
-    @property
     def u_matrix(self) -> np.ndarray:
         if self.phases is not None:
             return np.diag(np.exp(1j * self.phases))
@@ -167,11 +163,9 @@ class SecularWorkspace:
     c_lambda^2) with W.
     """
 
-    def __init__(self, config: ScattererConfig, radius_sq: int, shells: ShellSums | None = None):
+    def __init__(self, config: ScattererConfig, radius_sq: int):
         self.config = config
-        self.shells = shells if shells is not None else ShellSums.get(config.dim, radius_sq)
-        if shells is not None and shells.radius_sq != radius_sq:
-            raise ValidationError("prebuilt shells disagree with radius_sq")
+        self.shells = ShellSums.get(config.dim, radius_sq)
         n = config.n_scatterers
         self._w = self.shells.weights_many(config.positions)
         # unpack[k, j] = unpack[j, k] is the column of the pair {k, j} in W
@@ -204,22 +198,11 @@ class SecularWorkspace:
         return complex(np.linalg.det(m)), float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def build_matrix(
-    config: ScattererConfig, lam: SpectralParameter, policy: TruncationPolicy
-) -> np.ndarray:
-    """The N x N spectral matrix at one off-spectrum parameter."""
-    r = policy.resolve(lam, config.dim)
-    ws = SecularWorkspace(config, r)
-    ws.shells.pole_check(lam)
-    return ws.matrix(lam.physical)
-
-
 def secular_value(
-    config: ScattererConfig, lam: SpectralParameter, policy: TruncationPolicy
+    config: ScattererConfig, lam: SpectralParameter, radius_sq: int
 ) -> tuple[complex, float]:
     """(det M, smallest singular value of M) at one parameter."""
-    r = policy.resolve(lam, config.dim)
-    ws = SecularWorkspace(config, r)
+    ws = SecularWorkspace(config, check_radius(radius_sq, lam))
     ws.shells.pole_check(lam)
     return ws.secular(lam.physical)
 
@@ -256,7 +239,7 @@ def _common_phase(config: ScattererConfig) -> float:
 def find_new_eigenvalues(
     config: ScattererConfig,
     interval: GapTriple,
-    policy: TruncationPolicy,
+    radius_sq: int,
     solver_tol: float = 1e-8,
     workspace: SecularWorkspace | None = None,
 ) -> list[NewEigenvalue]:
@@ -274,18 +257,21 @@ def find_new_eigenvalues(
     length and the residual |1 + e^{-i theta}| |mu| is at most solver_tol,
     or once its bracket reaches the floating-point floor; the latter keeps a
     root that sits so close to a pole that float64 cannot reach the
-    residual, and reports the residual it measured.
+    residual, and reports the residual it measured.  A prebuilt workspace
+    must be the one for this config and radius_sq.
     """
     if not solver_tol > 0:
         raise ValidationError("solver_tol must be positive")
+    radius_sq = check_radius(radius_sq, SpectralParameter(float(interval.next)))
+    if workspace is not None and (
+        workspace.config is not config or workspace.shells.radius_sq != radius_sq
+    ):
+        raise ValidationError("the workspace was built for another config or radius_sq")
     theta = _common_phase(config)
     tan_half = math.tan(theta / 2.0)
     scale = 2.0 * abs(math.cos(theta / 2.0))  # |1 + e^{-i theta}|
     n = config.n_scatterers
-    if workspace is None:
-        lam_hi = SpectralParameter(float(interval.next))
-        workspace = SecularWorkspace(config, policy.resolve(lam_hi, config.dim))
-    ws = workspace
+    ws = workspace if workspace is not None else SecularWorkspace(config, radius_sq)
     a, b = interval.n_center, interval.n_next
     floor = 4.0 * float(np.spacing(b))
     width = max(solver_tol * (b - a), floor)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy
+from deltatorus.greens import ShellSums, SpectralParameter
 from deltatorus.harness import (
     RunContext,
     TrialSpec,
@@ -119,7 +119,6 @@ def test_criterion_02_n1_secular_oracle():
     radius = 6000
     table = enumerate_spectrum(2, radius)
     shells = ShellSums.get(2, radius)
-    policy = TruncationPolicy.by_radius(radius)
     centers = []
     for m in table.norms_in(980, 1200).tolist():
         try:
@@ -141,7 +140,7 @@ def test_criterion_02_n1_secular_oracle():
         cfg = ScattererConfig(2, np.array([[0.37, 0.11]]), phases=np.array([theta]))
         for m in centers:
             tri = table.gap_triple(m)
-            roots = find_new_eigenvalues(cfg, tri, policy, solver_tol=1e-8)
+            roots = find_new_eigenvalues(cfg, tri, radius, solver_tol=1e-8)
             assert len(roots) == 1, (theta, m)
             lo, hi = tri.n_center * (1 + 1e-13), tri.n_next * (1 - 1e-13)
             flo = closed_form(theta, lo)
@@ -241,7 +240,7 @@ def test_criterion_06_normalization_and_parseval(mc_runs):
             d,
             rng.uniform(size=(nsc, 2)),
             SpectralParameter(25.0 + float(rng.uniform(0.05, 0.95))),
-            TruncationPolicy.by_radius(50),
+            50,
         )
         a = Observable({(1, 0): 0.5, (-1, 0): 0.5})
         paired = pair_with_observable(f, a)

@@ -88,9 +88,12 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
     "spec_overrides,extra_args",
     [({}, ["--seed", "-1"]), ({}, ["--seed", str(2**64)]), ({"dim": 4}, []),
      ({"n_scatterers": 0, "phases": []}, []), ({"seed": 1.5}, []), ({"seed": True}, []),
-     ({"trials": 2.5}, []), ({"n_scatterers": 2.5}, []), ({"dim": 2.0}, [])],
+     ({"trials": 2.5}, []), ({"n_scatterers": 2.5}, []), ({"dim": 2.0}, []),
+     ({"radius_factor": math.inf}, []), ({"radius_factor": "1.6"}, []),
+     ({"radius_factor": True}, [])],
     ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
-         "trials_fraction", "scatterers_fraction", "dim_float"],
+         "trials_fraction", "scatterers_fraction", "dim_float", "radius_factor_inf",
+         "radius_factor_str", "radius_factor_bool"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)
@@ -136,6 +139,30 @@ def test_solve_and_measure(tmp_path):
     ]) == 0
     payload = json.loads((mout / "measure_m40.json").read_text())
     assert set(payload) >= {"A", "B", "C", "sigma", "split", "err", "envelope"}
+
+
+@pytest.mark.parametrize(
+    "extra_args",
+    [["--coeffs", "COEFFS", "--lambda-frac", "1.5"], ["--coeffs", "COEFFS", "--lambda-frac", "0"],
+     ["--radius-factor", "inf"], ["--radius-factor", "0"]],
+    ids=["lambda_frac_above", "lambda_frac_zero", "radius_factor_inf", "radius_factor_zero"],
+)
+def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
+    cfg = write_config(tmp_path, n=1)
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"0,0": [1.0, 0.0], "2,0": [0.5, 0.0], "-2,0": [0.5, 0.0]}))
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps([[1.0, 0.0]]))
+    extra_args = [str(coeffs) if a == "COEFFS" else a for a in extra_args]
+    mout = tmp_path / "meas"
+    code = main([
+        "measure", "--config", str(cfg), "--observable", str(obs), "--mk", "25",
+        "--out", str(mout), *extra_args,
+    ])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert not mout.exists()
 
 
 def test_mc_reproducible_across_threads(tmp_path):

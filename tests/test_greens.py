@@ -9,16 +9,13 @@ from deltatorus.greens import (
     ShellSums,
     SpectralParameter,
     TruncationPolicy,
-    coefficient,
-    green_sum,
-    green_tail_envelope,
+    check_radius,
     regularized_pair,
-    tail_estimate,
 )
 from deltatorus.lattice import FOUR_PI_SQ, shell_vectors
 
 LAM = SpectralParameter(0.5)
-R4 = TruncationPolicy.by_radius(10**4)
+R4 = 10**4
 
 # frozen once from the high-cutoff run (R = 10^6) of the same summand
 REG_GOLDEN_R4 = complex(0.08174181730567756, -1.003864983513358)
@@ -26,12 +23,15 @@ REG_GOLDEN_R6 = complex(0.08174575636159752, -1.0038651830632106)
 
 
 def test_coefficient():
-    assert coefficient((1, 0), LAM) == pytest.approx(1.0 / (2.0 * math.pi**2))
+    # c_lambda per shell: |xi|^2 = 1 is shell 1, and every xi of shell 5
+    # shares one coefficient
+    shells = ShellSums.get(2, 10)
+    c = shells.coeffs(LAM.physical)
+    assert c[1] == pytest.approx(1.0 / (2.0 * math.pi**2))
+    assert shells.shell_ms[4] == 5 and shells.mult[4] == 8
+    assert c[4] == 1.0 / (FOUR_PI_SQ * 5 - LAM.physical)
     with pytest.raises(OnSpectrumError):
-        coefficient((1, 0), SpectralParameter(1.0))
-    base = coefficient((1, 2), LAM)
-    for xi in [(2, 1), (-1, 2), (2, -1), (-2, -1)]:
-        assert coefficient(xi, LAM) == base
+        shells.pole_check(SpectralParameter(1.0))
 
 
 def test_spectral_parameter_units():
@@ -41,43 +41,33 @@ def test_spectral_parameter_units():
 
 
 def test_policy_resolution():
-    assert R4.resolve(LAM, 2) == 10**4
+    assert check_radius(R4, LAM) == 10**4
+    assert type(check_radius(np.int64(6), SpectralParameter(5.0))) is int
+    for bad in (3, 5, 5.9, 6.0, True, "6"):
+        with pytest.raises(ValidationError):
+            check_radius(bad, SpectralParameter(5.0))
+    assert TruncationPolicy.by_radius(np.int64(7)) == 7
+    assert type(TruncationPolicy.by_radius(np.int64(7))) is int
     with pytest.raises(ValidationError):
-        TruncationPolicy.by_radius(3).resolve(SpectralParameter(5.0), 2)
-    # modest tolerance resolves; an aggressive one exceeds the point cap
-    pol = TruncationPolicy(mode="tol", tol=1e-4)
-    assert pol.resolve(LAM, 2) >= 16
+        TruncationPolicy.by_radius(0)
+    # the ball is enumerated up to a fixed point cap
     with pytest.raises(NumericError):
-        TruncationPolicy(mode="tol", tol=1e-10).resolve(LAM, 2)
-    with pytest.raises(ValidationError):
-        TruncationPolicy(mode="radius")
+        ShellSums(2, 10**8)
 
 
 def test_green_translation_invariance():
     x, y = np.array([0.31, 0.77]), np.array([0.05, 0.42])
     t = np.array([0.123, 0.456])
-    a = green_sum(x, y, LAM, R4).value
-    b = green_sum(x + t, y + t, LAM, R4).value
+    a = regularized_pair(x, y, LAM, +1, R4).value
+    b = regularized_pair(x + t, y + t, LAM, +1, R4).value
     assert b == pytest.approx(a, rel=1e-9)
 
 
 def test_green_symmetry():
     x, y = np.array([0.31, 0.77]), np.array([0.05, 0.42])
-    a = green_sum(x, y, LAM, R4).value
-    b = green_sum(y, x, LAM, R4).value
+    a = regularized_pair(x, y, LAM, +1, R4).value
+    b = regularized_pair(y, x, LAM, +1, R4).value
     assert b == pytest.approx(a, rel=1e-12)
-
-
-def test_green_rejects_coincident_points():
-    with pytest.raises(ValidationError):
-        green_sum((0.25, 0.5), (0.25, 0.5), LAM, R4)
-
-
-def test_green_two_cutoff_consistency():
-    x, y = (0.3, 0.7), (0.0, 0.0)
-    g1 = green_sum(x, y, LAM, R4)
-    g2 = green_sum(x, y, LAM, TruncationPolicy.by_radius(4 * 10**4))
-    assert abs(g1.value - g2.value) <= g1.tail_bound
 
 
 def test_regularized_golden_values():
@@ -108,31 +98,31 @@ def test_regularized_coincident_real_part():
 def test_pairing_against_complex_oracle():
     # ungrouped complex-exponential sum over every lattice point
     lam = SpectralParameter(2.3)
-    pol = TruncationPolicy.by_radius(400)
     shells = ShellSums.get(2, 400)
     z = np.array([0.21, 0.58])
     acc = 0.0 + 0.0j
     coeff_abs = 0.0
     for pt, m in zip(shells.pts.tolist(), shells.norms.tolist()):
-        c = 1.0 / (FOUR_PI_SQ * m - lam.physical)
+        n = FOUR_PI_SQ * m
+        c = 1.0 / (n - lam.physical) - 1.0 / (n - 1j)
         acc += c * cmath.exp(2j * math.pi * (pt[0] * z[0] + pt[1] * z[1]))
         coeff_abs += abs(c)
-    g = green_sum(z, (0.0, 0.0), lam, pol).value
-    assert abs(acc.imag) <= 1e-12 * coeff_abs
-    assert g == pytest.approx(acc.real, abs=1e-12 * coeff_abs)
+    g = regularized_pair(z, (0.0, 0.0), lam, +1, 400).value
+    assert abs(g - acc) <= 1e-12 * coeff_abs
 
 
 def test_tail_power_law():
     lam = SpectralParameter(3.0)
-    b1 = tail_estimate(TruncationPolicy.by_radius(1000), lam, 2)
-    b2 = tail_estimate(TruncationPolicy.by_radius(2000), lam, 2)
-    assert b1 / b2 == pytest.approx(2.0, rel=1e-12)
-    b1 = tail_estimate(TruncationPolicy.by_radius(1000), lam, 3)
-    b2 = tail_estimate(TruncationPolicy.by_radius(2000), lam, 3)
-    assert b1 / b2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert tail_estimate(TruncationPolicy.by_radius(2000), lam, 2) > 0
-    with pytest.raises(ValidationError):
-        tail_estimate(TruncationPolicy.by_radius(17), SpectralParameter(10.0), 2)
+
+    def bound(dim, radius_sq, lam=lam):
+        return regularized_pair((0.0,) * dim, (0.0,) * dim, lam, +1, radius_sq).tail_bound
+
+    assert bound(2, 1000) / bound(2, 2000) == pytest.approx(2.0, rel=1e-12)
+    d3 = SpectralParameter(3.5)  # 3 is a shell of Z^3
+    assert bound(3, 100, d3) / bound(3, 200, d3) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert 0 < bound(2, 2000) < math.inf
+    # no rigorous bound until R > max(16, 2 * lambda_norm)
+    assert bound(2, 17, SpectralParameter(10.5)) == math.inf
 
 
 def test_lattice_inverse_fourth_sum_bounds():
@@ -156,36 +146,19 @@ def test_regularized_tail_domination_under_cutoff_doubling():
         x = rng.uniform(size=2)
         y = rng.uniform(size=2)
         lam = SpectralParameter(float(rng.uniform(0.3, 20.0)))
-        v1 = regularized_pair(x, y, lam, +1, TruncationPolicy.by_radius(2000))
-        v2 = regularized_pair(x, y, lam, +1, TruncationPolicy.by_radius(4000))
+        v1 = regularized_pair(x, y, lam, +1, 2000)
+        v2 = regularized_pair(x, y, lam, +1, 4000)
         assert abs(v1.value - v2.value) <= v1.tail_bound
 
 
-def test_green_envelope_monotone():
-    lam = SpectralParameter(1.5)
-    assert green_tail_envelope(1000, lam, 2) > green_tail_envelope(2000, lam, 2)
-
-
-def test_green_envelope_dominates_two_cutoff_on_probes():
-    # raw-sum envelope against the observed change from R = 1e4 to 1e6
-    rng = np.random.default_rng(20260809)
-    for _ in range(20):
-        x = rng.uniform(size=2)
-        y = rng.uniform(size=2)
-        lam = SpectralParameter(float(rng.uniform(0.3, 40.0)))
-        g1 = green_sum(x, y, lam, TruncationPolicy.by_radius(10**4))
-        g2 = green_sum(x, y, lam, TruncationPolicy.by_radius(10**6))
-        assert abs(g1.value - g2.value) <= g1.tail_bound
-
-
 def test_residue_at_poles():
-    # (n_k - lambda) * G -> shell exponential sum as lambda approaches n_k
-    pol = TruncationPolicy.by_radius(600)
+    # (n_k - lambda) * G -> shell exponential sum as lambda approaches n_k;
+    # the regularizing term is smooth there
     z = np.array([0.013, 0.027])
     for m in (1, 2, 5):
         n_k = FOUR_PI_SQ * m
         lam = SpectralParameter.from_physical(n_k - 1e-6)
-        g = green_sum(z, (0.0, 0.0), lam, pol).value
+        g = regularized_pair(z, (0.0, 0.0), lam, +1, 600).value.real
         vecs = shell_vectors(2, m)
         shell = math.fsum(
             math.cos(2 * math.pi * (v[0] * z[0] + v[1] * z[1])) for v in vecs.tolist()
@@ -194,12 +167,11 @@ def test_residue_at_poles():
 
 
 def test_pole_detection():
-    with pytest.raises(OnSpectrumError):
-        green_sum((0.3, 0.7), (0.0, 0.0), SpectralParameter(25.0), R4)
-    with pytest.raises(OnSpectrumError):
-        regularized_pair((0.3, 0.7), (0.0, 0.0), SpectralParameter(4.0), +1, R4)
+    for m in (4, 25):
+        with pytest.raises(OnSpectrumError):
+            regularized_pair((0.3, 0.7), (0.0, 0.0), SpectralParameter(float(m)), +1, R4)
     # lambda on a non-representable integer is fine
-    green_sum((0.3, 0.7), (0.0, 0.0), SpectralParameter(3.0), R4)
+    regularized_pair((0.3, 0.7), (0.0, 0.0), SpectralParameter(3.0), +1, R4)
 
 
 def test_shift_partner_index(table_d2_small):
@@ -257,14 +229,11 @@ def test_d3_shell_enumeration_matches_brute_force():
 
 def test_d3_green_and_regularized():
     lam = SpectralParameter(1.7)
-    pol1 = TruncationPolicy.by_radius(400)
-    pol2 = TruncationPolicy.by_radius(1600)
     x, y = (0.21, 0.55, 0.83), (0.0, 0.1, 0.4)
-    g1 = green_sum(x, y, lam, pol1)
-    g2 = green_sum(x, y, lam, pol2)
-    assert abs(g1.value - g2.value) <= g1.tail_bound
-    v1 = regularized_pair(x, x, lam, +1, pol1)
-    v2 = regularized_pair(x, x, lam, +1, pol2)
-    assert abs(v1.value - v2.value) <= v1.tail_bound
-    v_minus = regularized_pair(x, x, lam, -1, pol1)
+    for z in (x, y):
+        v1 = regularized_pair(x, z, lam, +1, 400)
+        v2 = regularized_pair(x, z, lam, +1, 1600)
+        assert abs(v1.value - v2.value) <= v1.tail_bound
+    v1 = regularized_pair(x, x, lam, +1, 400)
+    v_minus = regularized_pair(x, x, lam, -1, 400)
     assert v_minus.value == pytest.approx(v1.value.conjugate(), abs=1e-15)

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from deltatorus.errors import ValidationError
-from deltatorus.greens import SpectralParameter, TruncationPolicy
+from deltatorus.greens import SpectralParameter
 from deltatorus.harness import (
     RunContext,
     TrialSpec,
@@ -86,13 +87,8 @@ def test_synthetic_trial_matches_direct_evaluation():
     assert not res.no_root
     lam = SpectralParameter(40.5)
     positions = sample_positions(42, 3, 2, 2)
-    f = assemble_field(
-        np.array([1.0 + 0j, 0.0j]),
-        positions,
-        lam,
-        TruncationPolicy.by_radius(ctx.radius_sq),
-        shells=ctx.shells,
-    )
+    f = assemble_field(np.array([1.0 + 0j, 0.0j]), positions, lam, ctx.radius_sq)
+    assert f.shells is ctx.shells
     assert res.lambda_norm == 40.5
     assert res.norm_sq == f.norm_sq
     assert res.b_val == functional_B(f, ctx.interval)
@@ -240,9 +236,13 @@ def test_trial_spec_json_round_trip():
     "override",
     [dict(dim=1), dict(dim=4), dict(seed=-1), dict(seed=2**64), dict(n_scatterers=0),
      dict(seed=1.5), dict(seed=True), dict(trials=2.5), dict(n_scatterers=2.5),
-     dict(dim=2.0), dict(m_center=40.0)],
+     dict(dim=2.0), dict(m_center=40.0), dict(radius_factor=math.inf),
+     dict(radius_factor=math.nan), dict(radius_factor="1.6"), dict(radius_factor=True),
+     dict(radius_factor=0.0), dict(radius_factor=-1.6)],
     ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers", "seed_fraction",
-         "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float"],
+         "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float",
+         "radius_factor_inf", "radius_factor_nan", "radius_factor_str", "radius_factor_bool",
+         "radius_factor_zero", "radius_factor_negative"],
 )
 def test_trial_spec_rejects_out_of_range_fields(override):
     with pytest.raises(ValidationError):

@@ -12,7 +12,6 @@ from deltatorus.lattice import (
     annulus_norms,
     annulus_points,
     annulus_range,
-    bad_set_test,
     enumerate_spectrum,
     shell_vectors,
 )
@@ -155,20 +154,6 @@ def test_annulus_points_in_ball_order():
         pts = annulus_points(enumerate_spectrum(dim, radius_sq), m_center, width)
         assert pts.shape[0] > 0
         assert np.array_equal(pts, shells.pts[lo:hi])
-
-
-def test_bad_set():
-    assert bad_set_test((0, 7), (1, 0), 0.1) is True
-    assert bad_set_test((5, 0), (1, 0), 0.1) is False
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = int(rng.integers(1, 30)), int(rng.integers(1, 30))
-        # (-b, a) is orthogonal to (a, b)
-        assert bad_set_test((-b, a), (a, b), 0.25) is True
-    with pytest.raises(ValidationError):
-        bad_set_test((1, 2), (0, 0), 0.1)
-    with pytest.raises(ValidationError):
-        bad_set_test((1, 2), (1, 0), 0.6)
 
 
 def test_cumulative_counts_match_brute(table_d2_small):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import NonSPrimeError, ValidationError
-from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy
+from deltatorus.greens import ShellSums, SpectralParameter
 from deltatorus.lattice import FOUR_PI_SQ, annulus_range, enumerate_spectrum, shell_vectors
 from deltatorus.measure import (
     Observable,
@@ -20,15 +20,13 @@ from deltatorus.measure import (
     split_annulus,
 )
 
-POLICY = TruncationPolicy.by_radius(200)
-
 
 def small_field(d, positions, lam_norm=25.4, radius=200):
     return assemble_field(
         np.asarray(d, dtype=complex),
         np.asarray(positions, dtype=float),
         SpectralParameter(lam_norm),
-        TruncationPolicy.by_radius(radius),
+        radius,
     )
 
 
@@ -159,7 +157,8 @@ def test_field_from_phase_table_matches_direct_exponentials_d3():
     x = rng.uniform(size=(3, 3))
     lam = SpectralParameter(9.4)
     shells = ShellSums.get(3, 400)
-    f = assemble_field(d, x, lam, TruncationPolicy.by_radius(400), shells=shells)
+    f = assemble_field(d, x, lam, 400)
+    assert f.shells is shells
     direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
     assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
 

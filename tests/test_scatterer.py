@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import DegenerateExtensionError, ValidationError
-from deltatorus.greens import ShellSums, SpectralParameter, TruncationPolicy, regularized_pair
+from deltatorus.greens import ShellSums, SpectralParameter, regularized_pair
 from deltatorus.harness import sample_positions
 from deltatorus.lattice import enumerate_spectrum
 from deltatorus.scatterer import (
     ScattererConfig,
     SecularWorkspace,
-    build_matrix,
     find_new_eigenvalues,
     secular_value,
 )
 
-POLICY = TruncationPolicy.by_radius(4000)
+R = 4000
+
+
+def matrix_at(cfg, lam, radius_sq=R):
+    """The N x N spectral matrix at one off-spectrum parameter."""
+    return SecularWorkspace(cfg, radius_sq).matrix(lam.physical)
 
 
 def closed_form(shells: ShellSums, theta: float, lam_physical: float) -> float:
@@ -70,7 +74,7 @@ def test_config_validation():
             2, np.array([[0.1, 0.2]]), phases=np.array([0.0]), matrix=np.eye(1)
         )
     cfg = ScattererConfig(2, np.array([[0.1, 0.2], [0.3, 0.4]]), phases=np.zeros(2))
-    assert cfg.n_scatterers == 2 and cfg.is_diagonal
+    assert cfg.n_scatterers == 2 and cfg.matrix is None
 
 
 def test_config_json_round_trip(tmp_path):
@@ -99,7 +103,7 @@ def test_one_scatterer_matrix_matches_closed_form(theta):
     shells = ShellSums.get(2, 4000)
     for lam_norm in (9.4, 50.3, 120.7):
         lam = SpectralParameter(lam_norm)
-        m = build_matrix(cfg, lam, POLICY)[0, 0]
+        m = matrix_at(cfg, lam)[0, 0]
         normalized = m / (1.0 + np.exp(-1j * theta))
         assert normalized.imag == pytest.approx(0.0, abs=1e-10 * abs(normalized))
         assert normalized.real == pytest.approx(
@@ -110,17 +114,17 @@ def test_one_scatterer_matrix_matches_closed_form(theta):
 def test_matrix_position_independent_for_one_scatterer():
     # a single scatterer only sees the coincidence value
     lam = SpectralParameter(9.4)
-    m1 = build_matrix(one_scatterer(0.3), lam, POLICY)
+    m1 = matrix_at(one_scatterer(0.3), lam)
     cfg2 = ScattererConfig(2, np.array([[0.81, 0.64]]), phases=np.array([0.3]))
-    m2 = build_matrix(cfg2, lam, POLICY)
+    m2 = matrix_at(cfg2, lam)
     assert m1[0, 0] == pytest.approx(m2[0, 0], rel=1e-14)
 
 
 def test_swap_symmetry_identity_extension():
     lam = SpectralParameter(9.4)
     x1, x2 = [0.1, 0.3], [0.55, 0.82]
-    a = build_matrix(ScattererConfig(2, np.array([x1, x2]), phases=np.zeros(2)), lam, POLICY)
-    b = build_matrix(ScattererConfig(2, np.array([x2, x1]), phases=np.zeros(2)), lam, POLICY)
+    a = matrix_at(ScattererConfig(2, np.array([x1, x2]), phases=np.zeros(2)), lam)
+    b = matrix_at(ScattererConfig(2, np.array([x2, x1]), phases=np.zeros(2)), lam)
     perm = np.array([[0, 1], [1, 0]], dtype=float)
     assert np.allclose(perm @ a @ perm, b, rtol=1e-12, atol=1e-14)
 
@@ -129,8 +133,8 @@ def test_translation_invariance_of_entries():
     lam = SpectralParameter(9.4)
     pos = np.array([[0.1, 0.3], [0.55, 0.82]])
     shift = np.array([0.21, 0.43])
-    a = build_matrix(ScattererConfig(2, pos, phases=np.zeros(2)), lam, POLICY)
-    b = build_matrix(ScattererConfig(2, pos + shift, phases=np.zeros(2)), lam, POLICY)
+    a = matrix_at(ScattererConfig(2, pos, phases=np.zeros(2)), lam)
+    b = matrix_at(ScattererConfig(2, pos + shift, phases=np.zeros(2)), lam)
     assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
@@ -142,11 +146,11 @@ def test_secular_value_sign_flip_and_smin():
     root = closed_form_root(shells, 0.0, tri)
     # det M = (1 + e^{-i theta}) H for one scatterer, and H is real
     scale = 1.0 + np.exp(-1j * cfg.phases[0])
-    det_lo = secular_value(cfg, SpectralParameter.from_physical(root - 1.0), POLICY)[0] / scale
-    det_hi = secular_value(cfg, SpectralParameter.from_physical(root + 1.0), POLICY)[0] / scale
+    det_lo = secular_value(cfg, SpectralParameter.from_physical(root - 1.0), R)[0] / scale
+    det_hi = secular_value(cfg, SpectralParameter.from_physical(root + 1.0), R)[0] / scale
     assert det_lo.real < 0 < det_hi.real
     assert abs(det_lo.imag) < 1e-10 * abs(det_lo)
-    _, smin = secular_value(cfg, SpectralParameter.from_physical(root), POLICY)
+    _, smin = secular_value(cfg, SpectralParameter.from_physical(root), R)
     assert smin < 1e-10
 
 
@@ -156,14 +160,13 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
     # the cosine path of ShellSums.weights, entry by entry
     rng = np.random.default_rng(40 + dim)
     cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.array([0.4, -1.1, 2.0]))
-    policy = TruncationPolicy.by_radius(radius_sq)
     lam = SpectralParameter(9.4)
     got = SecularWorkspace(cfg, radius_sq).matrix(lam.physical)
     x = cfg.positions
 
     def r(sign):
         return np.array(
-            [[regularized_pair(x[k], x[j], lam, sign, policy).value for j in range(3)] for k in range(3)]
+            [[regularized_pair(x[k], x[j], lam, sign, radius_sq).value for j in range(3)] for k in range(3)]
         )
 
     r_plus, r_minus = r(1), r(-1)
@@ -174,12 +177,38 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
             assert abs(got[k, j] - want) <= 1e-12 * abs(want)
 
 
-def test_workspace_rejects_shells_of_the_other_dimension():
+def test_solver_rejects_a_foreign_workspace():
+    # a workspace holds one configuration's pair weights on one ball; any
+    # other configuration or radius would get that configuration's roots
+    tri = enumerate_spectrum(2, 400).gap_triple(100)
+    a = ScattererConfig(2, np.array([[0.13, 0.71], [0.42, 0.09]]), phases=np.zeros(2))
+    b = ScattererConfig(2, np.array([[0.31, 0.17], [0.24, 0.9]]), phases=np.zeros(2))
+    twin = ScattererConfig(2, a.positions, phases=np.zeros(2))
+    ws = SecularWorkspace(a, 400)
     x = np.array([[0.1, 0.2, 0.3], [0.6, 0.5, 0.4]])
-    for dim in (2, 3):
-        cfg = ScattererConfig(dim, x[:, :dim], phases=np.zeros(2))
+    ws3 = SecularWorkspace(ScattererConfig(3, x, phases=np.zeros(2)), 400)
+    for cfg, radius_sq, workspace in (
+        (b, 400, ws), (twin, 400, ws), (a, 401, ws), (a, 400, SecularWorkspace(a, 401)),
+        (ScattererConfig(2, x[:, :2], phases=np.zeros(2)), 400, ws3),
+    ):
         with pytest.raises(ValidationError):
-            SecularWorkspace(cfg, 400, shells=ShellSums.get(5 - dim, 400))
+            find_new_eigenvalues(cfg, tri, radius_sq, workspace=workspace)
+    own = find_new_eigenvalues(a, tri, 400)
+    assert own and [r.lambda_norm for r in find_new_eigenvalues(a, tri, 400, workspace=ws)] == [
+        r.lambda_norm for r in own
+    ]
+
+
+def test_solver_radius_must_pass_the_upper_pole():
+    # R >= m_{k+1} + 1 on both paths, with or without a prebuilt workspace
+    cfg = one_scatterer(0.0)
+    tri = enumerate_spectrum(2, 200).gap_triple(100)
+    assert tri.next == 101
+    with pytest.raises(ValidationError):
+        find_new_eigenvalues(cfg, tri, 101)
+    with pytest.raises(ValidationError):
+        find_new_eigenvalues(cfg, tri, 101, workspace=SecularWorkspace(cfg, 101))
+    assert len(find_new_eigenvalues(cfg, tri, 102)) == 1
 
 
 @pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
@@ -232,7 +261,7 @@ def test_root_matches_closed_form(theta):
     shells = ShellSums.get(2, 4000)
     for m_k in (98, 100, 101):
         tri = table.gap_triple(m_k)
-        roots = find_new_eigenvalues(cfg, tri, POLICY, solver_tol=1e-8)
+        roots = find_new_eigenvalues(cfg, tri, R, solver_tol=1e-8)
         assert len(roots) == 1
         expected = closed_form_root(shells, theta, tri)
         assert roots[0].lambda_physical == pytest.approx(expected, rel=1e-10)
@@ -249,7 +278,7 @@ def test_root_count_bounded_by_rank():
         cfg = ScattererConfig(2, pos, phases=np.zeros(n))
         m_k = int(rng.choice([100, 101, 104, 106]))
         tri = table.gap_triple(m_k)
-        roots = find_new_eigenvalues(cfg, tri, TruncationPolicy.by_radius(2000))
+        roots = find_new_eigenvalues(cfg, tri, 2000)
         assert 0 <= len(roots) <= n
         if n == 1 and len(roots) != 1:
             one_root_always = False
@@ -263,7 +292,7 @@ def _acceptance_gap_fractions(trial_index, n):
     # the acceptance spec: m_k = 10036, R = ceil(1.6 m_k), zero phases
     tri = enumerate_spectrum(2, 16058).gap_triple(10036)
     cfg = ScattererConfig(2, sample_positions(5, trial_index, n, 2), phases=np.zeros(n))
-    roots = find_new_eigenvalues(cfg, tri, TruncationPolicy.by_radius(16058))
+    roots = find_new_eigenvalues(cfg, tri, 16058)
     length = tri.n_next - tri.n_center
     return [(r.lambda_physical - tri.n_center) / length for r in roots]
 
@@ -289,10 +318,10 @@ def test_roots_with_a_common_nonzero_phase():
         2, np.array([[0.13, 0.71], [0.42, 0.09], [0.88, 0.55]]), phases=np.full(3, theta)
     )
     tri = enumerate_spectrum(2, 4000).gap_triple(100)
-    roots = find_new_eigenvalues(cfg, tri, POLICY)
+    roots = find_new_eigenvalues(cfg, tri, R)
     assert roots
     for r in roots:
-        m = build_matrix(cfg, SpectralParameter(r.lambda_norm), POLICY)
+        m = matrix_at(cfg, SpectralParameter(r.lambda_norm))
         sigma = np.linalg.svd(m, compute_uv=False)
         assert sigma[-1] <= 1e-8
         # the same quantity, up to the cancellation next to a root
@@ -305,18 +334,18 @@ def test_solver_rejects_non_scalar_extension():
     tri = enumerate_spectrum(2, 4000).gap_triple(100)
     distinct = ScattererConfig(2, pos, phases=np.array([0.0, 0.4]))
     with pytest.raises(ValidationError):
-        find_new_eigenvalues(distinct, tri, POLICY)
+        find_new_eigenvalues(distinct, tri, R)
     phase = np.exp(0.25j)
     swap = ScattererConfig(2, pos, matrix=np.array([[0, phase], [phase, 0]]))
     with pytest.raises(ValidationError):
-        find_new_eigenvalues(swap, tri, POLICY)
+        find_new_eigenvalues(swap, tri, R)
     # assembly still takes any unitary
-    assert np.all(np.isfinite(build_matrix(swap, SpectralParameter(9.4), POLICY)))
+    assert np.all(np.isfinite(matrix_at(swap, SpectralParameter(9.4))))
     # a scalar matrix is the common phase it stands for
     scalar = ScattererConfig(2, pos, matrix=np.exp(0.6j) * np.eye(2))
     common = ScattererConfig(2, pos, phases=np.full(2, 0.6))
-    got = [r.lambda_norm for r in find_new_eigenvalues(scalar, tri, POLICY)]
-    want = [r.lambda_norm for r in find_new_eigenvalues(common, tri, POLICY)]
+    got = [r.lambda_norm for r in find_new_eigenvalues(scalar, tri, R)]
+    want = [r.lambda_norm for r in find_new_eigenvalues(common, tri, R)]
     assert want and got == pytest.approx(want, rel=1e-14)
 
 
@@ -324,7 +353,7 @@ def test_simplicity_certificate():
     table = enumerate_spectrum(2, 2000)
     cfg = ScattererConfig(2, np.array([[0.13, 0.71], [0.42, 0.09]]), phases=np.zeros(2))
     tri = table.gap_triple(100)
-    roots = find_new_eigenvalues(cfg, tri, TruncationPolicy.by_radius(2000))
+    roots = find_new_eigenvalues(cfg, tri, 2000)
     for r in roots:
         if not r.near_degenerate:
             assert r.second_smin > 1e3 * r.residual
