@@ -5,7 +5,8 @@ and the resolvent kernel has Fourier coefficients c_lambda(xi) =
 (4*pi^2*|xi|^2 - lambda)^{-1}.
 
 Every sum runs over one fixed ball |xi|^2 <= radius_sq, the only
-truncation input; ShellSums.get holds one instance per ball.  The
+truncation input; ShellSums.get holds one instance per ball, with its
+points grouped by shell and its coordinate box for field data.  The
 differences c_lambda - c_{+-i} decay like |xi|^{-4}, so regularized_pair
 reports a rigorous tail bound; it accumulates shell-by-shell with exact
 (fsum) accumulation, reproducible to the last bit for a fixed ball.
@@ -86,8 +87,14 @@ class ShellSums:
     ``weights`` evaluates them directly from cosines over the whole ball at
     one difference vector; ``weights_many`` gets every unordered pair of a
     configuration from the nonnegative orthant of the ball and 1-D cosine
-    tables.  ``phase_table`` builds e_xi(-x_j) on the whole ball for field
-    assembly.
+    tables.
+
+    Fourier fields live on the coordinate box |xi_c| <= half = isqrt(R),
+    flat in C order with xi at index xi + half.  The
+    ball keeps what every field on it shares: ``physical_box``, the
+    lambda-free data ``memo`` stores for ``measure``, and a pool of
+    box-sized arrays (``take``/``give``) so that trials reuse memory
+    instead of faulting in fresh pages.
     """
 
     def __init__(self, dim: int, radius_sq: int):
@@ -106,10 +113,13 @@ class ShellSums:
         self.shell_ms = self.norms[self.starts]  # distinct norms ascending
         self.mult = np.diff(np.r_[self.starts, self.norms.size])
         self.ns_physical = FOUR_PI_SQ * self.shell_ms.astype(np.float64)
-        self._grid = None
-        self._index = None
+        # the coordinate box |xi_c| <= half holds the ball; xi sits at xi + half
+        self.half = math.isqrt(self.radius_sq)
+        self.box_shape = (2 * self.half + 1,) * dim
+        self.box_size = math.prod(self.box_shape)
         self._orthant_index = None
-        self._partners: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: dict = {}
+        self._free = {np.dtype(np.float64): [], np.dtype(np.complex128): []}
 
     @classmethod
     @lru_cache(maxsize=6)
@@ -123,31 +133,6 @@ class ShellSums:
         np.multiply(t, 2.0 * math.pi, out=t)
         np.cos(t, out=t)
         return np.add.reduceat(t, self.starts)
-
-    def phase_table(self, positions) -> np.ndarray:
-        """phi[j, p] = e_xi(-x_j) = exp(-2*pi*i*<xi_p, x_j>), as an (N, P) array.
-
-        Built from one 1-D table per axis, exp(-2*pi*i*a*x_{j,c}) for the
-        integer coordinates a of the ball, multiplied by lookup: N*d*(2*sqrt(R)+1)
-        exponentials instead of N*P.
-        """
-        positions = self._positions(positions)
-        a = math.isqrt(self.radius_sq)
-        coords = np.arange(-a, a + 1, dtype=np.float64)
-        axes = [
-            np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(self.dim)
-        ]
-        index = self._axis_index()
-        phi = np.empty((positions.shape[0], self.pts.shape[0]), dtype=np.complex128)
-        factor = np.empty(self.pts.shape[0], dtype=np.complex128)
-        # every index lies in [0, 2a], so mode="clip" only skips the buffered
-        # copy that the default bounds-checking mode makes of ``out``
-        for j, row in enumerate(phi):
-            np.take(axes[0][j], index[0], out=row, mode="clip")
-            for c in range(1, self.dim):
-                np.take(axes[c][j], index[c], out=factor, mode="clip")
-                row *= factor
-        return phi
 
     def weights_many(self, positions) -> np.ndarray:
         """E_m(x_k - x_j) for every unordered pair of a configuration.
@@ -169,7 +154,7 @@ class ShellSums:
         s = self.shell_ms.size
         rows, cols = np.triu_indices(positions.shape[0])
         w = np.empty((rows.size, s), dtype=np.float64)
-        steps = (2.0 * math.pi) * np.arange(math.isqrt(self.radius_sq) + 1, dtype=np.float64)
+        steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
         product = np.empty(weight.size, dtype=np.float64)
         factor = np.empty(weight.size, dtype=np.float64)
         for t, (k, j) in enumerate(zip(rows, cols)):
@@ -177,7 +162,8 @@ class ShellSums:
                 w[t] = self.mult
                 continue
             tables = np.cos(np.outer(positions[k] - positions[j], steps))
-            # every coordinate lies in [0, sqrt(R)]: see phase_table on "clip"
+            # every index lies in [0, sqrt(R)], so mode="clip" only skips the
+            # buffered copy that the default bounds-checking mode makes of ``out``
             np.take(tables[0], coords[0], out=product, mode="clip")
             for c in range(1, self.dim):
                 np.take(tables[c], coords[c], out=factor, mode="clip")
@@ -208,44 +194,49 @@ class ShellSums:
             self._orthant_index = (coords, weight, shell)
         return self._orthant_index
 
-    def _axis_index(self) -> np.ndarray:
-        """(d, P) offsets xi_c + a of the ball points into the 1-D phase tables."""
-        if self._index is None:
-            a = math.isqrt(self.radius_sq)
-            self._index = np.ascontiguousarray((self.pts + a).T, dtype=np.intp)
-        return self._index
-
-    def _coord_grid(self) -> np.ndarray:
-        if self._grid is None:
-            a = math.isqrt(self.radius_sq)
-            grid = np.full((2 * a + 1,) * self.dim, -1, dtype=np.int64)
-            grid[tuple((self.pts + a).T)] = np.arange(self.pts.shape[0])
-            self._grid = grid
-        return self._grid
-
     def index_of(self, xi) -> int:
-        """Position of a lattice vector in the point order, or -1."""
+        """Flat position of a lattice vector in the coordinate box, or -1
+        outside the ball."""
         xi = np.asarray(xi, dtype=np.int64)
-        a = math.isqrt(self.radius_sq)
-        if np.any(np.abs(xi) > a):
+        if xi.shape != (self.dim,) or int((xi * xi).sum()) > self.radius_sq:
             return -1
-        return int(self._coord_grid()[tuple(xi + a)])
+        return int(np.ravel_multi_index(tuple(xi + self.half), self.box_shape))
 
-    def shift_partners(self, zeta: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(source indices, partner indices) of pairs (xi, xi + zeta) both
-        inside the ball.  Cached per shift; lambda-independent."""
-        zeta = tuple(int(z) for z in zeta)
-        cached = self._partners.get(zeta)
-        if cached is not None:
-            return cached
-        a = math.isqrt(self.radius_sq)
-        shifted = self.pts.astype(np.int64) + np.asarray(zeta, dtype=np.int64)
-        inside = np.flatnonzero(np.all(np.abs(shifted) <= a, axis=1))
-        idx = self._coord_grid()[tuple((shifted[inside] + a).T)]
-        ok = idx >= 0
-        pair = (inside[ok], idx[ok])
-        self._partners[zeta] = pair
-        return pair
+    def ball_order(self) -> np.ndarray:
+        """Flat box positions of the ball points, in point order."""
+        return np.ravel_multi_index(tuple((self.pts + self.half).T), self.box_shape)
+
+    def physical_box(self) -> np.ndarray:
+        """4*pi^2*|xi|^2 on the flat coordinate box, +inf outside the ball, so
+        that 1/(n - lambda) is exactly 0 there.  Built once per ball."""
+
+        def build():
+            box = np.full(self.box_size, np.inf)
+            box[self.ball_order()] = FOUR_PI_SQ * self.norms.astype(np.float64)
+            return box
+
+        return self.memo("physical_box", build)
+
+    def memo(self, key, build):
+        """Lambda-free data of this ball: ``build()`` once per key, then the
+        stored value.  Two threads may both build a missing key; they store
+        equal values."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def take(self, dtype) -> np.ndarray:
+        """A flat box-sized array of dtype (contents undefined) from this
+        ball's pool; hand it back with ``give`` to reuse its memory."""
+        try:
+            return self._free[np.dtype(dtype)].pop()
+        except IndexError:
+            return np.empty(self.box_size, dtype=dtype)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        for arr in arrays:
+            self._free[arr.dtype].append(arr)
 
     def pole_check(self, lam: SpectralParameter) -> None:
         ln = lam.lambda_norm

@@ -57,6 +57,18 @@ def _check_real(name: str, value) -> None:
         raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    _check_real(name, value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _check_gap_fraction(frac) -> None:
+    _check_real("gap fraction", frac)
+    if not 0.0 < frac < 1.0:
+        raise ValidationError(f"gap fraction must be in (0, 1), got {frac!r}")
+
+
 def truncation_radius(radius_factor: float, m_center: int) -> int:
     """R = ceil(radius_factor * m_center): every lattice sum of a run is over
     the ball |xi|^2 <= R."""
@@ -68,9 +80,7 @@ def truncation_radius(radius_factor: float, m_center: int) -> int:
 
 def gap_fraction_lambda(interval: GapTriple, frac: float) -> SpectralParameter:
     """The spectral parameter at fraction frac of the gap (m_k, m_{k+1})."""
-    _check_real("gap fraction", frac)
-    if not 0.0 < frac < 1.0:
-        raise ValidationError(f"gap fraction must be in (0, 1), got {frac!r}")
+    _check_gap_fraction(frac)
     return SpectralParameter(interval.center + frac * (interval.next - interval.center))
 
 
@@ -138,17 +148,53 @@ class TrialSpec:
             raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        for name in ("delta", "l0_override", "synthetic_lambda_frac", "solver_tol",
+                     "eps_shift", "gamma", "gamma_eps"):
+            value = getattr(self, name)
+            if value is not None or name not in ("l0_override", "gamma"):
+                _check_finite(name, value)
+        if not self.solver_tol > 0:
+            raise ValidationError(f"solver_tol must be > 0, got {self.solver_tol!r}")
+        if self.l0_override is not None and not self.l0_override > 0:
+            raise ValidationError(f"l0_override must be > 0, got {self.l0_override!r}")
+        _check_gap_fraction(self.synthetic_lambda_frac)
         if self.coefficient_mode not in ("solver", "synthetic"):
             raise ValidationError(f"unknown coefficient mode {self.coefficient_mode!r}")
+        if self.coefficient_mode == "synthetic":
+            self.synthetic_d()
         if self.observable is None:
             zero = tuple([0] * self.dim)
             one = tuple([1] + [0] * (self.dim - 1))
             mone = tuple([-1] + [0] * (self.dim - 1))
             self.observable = Observable({zero: 1.0, one: 0.5, mone: 0.5})
+        for zeta in self.observable.coeffs:
+            if len(zeta) != self.dim:
+                raise ValidationError(
+                    f"observable mode {','.join(map(str, zeta))} needs {self.dim} components"
+                )
         if self.phases is None and self.u_matrix is None:
             self.phases = [0.0] * self.n_scatterers
         if self.gamma is None:
             self.gamma = float(GAMMA_BY_DIM[self.dim])
+
+    def synthetic_d(self) -> np.ndarray:
+        """The synthetic coefficient vector: one [re, im] pair of finite reals
+        per scatterer, normalized as assemble_field requires."""
+        coeffs = self.synthetic_coeffs
+        if coeffs is None:
+            raise ValidationError("synthetic mode needs synthetic_coeffs")
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) != self.n_scatterers:
+            raise ValidationError("synthetic_coeffs must have one entry per scatterer")
+        for entry in coeffs:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValidationError(f"synthetic coefficient {entry!r} is not an [re, im] pair")
+            for part in entry:
+                _check_finite("synthetic coefficient", part)
+        d = np.array([complex(re, im) for re, im in coeffs])
+        total = float(np.sum(np.abs(d) ** 2))
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"synthetic_coeffs must be normalized, got sum {total}")
+        return d
 
     def config_for(self, positions: np.ndarray) -> ScattererConfig:
         if self.phases is not None:
@@ -290,11 +336,7 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
             near_degenerate=root.near_degenerate,
         )
     else:
-        if spec.synthetic_coeffs is None:
-            raise ValidationError("synthetic mode needs synthetic_coeffs")
-        d = np.array([complex(re, im) for re, im in spec.synthetic_coeffs])
-        if d.shape != (spec.n_scatterers,):
-            raise ValidationError("synthetic_coeffs must have one entry per scatterer")
+        d = spec.synthetic_d()
         lam = gap_fraction_lambda(interval, spec.synthetic_lambda_frac)
         res = TrialResult(
             trial_index=trial_index, root_count=1, lambda_norm=lam.lambda_norm,

@@ -3,7 +3,8 @@
 A new eigenfunction with coefficients d_j at positions x_j has Fourier data
 D(xi) = c_lambda(xi) * w(xi), where w(xi) = sum_j d_j e_xi(-x_j) is the
 position-dependent phase sum.  Everything here is a finite sum over a fixed
-truncation ball, stored once and then queried read-only:
+truncation ball.  A field is stored once, on the ball's coordinate box
+(ShellSums), and then queried read-only by contiguous array passes:
 
   * observable pairings  <e_zeta g, g> = sum_xi D(xi) conj(D(xi+zeta)),
   * the annulus split of the L^2 mass around the interval center,
@@ -14,8 +15,11 @@ truncation ball, stored once and then queried read-only:
 
 The annulus is the one ``lattice`` defines, |m - m_k| <= K for the integer
 half-width K of L_0: on a field it is the contiguous range
-``lattice.annulus_range`` of the norm-sorted ball points, and sigma_sum runs
-over ``lattice.annulus_points``, the same points in the same order.
+``lattice.annulus_range`` of the norm-sorted ball points, read through their
+box positions, and sigma_sum runs over ``lattice.annulus_points``, the same
+points in the same order.  The lambda-free weights of A (per shift) and C
+(on the box) are built once per ball, interval and width and kept on the
+ShellSums instance.
 
 The two-branch sums freeze the coefficient at an interval endpoint, so
 they dominate or minorize the lambda-dependent quantities uniformly over
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,21 +114,26 @@ class Observable:
             return cls.from_json(json.load(f), real_valued=real_valued)
 
 
-@dataclass
+@dataclass(eq=False)
 class FourierField:
-    """Fourier data of one superposition over a truncation ball."""
+    """Fourier data of one superposition on the coordinate box of its ball.
+
+    The box arrays are flat in the order of ``ShellSums.index_of``; D is
+    exactly 0 outside the ball.  They come from the ball's array pool and go
+    back to it when the field is collected, so they are valid while the
+    field is.  ``weights``, ``values`` and ``abs_sq`` are ball-order copies
+    made when read, for callers off the trial path; ``weights`` is
+    D / c_lambda.
+    """
 
     lam: SpectralParameter
     shells: ShellSums
-    weights: np.ndarray  # (P,) complex, the phase sums w(xi)
-    values: np.ndarray  # (P,) complex, D(xi) = c_lambda(xi) * w(xi)
-    norm_sq: float = field(init=False)
+    box_values: np.ndarray  # complex, D(xi) = c_lambda(xi) * w(xi)
+    box_weights_sq: np.ndarray  # real, |w(xi)|^2
+    norm_sq: float
 
     def __post_init__(self):
-        # np.sum is single-threaded pairwise reduction: deterministic for a
-        # fixed truncation set regardless of worker-thread counts
-        self.abs_sq = np.abs(self.values) ** 2
-        self.norm_sq = float(np.sum(self.abs_sq))
+        weakref.finalize(self, self.shells.give, self.box_values, self.box_weights_sq).atexit = False
 
     @property
     def dim(self) -> int:
@@ -141,11 +151,28 @@ class FourierField:
     def norms(self) -> np.ndarray:
         return self.shells.norms
 
+    @property
+    def weights(self) -> np.ndarray:
+        order = self.shells.ball_order()
+        return self.box_values[order] * (self.shells.physical_box()[order] - self.lam.physical)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.box_values[self.shells.ball_order()]
+
+    @property
+    def abs_sq(self) -> np.ndarray:
+        return _abs_sq(self.values)
+
     def weight_at(self, xi) -> complex:
         i = self.shells.index_of(xi)
         if i < 0:
             raise ValidationError(f"{tuple(xi)} outside the truncation set")
-        return complex(self.weights[i])
+        return complex(self.box_values[i] * (self.shells.physical_box()[i] - self.lam.physical))
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
 
 
 def assemble_field(
@@ -156,8 +183,13 @@ def assemble_field(
 ) -> FourierField:
     """Evaluate D(xi) on the ball |xi|^2 <= radius_sq for given coefficients/positions.
 
-    w = sum_j d_j phi_j over the positions' phase table phi_j(xi) = e_xi(-x_j)
-    (ShellSums.phase_table), built here and released on return.
+    The phase e_xi(-x_j) factors over the coordinates, so
+    w = sum_j (d_j A_j) (x) B_j [(x) C_j] is a sum of outer products of the
+    1-D tables exp(-2*pi*i*a*x_{j,c}), a = -half..half, written in place
+    into pooled box arrays; |w|^2 is kept and w is scaled in place into D.
+    c_lambda is 1/(n - lambda) on ``physical_box``, exactly 0 outside the
+    ball.  No BLAS call: a threaded product of this shape costs more in
+    thread wake-up than in arithmetic and makes concurrent trials contend.
     """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -167,41 +199,98 @@ def assemble_field(
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
     shells.pole_check(lam)
-    phi = shells.phase_table(positions)
-    # one row at a time: a threaded BLAS product of this shape costs more
-    # in thread wake-up than in arithmetic and makes concurrent trials contend
-    w = phi[0] * d_coeffs[0]
-    term = np.empty_like(w)
-    for dj, row in zip(d_coeffs[1:], phi[1:]):
-        np.multiply(row, dj, out=term)
-        w += term
-    c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(np.float64) - lam.physical)
-    return FourierField(lam=lam, shells=shells, weights=w, values=c * w)
+    coords = np.arange(-shells.half, shells.half + 1, dtype=np.float64)
+    tables = [np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(dim)]
+    tables[0] *= d_coeffs[:, None]
+    values, term = shells.take(np.complex128), shells.take(np.complex128)
+    for j in range(d_coeffs.size):
+        out = (values if j == 0 else term).reshape(shells.box_shape)
+        head = tables[0][j]
+        for table in tables[1:-1]:
+            head = np.multiply.outer(head, table[j])
+        np.multiply.outer(head, tables[-1][j], out=out)
+        if j > 0:
+            values += term
+    np.square(values.view(np.float64), out=term.view(np.float64))
+    w_sq = shells.take(np.float64)
+    np.add(term.real, term.imag, out=w_sq)
+    c = shells.take(np.float64)
+    np.subtract(shells.physical_box(), lam.physical, out=c)
+    np.divide(1.0, c, out=c)
+    values *= c
+    # |D|^2 = c^2 |w|^2; np.sum is single-threaded pairwise reduction, so the
+    # norm is the same bit pattern for any number of worker threads
+    np.multiply(c, c, out=c)
+    np.multiply(c, w_sq, out=c)
+    norm_sq = float(np.sum(c))
+    shells.give(term, c)
+    return FourierField(
+        lam=lam, shells=shells, box_values=values, box_weights_sq=w_sq, norm_sq=norm_sq
+    )
+
+
+def _shift(zeta, dim: int) -> tuple:
+    zeta = tuple(int(z) for z in zeta)
+    if len(zeta) != dim:
+        raise ValidationError(f"shift {zeta} needs {dim} components")
+    return zeta
 
 
 def correlation_sum(field: FourierField, zeta) -> complex:
-    """sum_xi D(xi) conj(D(xi + zeta)); missing xi + zeta contributes zero."""
-    zeta = tuple(int(z) for z in zeta)
+    """sum_xi D(xi) conj(D(xi + zeta)); missing xi + zeta contributes zero.
+
+    One product of two overlapping slices of the box.  A shift whose first
+    nonzero component is negative is the conjugate of its opposite, so
+    S_{-zeta} == conj(S_zeta) holds exactly.
+    """
+    zeta = _shift(zeta, field.dim)
     if all(z == 0 for z in zeta):
         return complex(field.norm_sq, 0.0)
-    src, dst = field.shells.shift_partners(zeta)
-    terms = field.values[src] * np.conj(field.values[dst])
-    return complex(np.sum(terms))
+    if next(z for z in zeta if z != 0) < 0:
+        return correlation_sum(field, tuple(-z for z in zeta)).conjugate()
+    shells = field.shells
+    side = shells.box_shape[0]
+    if any(abs(z) >= side for z in zeta):
+        return 0j
+    box = field.box_values.reshape(shells.box_shape)
+    src = tuple(slice(max(-z, 0), side - max(z, 0)) for z in zeta)
+    dst = tuple(slice(max(z, 0), side - max(-z, 0)) for z in zeta)
+    shape = tuple(side - abs(z) for z in zeta)
+    scratch = shells.take(np.complex128)
+    prod = scratch[: math.prod(shape)].reshape(shape)
+    np.conjugate(box[dst], out=prod)
+    prod *= box[src]
+    total = complex(np.sum(prod))
+    shells.give(scratch)
+    return total
 
 
 def pair_with_observable(field: FourierField, a: Observable) -> complex:
     """<a g, g> for the normalized field: sum_zeta ahat(zeta) S_zeta / |g|^2.
 
-    With only the zero mode this is exactly 1 (the same stored sum divided
-    by itself).
+    Each +-zeta pair is summed once (S_{-zeta} = conj(S_zeta)).  With only
+    the zero mode this is exactly 1 (the same stored sum divided by itself).
     """
     if field.norm_sq == 0.0:
         raise ValidationError("field has zero norm")
+    sums: dict[tuple, complex] = {}
     acc = 0.0 + 0.0j
     for zeta, v in sorted(a.coeffs.items()):
-        s = correlation_sum(field, zeta)
+        opposite = sums.get(tuple(-z for z in zeta))
+        s = correlation_sum(field, zeta) if opposite is None else opposite.conjugate()
+        sums[zeta] = s
         acc += v * (s / field.norm_sq)
     return acc
+
+
+def _annulus_index(shells: ShellSums, m_center: int, width: float) -> np.ndarray:
+    """Flat box positions of the annulus points, in ball order."""
+
+    def build():
+        lo, hi = annulus_range(shells.norms, m_center, width)
+        return shells.ball_order()[lo:hi]
+
+    return shells.memo(("annulus", m_center, width), build)
 
 
 def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[float, float]:
@@ -218,8 +307,11 @@ def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[flo
         raise ValidationError(
             f"truncation ball |xi|^2 <= {field.radius_sq} does not cover the annulus"
         )
-    lo, hi = annulus_range(field.norms, m_center, width)
-    annulus = float(np.sum(field.abs_sq[lo:hi]))
+    index = _annulus_index(field.shells, m_center, width)
+    if index.size == field.pts.shape[0]:
+        # an empty complement has mass exactly 0, as functional_C is then 0
+        return field.norm_sq, 0.0
+    annulus = float(np.sum(_abs_sq(field.box_values[index])))
     return annulus, field.norm_sq - annulus
 
 
@@ -237,6 +329,21 @@ def _branch_weights(
     return w, ~(low | high)
 
 
+def _shift_weights(shells: ShellSums, zeta: tuple, interval: GapTriple, width: float):
+    """(annulus box positions, two-branch weights at xi + zeta, endpoint
+    norms that xi + zeta lands on), built once per ball, shift, interval and
+    width."""
+
+    def build():
+        lo, hi = annulus_range(shells.norms, interval.center, width)
+        shifted_norms = ((shells.pts[lo:hi].astype(np.int64) + zeta) ** 2).sum(axis=1)
+        w, in_gap = _branch_weights(shifted_norms, interval)
+        landed = sorted(set(shifted_norms[in_gap].tolist()))
+        return _annulus_index(shells, interval.center, width), w, landed
+
+    return shells.memo(("A", zeta, interval, width), build)
+
+
 def functional_A(
     field: FourierField, zeta, interval: GapTriple, width: float
 ) -> float:
@@ -246,24 +353,18 @@ def functional_A(
     |xi+zeta|^2 < m_k and c_{n_{k+1}}(xi+zeta)^2 |w(xi)|^2 when
     |xi+zeta|^2 > m_{k+1}.  A shifted vector landing exactly on either
     endpoint shell is a configuration the window conditions exclude;
-    it raises NonSPrimeError rather than being dropped silently.
+    it raises NonSPrimeError (on every call) rather than being dropped
+    silently.
     """
-    zeta = np.asarray([int(z) for z in zeta], dtype=np.int64)
-    if not np.any(zeta):
+    zeta = _shift(zeta, field.dim)
+    if not any(zeta):
         raise ValidationError("zeta must be nonzero")
-    lo, hi = annulus_range(field.norms, interval.center, width)
-    if lo == hi:
+    index, w, landed = _shift_weights(field.shells, zeta, interval, width)
+    if landed:
+        raise NonSPrimeError(f"shift {zeta} lands on endpoint shells {landed}")
+    if index.size == 0:
         return 0.0
-    pts = field.pts[lo:hi].astype(np.int64)
-    shifted_norms = ((pts + zeta) ** 2).sum(axis=1)
-    w, in_gap = _branch_weights(shifted_norms, interval)
-    if np.any(in_gap):
-        bad = shifted_norms[in_gap]
-        raise NonSPrimeError(
-            f"shift {tuple(zeta)} lands on endpoint shells {sorted(set(bad.tolist()))}"
-        )
-    contrib = w * np.abs(field.weights[lo:hi]) ** 2
-    return float(np.sum(contrib))
+    return float(np.sum(w * field.box_weights_sq[index]))
 
 
 def lex_first_shell_vector(dim: int, m: int) -> tuple:
@@ -276,23 +377,44 @@ def lex_first_shell_vector(dim: int, m: int) -> tuple:
 def functional_B(field: FourierField, interval: GapTriple) -> float:
     """|w(xi_0)|^2 / (n_{k+1} - n_{k-1})^2 with xi_0 the lexicographically
     first vector on the center shell."""
-    xi0 = lex_first_shell_vector(field.dim, interval.center)
-    w = field.weight_at(xi0)
-    return abs(w) ** 2 / interval.outer_gap**2
+    shells = field.shells
+    i = shells.memo(
+        ("xi0", interval.center),
+        lambda: shells.index_of(lex_first_shell_vector(shells.dim, interval.center)),
+    )
+    if i < 0:
+        raise ValidationError(f"center shell {interval.center} outside the truncation set")
+    return float(field.box_weights_sq[i]) / interval.outer_gap**2
+
+
+def _complement_weights(shells: ShellSums, interval: GapTriple, width: float) -> np.ndarray:
+    """Two-branch endpoint weights on the box: nonzero on the ball points
+    outside the annulus and off the endpoint shells.  Built once per ball,
+    interval and width."""
+
+    def build():
+        lo, hi = annulus_range(shells.norms, interval.center, width)
+        w, in_gap = _branch_weights(shells.norms, interval)
+        # complement vectors on the endpoint shells fall in neither branch and
+        # carry weight zero by the strict inequalities
+        w[in_gap] = 0.0
+        w[lo:hi] = 0.0
+        box = np.zeros(shells.box_size)
+        box[shells.ball_order()] = w
+        return box
+
+    return shells.memo(("C", interval, width), build)
 
 
 def functional_C(field: FourierField, interval: GapTriple, width: float) -> float:
     """Two-branch endpoint-coefficient sum over the annulus complement
     (within the truncation ball)."""
-    lo, hi = annulus_range(field.norms, interval.center, width)
-    norms = np.concatenate((field.norms[:lo], field.norms[hi:]))
-    w, in_gap = _branch_weights(norms, interval)
-    # complement vectors on the endpoint shells fall in neither branch and
-    # carry weight zero by the strict inequalities
-    w[in_gap] = 0.0
-    weights = np.concatenate((field.weights[:lo], field.weights[hi:]))
-    contrib = w * np.abs(weights) ** 2
-    return float(np.sum(contrib))
+    shells = field.shells
+    contrib = shells.take(np.float64)
+    np.multiply(_complement_weights(shells, interval, width), field.box_weights_sq, out=contrib)
+    total = float(np.sum(contrib))
+    shells.give(contrib)
+    return total
 
 
 def sigma_sum(

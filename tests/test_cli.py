@@ -90,10 +90,15 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
      ({"n_scatterers": 0, "phases": []}, []), ({"seed": 1.5}, []), ({"seed": True}, []),
      ({"trials": 2.5}, []), ({"n_scatterers": 2.5}, []), ({"dim": 2.0}, []),
      ({"radius_factor": math.inf}, []), ({"radius_factor": "1.6"}, []),
-     ({"radius_factor": True}, [])],
+     ({"radius_factor": True}, []), ({"delta": "0.3"}, []), ({"solver_tol": "1e-8"}, []),
+     ({"solver_tol": -1.0}, []), ({"delta": math.nan}, []), ({"gamma_eps": None}, []),
+     ({"synthetic_lambda_frac": 1.5}, []), ({"coefficient_mode": "synthetic"}, []),
+     ({"coefficient_mode": "synthetic", "synthetic_coeffs": [[1.0, 0.0], [1.0, 0.0]]}, [])],
     ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
          "trials_fraction", "scatterers_fraction", "dim_float", "radius_factor_inf",
-         "radius_factor_str", "radius_factor_bool"],
+         "radius_factor_str", "radius_factor_bool", "delta_str", "solver_tol_str",
+         "solver_tol_negative", "delta_nan", "gamma_eps_none", "lambda_frac_above",
+         "synthetic_no_coeffs", "synthetic_unnormalized"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)
@@ -101,6 +106,16 @@ def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_arg
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ValidationError"
+    assert not (tmp_path / "run").exists()
+
+
+def test_observable_dimension_exit_code(tmp_path, capsys):
+    obs = {"0,0": [1.0, 0.0], "1,0,0": [0.5, 0.0], "-1,0,0": [0.5, 0.0]}
+    spec = write_spec(tmp_path, observable=obs)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert "1,0,0" in record["message"] and "2 components" in record["message"]
     assert not (tmp_path / "run").exists()
 
 

@@ -174,20 +174,6 @@ def test_pole_detection():
     regularized_pair((0.3, 0.7), (0.0, 0.0), SpectralParameter(3.0), +1, R4)
 
 
-def test_shift_partner_index(table_d2_small):
-    shells = ShellSums.get(2, 200)
-    lookup = {tuple(p): i for i, p in enumerate(shells.pts.tolist())}
-    src, dst = shells.shift_partners((1, 0))
-    assert len(src) == len(dst) > 0
-    for s, t in zip(src[:50], dst[:50]):
-        p = shells.pts[s]
-        q = (int(p[0]) + 1, int(p[1]))
-        assert lookup[q] == t
-    # every in-ball partner is found
-    expected = sum(1 for p in shells.pts.tolist() if (p[0] + 1) ** 2 + p[1] ** 2 <= 200)
-    assert len(src) == expected
-
-
 def test_shellsums_weights_zero_is_multiplicity():
     shells = ShellSums.get(2, 200)
     w = shells.weights(np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,25 @@ def test_reproducibility_across_thread_counts():
     assert trials_csv_text(r1, ctx.zetas) == trials_csv_text(r2, ctx.zetas)
 
 
+def test_pooled_field_arrays_under_thread_switching():
+    # trials share each ball's pool of box arrays; with more workers than
+    # cores and a switch every microsecond, a field whose arrays were handed
+    # to another trial while still alive would change the output
+    spec = small_spec(
+        coefficient_mode="synthetic", synthetic_coeffs=[[0.6, 0.0], [0.0, 0.8]], trials=64
+    )
+    r1, ctx = run_trials(spec, threads=1)
+    serial = trials_csv_text(r1, ctx.zetas)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            r2, _ = run_trials(spec, threads=4, ctx=ctx)
+            assert trials_csv_text(r2, ctx.zetas) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_scaling_map():
     assert scaling_map(4.0, 2.0) == 16.0
     assert scaling_map(7.5, 1.0) == 7.5
@@ -238,11 +258,27 @@ def test_trial_spec_json_round_trip():
      dict(seed=1.5), dict(seed=True), dict(trials=2.5), dict(n_scatterers=2.5),
      dict(dim=2.0), dict(m_center=40.0), dict(radius_factor=math.inf),
      dict(radius_factor=math.nan), dict(radius_factor="1.6"), dict(radius_factor=True),
-     dict(radius_factor=0.0), dict(radius_factor=-1.6)],
+     dict(radius_factor=0.0), dict(radius_factor=-1.6), dict(delta="0.3"),
+     dict(solver_tol="1e-8"), dict(eps_shift="x"), dict(gamma="0.1"), dict(gamma_eps=None),
+     dict(l0_override="3"), dict(delta=math.nan), dict(gamma=math.inf), dict(solver_tol=-1.0),
+     dict(solver_tol=0.0), dict(l0_override=0.0), dict(synthetic_lambda_frac=1.5),
+     dict(synthetic_lambda_frac=True), dict(synthetic_lambda_frac=0.0),
+     dict(coefficient_mode="synthetic"),
+     dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0]]),
+     dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0], [1.0, 0.0]]),
+     dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0], [0.0]]),
+     dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0], [math.nan, 0.0]]),
+     dict(observable=Observable.from_json({"0,0": [1.0, 0.0], "1,0,0": [0.5, 0.0],
+                                            "-1,0,0": [0.5, 0.0]}))],
     ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers", "seed_fraction",
          "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float",
          "radius_factor_inf", "radius_factor_nan", "radius_factor_str", "radius_factor_bool",
-         "radius_factor_zero", "radius_factor_negative"],
+         "radius_factor_zero", "radius_factor_negative", "delta_str", "solver_tol_str",
+         "eps_shift_str", "gamma_str", "gamma_eps_none", "l0_override_str", "delta_nan",
+         "gamma_inf", "solver_tol_negative", "solver_tol_zero", "l0_override_zero",
+         "lambda_frac_above", "lambda_frac_bool", "lambda_frac_zero", "synthetic_no_coeffs",
+         "synthetic_short_coeffs", "synthetic_unnormalized", "synthetic_not_pairs",
+         "synthetic_nan", "observable_dim3"],
 )
 def test_trial_spec_rejects_out_of_range_fields(override):
     with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ from deltatorus.lattice import FOUR_PI_SQ, annulus_range, enumerate_spectrum, sh
 from deltatorus.measure import (
     Observable,
     assemble_field,
+    correlation_sum,
     equidistribution_error,
     functional_A,
     functional_B,
@@ -150,17 +151,59 @@ def test_split_annulus():
     assert split_annulus(f27, 25, 2.5 * FOUR_PI_SQ) == split_annulus(f27, 25, 2 * FOUR_PI_SQ)
 
 
-def test_field_from_phase_table_matches_direct_exponentials_d3():
+def test_field_matches_direct_exponentials():
+    # the separable box assembly against e_xi(-x_j) summed point by point
     rng = np.random.default_rng(8)
-    d = rng.normal(size=3) + 1j * rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    x = rng.uniform(size=(3, 3))
-    lam = SpectralParameter(9.4)
-    shells = ShellSums.get(3, 400)
-    f = assemble_field(d, x, lam, 400)
-    assert f.shells is shells
-    direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
-    assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for dim, radius_sq in ((2, 400), (3, 400)):
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        x = rng.uniform(size=(3, dim))
+        lam = SpectralParameter(9.4)
+        shells = ShellSums.get(dim, radius_sq)
+        f = assemble_field(d, x, lam, radius_sq)
+        assert f.shells is shells
+        direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
+        assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
+        c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(float) - lam.physical)
+        assert np.max(np.abs(f.values - c * direct)) <= 1e-12 * np.max(np.abs(c * direct))
+        w_sq = f.box_weights_sq[shells.ball_order()]
+        assert np.max(np.abs(w_sq - np.abs(direct) ** 2)) <= 1e-12 * np.max(np.abs(direct) ** 2)
+        # the box holds D = 0 outside the ball
+        outside = np.ones(shells.box_size, dtype=bool)
+        outside[shells.ball_order()] = False
+        assert not np.any(f.box_values[outside])
+        assert f.norm_sq == pytest.approx(float(np.sum(f.abs_sq)), rel=1e-13)
+
+
+def test_correlation_sum_matches_ball_order_oracle():
+    rng = np.random.default_rng(19)
+    for dim, radius_sq in ((2, 200), (3, 60)):
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        f = small_field(d, rng.uniform(size=(3, dim)), lam_norm=25.4, radius=radius_sq)
+        lookup = {tuple(p): v for p, v in zip(f.pts.tolist(), f.values.tolist())}
+        side = f.shells.box_shape[0]
+        unit = [0] * (dim - 1)
+        # inside the ball, across its edge, and beyond the box
+        shifts = [(1, *unit), (2, -1, *unit[1:]), (0, *unit[:-1], 3), (side - 1, *unit),
+                  (side - 3, 1, *unit[1:])]
+        for zeta in shifts:
+            acc = 0.0 + 0.0j
+            scale = 0.0
+            for p, v in lookup.items():
+                q = tuple(a + b for a, b in zip(p, zeta))
+                if q in lookup:
+                    acc += v * np.conj(lookup[q])
+                    scale += abs(v) * abs(lookup[q])
+            assert scale > 0
+            s = correlation_sum(f, zeta)
+            assert abs(s - acc) <= 1e-12 * scale
+            assert correlation_sum(f, tuple(-z for z in zeta)) == s.conjugate()
+        for zeta in ((side, *unit), (0, *unit[:-1], -side), (3 * side, 1, *unit[1:])):
+            assert correlation_sum(f, zeta) == 0.0
+        assert correlation_sum(f, (0,) * dim) == f.norm_sq
+        with pytest.raises(ValidationError):
+            correlation_sum(f, (1,) * (dim + 1))
 
 
 @pytest.mark.parametrize(
@@ -208,9 +251,12 @@ def test_functional_A_endpoint_landing_raises():
     table = enumerate_spectrum(2, 200)
     tri = table.gap_triple(25)
     f = small_field([1.0], [[0.4, 0.9]], lam_norm=25.3)
-    # (0,5)+(1,0) has norm 26 = the upper endpoint shell
-    with pytest.raises(NonSPrimeError):
-        functional_A(f, (1, 0), tri, 30.0)
+    # (0,5)+(1,0) has norm 26 = the upper endpoint shell; the landing is
+    # cached with the shift's weights and raised on every call
+    for field in (f, f, small_field([1.0], [[0.1, 0.2]], lam_norm=25.6)):
+        with pytest.raises(NonSPrimeError):
+            functional_A(field, (1, 0), tri, 30.0)
+        functional_A(field, (2, 0), tri, 30.0)
 
 
 def test_functional_A_zero_when_weights_vanish():
@@ -294,6 +340,46 @@ def test_functional_C_unit_weights_equals_bare_sum():
         1.0 / (FOUR_PI_SQ * f.norms[mask][low].astype(float) - tri.n_center) ** 2
     ) + np.sum(1.0 / (FOUR_PI_SQ * f.norms[mask][high].astype(float) - tri.n_next) ** 2)
     assert val == pytest.approx(float(bare), rel=1e-12)
+
+
+def _functional_A_oracle(f, zeta, tri, width):
+    acc = 0.0
+    for xi, m, w in zip(f.pts.tolist(), f.norms.tolist(), f.weights.tolist()):
+        if FOUR_PI_SQ * abs(m - tri.center) > width:
+            continue
+        ms = sum((a + b) ** 2 for a, b in zip(xi, zeta))
+        assert ms < tri.center or ms > tri.next, "unexpected endpoint landing"
+        n_end = tri.n_center if ms < tri.center else tri.n_next
+        acc += abs(w) ** 2 / (FOUR_PI_SQ * ms - n_end) ** 2
+    return acc
+
+
+def _functional_C_oracle(f, tri, width):
+    acc = 0.0
+    for m, w in zip(f.norms.tolist(), f.weights.tolist()):
+        if FOUR_PI_SQ * abs(m - tri.center) <= width or tri.center <= m <= tri.next:
+            continue
+        n_end = tri.n_center if m < tri.center else tri.n_next
+        acc += abs(w) ** 2 / (FOUR_PI_SQ * m - n_end) ** 2
+    return acc
+
+
+def test_cached_weights_serve_every_interval_and_width():
+    # one ball, two (interval, width) pairs in turn, two fields: every A
+    # and C read from the per-ball cache equals a fresh point-by-point sum
+    table = enumerate_spectrum(2, 200)
+    cases = [(table.gap_triple(25), 30.0, (2, 0)), (table.gap_triple(50), 45.0, (0, 3))]
+    rng = np.random.default_rng(61)
+    for _ in range(2):
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        pos = rng.uniform(size=(3, 2))
+        for tri, width, zeta in cases + cases:
+            f = small_field(d, pos, lam_norm=tri.center + 0.4)
+            a_oracle = _functional_A_oracle(f, zeta, tri, width)
+            assert functional_A(f, zeta, tri, width) == pytest.approx(a_oracle, rel=1e-12)
+            c_oracle = _functional_C_oracle(f, tri, width)
+            assert functional_C(f, tri, width) == pytest.approx(c_oracle, rel=1e-12)
 
 
 def test_sigma_sum():
