@@ -284,7 +284,8 @@ def regularized_pair(
     The summand decays like |xi|^{-4}, so coincident points are allowed and
     the reported tail bound is rigorous.  Evaluated from cosines at one
     difference vector (ShellSums.weights), it is the entry-by-entry test
-    oracle for SecularWorkspace.matrix.
+    oracle for SecularWorkspace.symmetric: (1 + e^{-i theta}) H[k, j] =
+    R_+(x_k, x_j) + e^{-i theta} R_-(x_k, x_j).
     """
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")

@@ -44,7 +44,7 @@ from .measure import (
     sigma_sum,
     split_annulus,
 )
-from .scatterer import ScattererConfig, SecularWorkspace, find_new_eigenvalues
+from .scatterer import ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues
 from .sprime import SPrimeParams, coeff_condition, gap_condition
 
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
@@ -120,8 +120,7 @@ class TrialSpec:
     m_center: int
     seed: int
     trials: int
-    phases: list | None = None  # diagonal extension parameter, default zeros
-    u_matrix: list | None = None  # full unitary, nested [re, im] rows
+    phases: list | None = None  # U = e^{i theta} Id: theta per scatterer, all equal; default 0
     delta: float = 0.3  # annulus rule L_0 = (4 pi^2 m_k)^delta
     l0_override: float | None = None
     radius_factor: float = 1.6  # truncation: R = ceil(radius_factor * m_center)
@@ -172,8 +171,9 @@ class TrialSpec:
                 raise ValidationError(
                     f"observable mode {','.join(map(str, zeta))} needs {self.dim} components"
                 )
-        if self.phases is None and self.u_matrix is None:
+        if self.phases is None:
             self.phases = [0.0] * self.n_scatterers
+        common_phase(self.phases, self.n_scatterers)
         if self.gamma is None:
             self.gamma = float(GAMMA_BY_DIM[self.dim])
 
@@ -197,10 +197,7 @@ class TrialSpec:
         return d
 
     def config_for(self, positions: np.ndarray) -> ScattererConfig:
-        if self.phases is not None:
-            return ScattererConfig(self.dim, positions, phases=np.asarray(self.phases))
-        mat = np.array([[complex(re, im) for re, im in row] for row in self.u_matrix])
-        return ScattererConfig(self.dim, positions, matrix=mat)
+        return ScattererConfig(self.dim, positions, phases=np.asarray(self.phases))
 
     def to_json(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

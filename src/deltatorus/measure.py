@@ -28,8 +28,10 @@ the gap; that is what makes the per-sample inequality chain exact.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -58,7 +60,10 @@ class Observable:
     def __post_init__(self):
         clean = {}
         for zeta, v in self.coeffs.items():
-            clean[tuple(int(z) for z in zeta)] = complex(v)
+            value = complex(v)
+            if not cmath.isfinite(value):
+                raise ValidationError(f"observable coefficient at {zeta} must be finite, got {v!r}")
+            clean[tuple(int(z) for z in zeta)] = value
         self.coeffs = clean
         if not self.coeffs:
             raise ValidationError("observable needs at least one coefficient")
@@ -102,8 +107,19 @@ class Observable:
 
     @classmethod
     def from_json(cls, obj: dict, real_valued: bool = True) -> "Observable":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"an observable maps modes to [re, im] pairs, got {obj!r}")
         coeffs = {}
-        for key, (re, im) in obj.items():
+        for key, value in obj.items():
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == 2
+                and all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in value)
+            ):
+                raise ValidationError(
+                    f"observable value at {key!r} must be an [re, im] pair, got {value!r}"
+                )
+            re, im = value
             zeta = tuple(int(t) for t in key.split(","))
             coeffs[zeta] = complex(re, im)
         return cls(coeffs, real_valued=real_valued)
@@ -195,7 +211,7 @@ def assemble_field(
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     dim = positions.shape[1]
     total = float(np.sum(np.abs(d_coeffs) ** 2))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # so that a NaN sum fails too
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
     shells.pole_check(lam)

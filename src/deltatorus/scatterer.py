@@ -1,42 +1,41 @@
 """Spectral matrix of N point scatterers and its roots.
 
-For a configuration of N distinct points x_j and a unitary extension
-parameter U, the matrix has rows indexed by evaluation points and columns
-by scatterers:
+For a configuration of N distinct points x_j and the extension parameter
+U = e^{i theta} Id, one phase common to every scatterer, the matrix
 
     M(lambda)[k, j] = (G_lambda - G_{+i})(x_k, x_j)
-                      + sum_m (U^{-1})[j, m] (G_lambda - G_{-i})(x_k, x_m).
+                      + e^{-i theta} (G_lambda - G_{-i})(x_k, x_j)
+
+is M = (1 + e^{-i theta}) H with the real symmetric
+
+    H(lambda) = c_lambda @ W - Re G_{+i} + tan(theta/2) Im G_{+i}.
 
 New eigenvalues are the parameters lambda strictly between consecutive
-unperturbed eigenvalues where M is singular.
+unperturbed eigenvalues where H is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and are symmetric in the pair, so they are
-computed once per unordered pair (ShellSums.weights_many), and M at one
+computed once per unordered pair (ShellSums.weights_many), and H at one
 more lambda is one matrix product of the shell coefficients c_lambda with
 an (S, N*(N+1)/2) weight array, unpacked to N x N.
 
-The root solver takes one common phase, U = e^{i theta} Id.  Then
-M = (1 + e^{-i theta}) H with the real symmetric
-
-    H(lambda) = c_lambda @ W - Re G_{+i} + tan(theta/2) Im G_{+i},
-
-whose derivative c_lambda^2 @ W is positive semidefinite, so every ordered
-eigenvalue of H is nondecreasing across a gap.  The number of roots in a
-gap is the drop in the count of negative eigenvalues of H from one end to
-the other (Sylvester inertia), each root is the zero of one eigenvalue
+The derivative c_lambda^2 @ W of H is positive semidefinite, so every
+ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
+in a gap is the drop in the count of negative eigenvalues of H from one end
+to the other (Sylvester inertia), each root is the zero of one eigenvalue
 branch, and its superposition coefficients d are that branch's unit
 eigenvector ((Id + U) v is a multiple of v).  A U with distinct eigenvalues
 in general does not preserve the deficiency Gram matrix Im G_{+i}, so it
-defines no self-adjoint operator in this parametrization; the solver
-rejects it, while matrix assembly accepts any unitary.
+defines no self-adjoint operator in this parametrization, and a config
+with distinct phases is rejected when it is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .errors import (
 from .greens import ShellSums, SpectralParameter, check_radius
 from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
-UNITARITY_TOL = 1e-10
+COMMON_PHASE_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
 
@@ -58,87 +57,87 @@ def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt((d * d).sum()))
 
 
+def _real_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float64 array of the given shape with finite real entries."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ValidationError(f"{name} must be {shape} real numbers, got {value!r}")
+    arr = arr.astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
+def common_phase(phases, n: int) -> float:
+    """theta of U = e^{i theta} Id from one phase per scatterer, all equal.
+
+    Phases that differ by more than COMMON_PHASE_TOL in e^{i theta_j}
+    raise ValidationError, a phase with e^{i theta_j} = -1
+    DegenerateExtensionError; theta is atan2 of e^{i theta_0}.
+    """
+    eigs = np.exp(1j * _real_array("phases", phases, (n,)))
+    if np.min(np.abs(1.0 + eigs)) < DEGENERACY_TOL:
+        raise DegenerateExtensionError("a phase puts -1 in the spectrum of U")
+    z = complex(eigs[0])
+    if np.linalg.norm(eigs - z) > COMMON_PHASE_TOL:
+        raise ValidationError(
+            "U must be one common phase, U = exp(i theta) Id: distinct phases do "
+            "not preserve the deficiency Gram matrix Im G_{+i}"
+        )
+    return math.atan2(z.imag, z.real)
+
+
 @dataclass
 class ScattererConfig:
     """N scatterer positions on the unit torus plus the extension parameter.
 
-    The parameter is either a vector of diagonal phases theta_j
-    (U = diag(exp(i theta_j))) or a full N x N unitary matrix.  Any unitary
-    without eigenvalue -1 is accepted here and by matrix assembly;
-    find_new_eigenvalues needs one common phase, U = exp(i theta) Id.
+    U = e^{i theta} Id is given as one phase per scatterer, all equal;
+    common_phase sets theta, the angle of e^{i theta_0}, from them, and the
+    phases are kept for the JSON form.
     """
 
     dim: int
     positions: np.ndarray
-    phases: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    phases: np.ndarray
+    theta: float = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ValidationError(f"dim must be an integer, got {self.dim!r}")
         _check_dim(self.dim)
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
-        if self.positions.ndim != 2 or self.positions.shape[1] != self.dim:
-            raise ValidationError("positions must be an (N, dim) array")
-        self.positions = np.mod(self.positions, 1.0)
+        pos = np.atleast_2d(np.asarray(self.positions))
+        if pos.ndim != 2 or pos.shape[0] < 1:
+            raise ValidationError("positions must be an (N, dim) array with N >= 1")
+        self.positions = np.mod(_real_array("positions", pos, (pos.shape[0], self.dim)), 1.0)
         n = self.positions.shape[0]
-        if n < 1:
-            raise ValidationError("need at least one scatterer")
         for a in range(n):
             for b in range(a + 1, n):
                 if torus_distance(self.positions[a], self.positions[b]) <= 0.0:
                     raise ValidationError(f"positions {a} and {b} coincide")
-        if (self.phases is None) == (self.matrix is None):
-            raise ValidationError("provide exactly one of phases or matrix")
-        if self.phases is not None:
-            self.phases = np.asarray(self.phases, dtype=np.float64)
-            if self.phases.shape != (n,):
-                raise ValidationError("phases must have one angle per scatterer")
-            eigs = np.exp(1j * self.phases)
-            if np.min(np.abs(1.0 + eigs)) < DEGENERACY_TOL:
-                raise DegenerateExtensionError("a phase puts -1 in the spectrum of U")
-        else:
-            self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-            if self.matrix.shape != (n, n):
-                raise ValidationError("matrix must be N x N")
-            defect = np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(n))
-            if defect > UNITARITY_TOL:
-                raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
-            if np.min(np.abs(1.0 + np.linalg.eigvals(self.matrix))) < DEGENERACY_TOL:
-                raise DegenerateExtensionError("U has an eigenvalue at -1")
+        self.theta = common_phase(self.phases, n)
+        self.phases = np.asarray(self.phases, dtype=np.float64)
 
     @property
     def n_scatterers(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def u_matrix(self) -> np.ndarray:
-        if self.phases is not None:
-            return np.diag(np.exp(1j * self.phases))
-        return self.matrix
-
-    @property
-    def u_inv(self) -> np.ndarray:
-        return self.u_matrix.conj().T
-
     def to_json(self) -> dict:
-        u = (
-            {"phases": self.phases.tolist()}
-            if self.phases is not None
-            else {
-                "matrix": [
-                    [[float(v.real), float(v.imag)] for v in row]
-                    for row in self.matrix
-                ]
-            }
-        )
-        return {"dim": self.dim, "positions": self.positions.tolist(), "u": u}
+        return {
+            "dim": self.dim,
+            "positions": self.positions.tolist(),
+            "u": {"phases": self.phases.tolist()},
+        }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ScattererConfig":
-        u = obj["u"]
-        if "phases" in u:
-            return cls(obj["dim"], np.array(obj["positions"]), phases=np.array(u["phases"]))
-        mat = np.array([[complex(re, im) for re, im in row] for row in u["matrix"]])
-        return cls(obj["dim"], np.array(obj["positions"]), matrix=mat)
+    def from_json(cls, obj) -> "ScattererConfig":
+        if not isinstance(obj, dict) or set(obj) != {"dim", "positions", "u"}:
+            got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+            raise ValidationError(f"a config has exactly the keys dim, positions and u; got {got}")
+        if not isinstance(obj["u"], dict) or set(obj["u"]) != {"phases"}:
+            raise ValidationError(
+                f'"u" must be {{"phases": [...]}}, one common phase; got {obj["u"]!r}'
+            )
+        return cls(obj["dim"], obj["positions"], obj["u"]["phases"])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -152,15 +151,13 @@ class ScattererConfig:
 
 
 class SecularWorkspace:
-    """Shell data bound to one configuration for fast matrix assembly.
+    """Shell data bound to one configuration for fast evaluation of H.
 
     W[s, t] = E_{m_s}(x_k - x_j) for the unordered pair (k, j) in column t
-    of np.triu_indices(N) (ShellSums.weights_many), and the two deficiency
-    sums G_{+-i}(x_k, x_j) are lambda-independent.  Every contraction is a
-    product with W over the N*(N+1)/2 pairs, unpacked to N x N through a
-    fixed index map: a matrix at one more lambda from c_lambda @ W, and the
-    symmetric form H with its slope from one product of (c_lambda,
-    c_lambda^2) with W.
+    of np.triu_indices(N) (ShellSums.weights_many), and the deficiency sum
+    G_{+i}(x_k, x_j) is lambda-independent.  H and its slope at one more
+    lambda are one product of (c_lambda, c_lambda^2) with W over the
+    N*(N+1)/2 pairs, unpacked to N x N through a fixed index map.
     """
 
     def __init__(self, config: ScattererConfig, radius_sq: int):
@@ -172,39 +169,32 @@ class SecularWorkspace:
         rows, cols = np.triu_indices(n)
         self._unpack = np.empty((n, n), dtype=np.intp)
         self._unpack[rows, cols] = self._unpack[cols, rows] = np.arange(rows.size)
-        # G_{+-i} = sum_s W_s / (n_s -+ i) = sum_s W_s (n_s +- i) / (n_s^2 + 1)
+        # G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1)
         ns = self.shells.ns_physical
-        re = ((ns / (ns * ns + 1.0)) @ self._w)[self._unpack]
-        im = ((1.0 / (ns * ns + 1.0)) @ self._w)[self._unpack]
-        self._g_plus = re + 1j * im
-        self._g_minus = re - 1j * im
-        self._uinv_t = config.u_inv.T.copy()
+        self._re_g = ((ns / (ns * ns + 1.0)) @ self._w)[self._unpack]
+        im_g = ((1.0 / (ns * ns + 1.0)) @ self._w)[self._unpack]
+        self._tan_im_g = math.tan(config.theta / 2.0) * im_g
 
-    def matrix(self, lam_physical: float) -> np.ndarray:
-        a = (self.shells.coeffs(lam_physical) @ self._w)[self._unpack]
-        return (a - self._g_plus) + (a - self._g_minus) @ self._uinv_t
-
-    def symmetric(self, lam_physical: float, tan_half: float) -> tuple[np.ndarray, np.ndarray]:
-        """H = c_lambda @ W - Re G_{+i} + tan_half Im G_{+i} and dH/dlambda = c_lambda^2 @ W.
-
-        For U = e^{i theta} Id and tan_half = tan(theta/2), M = (1 + e^{-i theta}) H.
-        """
+    def symmetric(self, lam_physical: float) -> tuple[np.ndarray, np.ndarray]:
+        """H = c_lambda @ W - Re G_{+i} + tan(theta/2) Im G_{+i} and dH/dlambda = c_lambda^2 @ W."""
         c = self.shells.coeffs(lam_physical)
         h, slope = (np.stack((c, c * c)) @ self._w)[:, self._unpack]
-        return h - self._g_plus.real + tan_half * self._g_plus.imag, slope
-
-    def secular(self, lam_physical: float) -> tuple[complex, float]:
-        m = self.matrix(lam_physical)
-        return complex(np.linalg.det(m)), float(np.linalg.svd(m, compute_uv=False)[-1])
+        return h - self._re_g + self._tan_im_g, slope
 
 
 def secular_value(
     config: ScattererConfig, lam: SpectralParameter, radius_sq: int
 ) -> tuple[complex, float]:
-    """(det M, smallest singular value of M) at one parameter."""
+    """(det M, smallest singular value of M) at one parameter.
+
+    Both come from the eigenvalues mu of H: det M = (1 + e^{-i theta})^N det H
+    and sigma_min(M) = |1 + e^{-i theta}| min |mu|.
+    """
     ws = SecularWorkspace(config, check_radius(radius_sq, lam))
     ws.shells.pole_check(lam)
-    return ws.secular(lam.physical)
+    mu = np.linalg.eigvalsh(ws.symmetric(lam.physical)[0])
+    factor = 1.0 + np.exp(-1j * config.theta)
+    return complex(factor ** mu.size * np.prod(mu)), float(abs(factor) * np.abs(mu).min())
 
 
 @dataclass
@@ -224,18 +214,6 @@ class NewEigenvalue:
         return FOUR_PI_SQ * self.lambda_norm
 
 
-def _common_phase(config: ScattererConfig) -> float:
-    """theta with U = e^{i theta} Id; any other U raises ValidationError."""
-    u = config.u_matrix
-    z = complex(u[0, 0])
-    if np.linalg.norm(u - z * np.eye(config.n_scatterers)) > UNITARITY_TOL:
-        raise ValidationError(
-            "the root solver needs one common phase, U = exp(i theta) Id: other "
-            "unitaries do not preserve the deficiency Gram matrix Im G_{+i}"
-        )
-    return math.atan2(z.imag, z.real)
-
-
 def find_new_eigenvalues(
     config: ScattererConfig,
     interval: GapTriple,
@@ -245,10 +223,10 @@ def find_new_eigenvalues(
 ) -> list[NewEigenvalue]:
     """All spectral-equation roots in the open gap (n_k, n_{k+1}), ascending.
 
-    Needs U = e^{i theta} Id, so that M = (1 + e^{-i theta}) H with H real
-    symmetric and every ordered eigenvalue of H nondecreasing in lambda.
-    The root count is the number of negative eigenvalues of H a few ulps
-    above n_k minus the number a few ulps below n_{k+1}.  Root i, counted
+    M = (1 + e^{-i theta}) H with H real symmetric and every ordered
+    eigenvalue of H nondecreasing in lambda.  The root count is the number
+    of negative eigenvalues of H a few ulps above n_k minus the number a
+    few ulps below n_{k+1}.  Root i, counted
     from the left, is the zero of eigenvalue branch n_lo - 1 - i: Newton
     steps on that branch (slope v^T H' v) kept inside its sign bracket, with
     bisection whenever a step leaves the bracket or fails to halve.  Each
@@ -260,16 +238,14 @@ def find_new_eigenvalues(
     residual, and reports the residual it measured.  A prebuilt workspace
     must be the one for this config and radius_sq.
     """
-    if not solver_tol > 0:
-        raise ValidationError("solver_tol must be positive")
+    if not (solver_tol > 0 and math.isfinite(solver_tol)):
+        raise ValidationError(f"solver_tol must be finite and > 0, got {solver_tol!r}")
     radius_sq = check_radius(radius_sq, SpectralParameter(float(interval.next)))
     if workspace is not None and (
         workspace.config is not config or workspace.shells.radius_sq != radius_sq
     ):
         raise ValidationError("the workspace was built for another config or radius_sq")
-    theta = _common_phase(config)
-    tan_half = math.tan(theta / 2.0)
-    scale = 2.0 * abs(math.cos(theta / 2.0))  # |1 + e^{-i theta}|
+    scale = 2.0 * abs(math.cos(config.theta / 2.0))  # |1 + e^{-i theta}|
     n = config.n_scatterers
     ws = workspace if workspace is not None else SecularWorkspace(config, radius_sq)
     a, b = interval.n_center, interval.n_next
@@ -279,7 +255,7 @@ def find_new_eigenvalues(
     lo, hi = np.full(n, x_lo), np.full(n, x_hi)  # sign bracket of each branch
 
     def eigen(x):
-        h, slope = ws.symmetric(x, tan_half)
+        h, slope = ws.symmetric(x)
         mu, vecs = np.linalg.eigh(h)
         neg = mu < 0.0
         np.copyto(lo, np.maximum(lo, x), where=neg)

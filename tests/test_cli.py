@@ -93,12 +93,17 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
      ({"radius_factor": True}, []), ({"delta": "0.3"}, []), ({"solver_tol": "1e-8"}, []),
      ({"solver_tol": -1.0}, []), ({"delta": math.nan}, []), ({"gamma_eps": None}, []),
      ({"synthetic_lambda_frac": 1.5}, []), ({"coefficient_mode": "synthetic"}, []),
-     ({"coefficient_mode": "synthetic", "synthetic_coeffs": [[1.0, 0.0], [1.0, 0.0]]}, [])],
+     ({"coefficient_mode": "synthetic", "synthetic_coeffs": [[1.0, 0.0], [1.0, 0.0]]}, []),
+     ({"phases": [0.0, 0.4]}, []), ({"phases": [0.0]}, []),
+     ({"phases": [0.0, 0.4], "coefficient_mode": "synthetic",
+       "synthetic_coeffs": [[1.0, 0.0], [0.0, 0.0]]}, []),
+     ({"u_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, [])],
     ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
          "trials_fraction", "scatterers_fraction", "dim_float", "radius_factor_inf",
          "radius_factor_str", "radius_factor_bool", "delta_str", "solver_tol_str",
          "solver_tol_negative", "delta_nan", "gamma_eps_none", "lambda_frac_above",
-         "synthetic_no_coeffs", "synthetic_unnormalized"],
+         "synthetic_no_coeffs", "synthetic_unnormalized", "phases_distinct", "phases_short",
+         "phases_distinct_synthetic", "u_matrix"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)
@@ -117,6 +122,62 @@ def test_observable_dimension_exit_code(tmp_path, capsys):
     assert record["error"] == "ValidationError"
     assert "1,0,0" in record["message"] and "2 components" in record["message"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "obs",
+    [{"0,0": 1.0}, {"0,0": [1.0, 0.0], "1,0": [math.nan, 0.0], "-1,0": [math.nan, 0.0]},
+     {"0,0": [1.0, 0.0, 0.0]}, {"0,0": [True, 0.0]}, {"0,0": ["1", "0"]}, [[1.0, 0.0]]],
+    ids=["not_a_pair", "nan", "triple", "bool", "str", "not_a_map"],
+)
+def test_observable_value_exit_code(tmp_path, capsys, obs):
+    # measure reads the observable file, mc the spec's observable
+    spec = write_spec(tmp_path, observable=obs)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert not (tmp_path / "run").exists()
+    cfg = write_config(tmp_path, n=1)
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(obs))
+    code = main(["measure", "--config", str(cfg), "--observable", str(path), "--mk", "25",
+                 "--out", str(tmp_path / "meas")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError"
+    assert not (tmp_path / "meas").exists()
+
+
+BAD_CONFIGS = {
+    "nan_coordinate": {"dim": 2, "positions": [[0.37, math.nan], [0.73, 0.52]],
+                       "u": {"phases": [0.0, 0.0]}},
+    "no_u": {"dim": 2, "positions": [[0.37, 0.11], [0.73, 0.52]]},
+    "matrix": {"dim": 2, "positions": [[0.37, 0.11], [0.73, 0.52]],
+               "u": {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+    "distinct_phases": {"dim": 2, "positions": [[0.37, 0.11], [0.73, 0.52]],
+                        "u": {"phases": [0.0, 0.4]}},
+    "phases_short": {"dim": 2, "positions": [[0.37, 0.11], [0.73, 0.52]],
+                     "u": {"phases": [0.0]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exit_code(tmp_path, capsys, name):
+    # every subcommand that reads a config rejects it at load
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS[name]))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"0,0": [1.0, 0.0], "2,0": [0.5, 0.0], "-2,0": [0.5, 0.0]}))
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))
+    measure = ["measure", "--config", str(cfg), "--observable", str(obs), "--mk", "25"]
+    for i, args in enumerate((["solve", "--config", str(cfg), "--mk", "25"], measure,
+                              measure + ["--coeffs", str(coeffs)])):
+        out = tmp_path / f"out{i}"
+        assert main([*args, "--out", str(out)]) == 2, args
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValidationError"
+        assert not out.exists()
 
 
 def test_sprime_outputs(tmp_path):
@@ -159,8 +220,10 @@ def test_solve_and_measure(tmp_path):
 @pytest.mark.parametrize(
     "extra_args",
     [["--coeffs", "COEFFS", "--lambda-frac", "1.5"], ["--coeffs", "COEFFS", "--lambda-frac", "0"],
-     ["--radius-factor", "inf"], ["--radius-factor", "0"]],
-    ids=["lambda_frac_above", "lambda_frac_zero", "radius_factor_inf", "radius_factor_zero"],
+     ["--radius-factor", "inf"], ["--radius-factor", "0"], ["--tol", "inf"], ["--tol", "nan"],
+     ["--coeffs", "NAN_COEFFS"]],
+    ids=["lambda_frac_above", "lambda_frac_zero", "radius_factor_inf", "radius_factor_zero",
+         "tol_inf", "tol_nan", "coeffs_nan"],
 )
 def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
     cfg = write_config(tmp_path, n=1)
@@ -168,7 +231,10 @@ def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
     obs.write_text(json.dumps({"0,0": [1.0, 0.0], "2,0": [0.5, 0.0], "-2,0": [0.5, 0.0]}))
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps([[1.0, 0.0]]))
-    extra_args = [str(coeffs) if a == "COEFFS" else a for a in extra_args]
+    nan_coeffs = tmp_path / "nan.json"
+    nan_coeffs.write_text(json.dumps([[math.nan, 0.0]]))
+    paths = {"COEFFS": str(coeffs), "NAN_COEFFS": str(nan_coeffs)}
+    extra_args = [paths.get(a, a) for a in extra_args]
     mout = tmp_path / "meas"
     code = main([
         "measure", "--config", str(cfg), "--observable", str(obs), "--mk", "25",

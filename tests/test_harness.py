@@ -245,8 +245,7 @@ def test_trial_spec_json_round_trip():
     assert back.to_json() == spec.to_json()
     # manifests write the keys in this order
     assert list(spec.to_json()) == [
-        "dim", "n_scatterers", "m_center", "seed", "trials", "phases", "u_matrix",
-        "delta", "l0_override", "radius_factor", "observable", "coefficient_mode",
+        "dim", "n_scatterers", "m_center", "seed", "trials", "phases", "delta", "l0_override", "radius_factor", "observable", "coefficient_mode",
         "synthetic_coeffs", "synthetic_lambda_frac", "solver_tol", "eps_shift",
         "strict_sprime", "gamma", "gamma_eps",
     ]
@@ -269,7 +268,11 @@ def test_trial_spec_json_round_trip():
      dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0], [0.0]]),
      dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0], [math.nan, 0.0]]),
      dict(observable=Observable.from_json({"0,0": [1.0, 0.0], "1,0,0": [0.5, 0.0],
-                                            "-1,0,0": [0.5, 0.0]}))],
+                                            "-1,0,0": [0.5, 0.0]})),
+     dict(phases=[0.0, 0.4]), dict(phases=[0.0]), dict(phases=[0.0, 0.0, 0.0]),
+     dict(phases=[math.pi, math.pi]), dict(phases=[math.nan, math.nan]),
+     dict(phases=["0", "0"]), dict(phases=[0.0, 0.4], coefficient_mode="synthetic",
+                                   synthetic_coeffs=[[1.0, 0.0], [0.0, 0.0]])],
     ids=["dim1", "dim4", "seed_negative", "seed_2_64", "no_scatterers", "seed_fraction",
          "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float",
          "radius_factor_inf", "radius_factor_nan", "radius_factor_str", "radius_factor_bool",
@@ -278,7 +281,8 @@ def test_trial_spec_json_round_trip():
          "gamma_inf", "solver_tol_negative", "solver_tol_zero", "l0_override_zero",
          "lambda_frac_above", "lambda_frac_bool", "lambda_frac_zero", "synthetic_no_coeffs",
          "synthetic_short_coeffs", "synthetic_unnormalized", "synthetic_not_pairs",
-         "synthetic_nan", "observable_dim3"],
+         "synthetic_nan", "observable_dim3", "phases_distinct", "phases_short", "phases_long",
+         "phases_pi", "phases_nan", "phases_str", "phases_distinct_synthetic"],
 )
 def test_trial_spec_rejects_out_of_range_fields(override):
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import pytest
 
 from deltatorus.errors import DegenerateExtensionError, ValidationError
 from deltatorus.greens import ShellSums, SpectralParameter, regularized_pair
-from deltatorus.harness import sample_positions
+from deltatorus.harness import TrialSpec, sample_positions
 from deltatorus.lattice import enumerate_spectrum
 from deltatorus.scatterer import (
     ScattererConfig,
@@ -18,8 +18,21 @@ R = 4000
 
 
 def matrix_at(cfg, lam, radius_sq=R):
-    """The N x N spectral matrix at one off-spectrum parameter."""
-    return SecularWorkspace(cfg, radius_sq).matrix(lam.physical)
+    """The N x N spectral matrix M[k, j] = R+(x_k, x_j) + e^{-i theta} R-(x_k, x_j)
+    at one off-spectrum parameter, with R+- from the cosine path of
+    ShellSums.weights (regularized_pair), entry by entry: the oracle for H."""
+    x, n = cfg.positions, cfg.n_scatterers
+    r_plus, r_minus = (
+        np.array([[regularized_pair(x[k], x[j], lam, sign, radius_sq).value for j in range(n)]
+                  for k in range(n)])
+        for sign in (1, -1)
+    )
+    return r_plus + np.exp(-1j * cfg.theta) * r_minus
+
+
+def h_at(cfg, lam, radius_sq=R):
+    """The real symmetric H of the workspace at one off-spectrum parameter."""
+    return SecularWorkspace(cfg, radius_sq).symmetric(lam.physical)[0]
 
 
 def closed_form(shells: ShellSums, theta: float, lam_physical: float) -> float:
@@ -61,40 +74,53 @@ def test_symbolic_reduction_identity():
 
 
 def test_config_validation():
+    pos = [[0.1, 0.2], [0.3, 0.4]]
     with pytest.raises(ValidationError):
         ScattererConfig(2, np.array([[0.1, 0.2], [0.1, 0.2]]), phases=np.zeros(2))
     with pytest.raises(DegenerateExtensionError):
         ScattererConfig(2, np.array([[0.1, 0.2]]), phases=np.array([math.pi]))
+    for positions, phases in (
+        (pos, [0.0, 0.4]),  # distinct phases
+        (pos, [0.0]), (pos, [0.0, 0.0, 0.0]), (pos, [[0.0, 0.0]]),  # one phase per scatterer
+        (pos, [0.0, math.nan]), (pos, [math.inf, math.inf]), (pos, [True, True]),
+        (pos, ["0", "0"]), (pos, None),
+        ([[0.1, math.nan], [0.3, 0.4]], [0.0, 0.0]), ([[0.1, math.inf], [0.3, 0.4]], [0.0, 0.0]),
+        ([[0.1, 0.2, 0.5], [0.3, 0.4, 0.6]], [0.0, 0.0]), ([[0.1, "x"], [0.3, 0.4]], [0.0, 0.0]),
+        (np.zeros((0, 2)), []),
+    ):
+        with pytest.raises(ValidationError):
+            ScattererConfig(2, positions, phases)
     with pytest.raises(ValidationError):
-        ScattererConfig(2, np.array([[0.1, 0.2], [0.3, 0.4]]), matrix=np.eye(2) * 2.0)
-    with pytest.raises(DegenerateExtensionError):
-        ScattererConfig(2, np.array([[0.1, 0.2], [0.3, 0.4]]), matrix=-np.eye(2))
-    with pytest.raises(ValidationError):
-        ScattererConfig(
-            2, np.array([[0.1, 0.2]]), phases=np.array([0.0]), matrix=np.eye(1)
-        )
-    cfg = ScattererConfig(2, np.array([[0.1, 0.2], [0.3, 0.4]]), phases=np.zeros(2))
-    assert cfg.n_scatterers == 2 and cfg.matrix is None
+        ScattererConfig(2.0, pos, [0.0, 0.0])
+    cfg = ScattererConfig(2, np.array(pos), phases=np.zeros(2))
+    assert cfg.n_scatterers == 2 and cfg.theta == 0.0
+    # theta is the angle of e^{i theta_0}; phases equal modulo 2 pi are one phase
+    cfg = ScattererConfig(2, pos, [0.3 + 2 * math.pi, 0.3])
+    assert cfg.theta == math.atan2(math.sin(0.3 + 2 * math.pi), math.cos(0.3 + 2 * math.pi))
+    assert cfg.theta == pytest.approx(0.3, abs=1e-15)
+    good = {"dim": 2, "positions": pos, "u": {"phases": [0.0, 0.0]}}
+    assert ScattererConfig.from_json(good).theta == 0.0
+    for bad in (
+        {"dim": 2, "positions": pos},  # no "u"
+        {"dim": 2, "positions": pos, "u": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        {"dim": 2, "positions": pos, "u": {"phases": [0.0, 0.0], "matrix": None}},
+        {"dim": 2, "positions": pos, "u": [0.0, 0.0]},
+        {"dim": 2, "positions": pos, "u": {"phases": [0.0, 0.0]}, "extra": 1},
+        {"positions": pos, "u": {"phases": [0.0, 0.0]}},
+        [2, pos],
+    ):
+        with pytest.raises(ValidationError):
+            ScattererConfig.from_json(bad)
 
 
 def test_config_json_round_trip(tmp_path):
-    cfg = ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), phases=np.array([0.3, -0.4]))
+    cfg = ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), phases=np.array([-0.4, -0.4]))
     path = tmp_path / "cfg.json"
     cfg.save(path)
     back = ScattererConfig.load(path)
-    assert np.allclose(back.positions, cfg.positions)
-    assert np.allclose(back.phases, cfg.phases)
-
-    u = np.array([[0, 1], [1, 0]], dtype=complex)  # unitary, eigenvalues +-1...
-    # the swap matrix has eigenvalue -1: must be rejected
-    with pytest.raises(DegenerateExtensionError):
-        ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), matrix=u)
-    phase = np.exp(0.25j)
-    u_ok = np.array([[0, phase], [phase, 0]])
-    cfg2 = ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), matrix=u_ok)
-    cfg2.save(tmp_path / "cfg2.json")
-    back2 = ScattererConfig.load(tmp_path / "cfg2.json")
-    assert np.allclose(back2.matrix, cfg2.matrix)
+    assert np.array_equal(back.positions, cfg.positions)
+    assert np.array_equal(back.phases, cfg.phases) and back.theta == cfg.theta
+    assert back.to_json() == cfg.to_json()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, -2.0])
@@ -103,28 +129,28 @@ def test_one_scatterer_matrix_matches_closed_form(theta):
     shells = ShellSums.get(2, 4000)
     for lam_norm in (9.4, 50.3, 120.7):
         lam = SpectralParameter(lam_norm)
+        want = closed_form(shells, theta, lam.physical)
         m = matrix_at(cfg, lam)[0, 0]
         normalized = m / (1.0 + np.exp(-1j * theta))
         assert normalized.imag == pytest.approx(0.0, abs=1e-10 * abs(normalized))
-        assert normalized.real == pytest.approx(
-            closed_form(shells, theta, lam.physical), rel=1e-12
-        )
+        assert normalized.real == pytest.approx(want, rel=1e-12)
+        assert h_at(cfg, lam)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_matrix_position_independent_for_one_scatterer():
     # a single scatterer only sees the coincidence value
     lam = SpectralParameter(9.4)
-    m1 = matrix_at(one_scatterer(0.3), lam)
+    m1 = h_at(one_scatterer(0.3), lam)
     cfg2 = ScattererConfig(2, np.array([[0.81, 0.64]]), phases=np.array([0.3]))
-    m2 = matrix_at(cfg2, lam)
+    m2 = h_at(cfg2, lam)
     assert m1[0, 0] == pytest.approx(m2[0, 0], rel=1e-14)
 
 
 def test_swap_symmetry_identity_extension():
     lam = SpectralParameter(9.4)
     x1, x2 = [0.1, 0.3], [0.55, 0.82]
-    a = matrix_at(ScattererConfig(2, np.array([x1, x2]), phases=np.zeros(2)), lam)
-    b = matrix_at(ScattererConfig(2, np.array([x2, x1]), phases=np.zeros(2)), lam)
+    a = h_at(ScattererConfig(2, np.array([x1, x2]), phases=np.zeros(2)), lam)
+    b = h_at(ScattererConfig(2, np.array([x2, x1]), phases=np.zeros(2)), lam)
     perm = np.array([[0, 1], [1, 0]], dtype=float)
     assert np.allclose(perm @ a @ perm, b, rtol=1e-12, atol=1e-14)
 
@@ -133,8 +159,8 @@ def test_translation_invariance_of_entries():
     lam = SpectralParameter(9.4)
     pos = np.array([[0.1, 0.3], [0.55, 0.82]])
     shift = np.array([0.21, 0.43])
-    a = matrix_at(ScattererConfig(2, pos, phases=np.zeros(2)), lam)
-    b = matrix_at(ScattererConfig(2, pos + shift, phases=np.zeros(2)), lam)
+    a = h_at(ScattererConfig(2, pos, phases=np.zeros(2)), lam)
+    b = h_at(ScattererConfig(2, pos + shift, phases=np.zeros(2)), lam)
     assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
@@ -156,25 +182,25 @@ def test_secular_value_sign_flip_and_smin():
 
 @pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
 def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
-    # M[k, j] = R+(x_k, x_j) + sum_m U^{-1}[j, m] R-(x_k, x_m), with R+- from
-    # the cosine path of ShellSums.weights, entry by entry
+    # (1 + e^{-i theta}) H[k, j] = R+[k, j] + e^{-i theta} R-[k, j], entry by
+    # entry; H and its slope are symmetric, the slope is positive
+    # semidefinite and is the derivative of H
+    theta = 0.9
     rng = np.random.default_rng(40 + dim)
-    cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.array([0.4, -1.1, 2.0]))
+    cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.full(3, theta))
+    ws = SecularWorkspace(cfg, radius_sq)
     lam = SpectralParameter(9.4)
-    got = SecularWorkspace(cfg, radius_sq).matrix(lam.physical)
-    x = cfg.positions
-
-    def r(sign):
-        return np.array(
-            [[regularized_pair(x[k], x[j], lam, sign, radius_sq).value for j in range(3)] for k in range(3)]
-        )
-
-    r_plus, r_minus = r(1), r(-1)
-    uinv = cfg.u_inv
+    h, slope = ws.symmetric(lam.physical)
+    assert np.array_equal(h, h.T) and np.array_equal(slope, slope.T)
+    got = (1.0 + np.exp(-1j * theta)) * h
+    want = matrix_at(cfg, lam, radius_sq)
     for k in range(3):
         for j in range(3):
-            want = r_plus[k, j] + sum(uinv[j, m] * r_minus[k, m] for m in range(3))
-            assert abs(got[k, j] - want) <= 1e-12 * abs(want)
+            assert abs(got[k, j] - want[k, j]) <= 1e-12 * abs(want[k, j])
+    assert np.linalg.eigvalsh(slope).min() >= -1e-12 * np.abs(slope).max()
+    step = 1e-4
+    diff = (ws.symmetric(lam.physical + step)[0] - ws.symmetric(lam.physical - step)[0]) / (2 * step)
+    assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
 
 
 def test_solver_rejects_a_foreign_workspace():
@@ -211,34 +237,15 @@ def test_solver_radius_must_pass_the_upper_pole():
     assert len(find_new_eigenvalues(cfg, tri, 102)) == 1
 
 
-@pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
-def test_symmetric_form_matches_matrix(dim, radius_sq):
-    # U = e^{i theta} Id: M = (1 + e^{-i theta}) H, and H' = c^2 @ W is the
-    # derivative of H
-    theta = 0.9
-    rng = np.random.default_rng(50 + dim)
-    cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.full(3, theta))
-    ws = SecularWorkspace(cfg, radius_sq)
-    lam = SpectralParameter(9.4).physical
-    h, slope = ws.symmetric(lam, math.tan(theta / 2.0))
-    assert np.array_equal(h, h.T) and np.array_equal(slope, slope.T)
-    m = ws.matrix(lam)
-    assert np.abs(m - (1.0 + np.exp(-1j * theta)) * h).max() <= 1e-12 * np.abs(m).max()
-    assert np.linalg.eigvalsh(slope).min() >= -1e-12 * np.abs(slope).max()
-    step = 1e-4
-    diff = (ws.symmetric(lam + step, 0.0)[0] - ws.symmetric(lam - step, 0.0)[0]) / (2 * step)
-    assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
-
-
 def test_determinant_continuity_under_refinement():
     cfg = one_scatterer(0.5)
     table = enumerate_spectrum(2, 4000)
     tri = table.gap_triple(100)
     ws = SecularWorkspace(cfg, 4000)
     lams = np.linspace(tri.n_center + 2.0, tri.n_next - 2.0, 9)
-    coarse = [ws.matrix(x)[0, 0] for x in lams]
+    coarse = [ws.symmetric(x)[0][0, 0] for x in lams]
     for i, x in enumerate(lams):
-        fine = ws.matrix(x + 1e-7)[0, 0]
+        fine = ws.symmetric(x + 1e-7)[0][0, 0]
         assert abs(fine - coarse[i]) < 1e-4 * max(1.0, abs(coarse[i]))
 
 
@@ -329,24 +336,37 @@ def test_roots_with_a_common_nonzero_phase():
         assert np.abs(m @ r.d).max() <= 1e-8
 
 
-def test_solver_rejects_non_scalar_extension():
+def test_config_rejects_non_scalar_extension():
+    # distinct phases and the full-matrix form never reach the solver: they
+    # fail when the config or the spec is built
     pos = np.array([[0.13, 0.71], [0.42, 0.09]])
     tri = enumerate_spectrum(2, 4000).gap_triple(100)
-    distinct = ScattererConfig(2, pos, phases=np.array([0.0, 0.4]))
     with pytest.raises(ValidationError):
-        find_new_eigenvalues(distinct, tri, R)
-    phase = np.exp(0.25j)
-    swap = ScattererConfig(2, pos, matrix=np.array([[0, phase], [phase, 0]]))
+        ScattererConfig(2, pos, phases=np.array([0.0, 0.4]))
+    phase = [math.cos(0.25), math.sin(0.25)]
+    swap = {"dim": 2, "positions": pos.tolist(),
+            "u": {"matrix": [[[0, 0], phase], [phase, [0, 0]]]}}
     with pytest.raises(ValidationError):
-        find_new_eigenvalues(swap, tri, R)
-    # assembly still takes any unitary
-    assert np.all(np.isfinite(matrix_at(swap, SpectralParameter(9.4))))
-    # a scalar matrix is the common phase it stands for
-    scalar = ScattererConfig(2, pos, matrix=np.exp(0.6j) * np.eye(2))
+        ScattererConfig.from_json(swap)
+    spec = dict(dim=2, n_scatterers=2, m_center=100, seed=1, trials=1)
+    for extra in ({"phases": [0.0, 0.4]}, {"phases": [0.0]},
+                  {"u_matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}):
+        with pytest.raises(ValidationError):
+            TrialSpec.from_json({**spec, **extra})
+    # phases equal modulo 2 pi are the common phase they stand for
     common = ScattererConfig(2, pos, phases=np.full(2, 0.6))
-    got = [r.lambda_norm for r in find_new_eigenvalues(scalar, tri, R)]
+    wrapped = ScattererConfig(2, pos, phases=np.array([0.6, 0.6 - 2 * math.pi]))
     want = [r.lambda_norm for r in find_new_eigenvalues(common, tri, R)]
-    assert want and got == pytest.approx(want, rel=1e-14)
+    assert want and [r.lambda_norm for r in find_new_eigenvalues(wrapped, tri, R)] == want
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_solver_tol_must_be_finite_and_positive(tol):
+    # an infinite tolerance would accept the first bracket midpoint as a root
+    cfg = ScattererConfig(2, np.array([[0.13, 0.71], [0.42, 0.09]]), phases=np.zeros(2))
+    tri = enumerate_spectrum(2, 2000).gap_triple(100)
+    with pytest.raises(ValidationError):
+        find_new_eigenvalues(cfg, tri, 2000, solver_tol=tol)
 
 
 def test_simplicity_certificate():
