@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, lattice, measure, reporting, scatterer, sprime
-from .errors import NumericError, ValidationError
-from .greens import SpectralParameter
+from .errors import NonSPrimeError, NumericError, ValidationError
 
 CACHE_ENV = "DELTATORUS_CACHE"
 
@@ -47,12 +46,22 @@ def _emit_manifest(out_dir: Path, name: str, kind: str, params: dict, written: d
     return path
 
 
-def _parse_fraction(text: str):
-    if "/" in text:
-        return Fraction(text)
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return Fraction(int(text))
+def _parse_fraction(name: str, text: str):
+    """A finite number from the command line: exact for an integer or p/q,
+    a float in decimal or exponent notation."""
+    try:
+        if "/" in text:
+            value = Fraction(text)
+        elif "." in text or "e" in text or "E" in text:
+            value = float(text)
+        else:
+            value = Fraction(int(text))
+        finite = math.isfinite(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite number or fraction p/q, got {text!r}")
+    return value
 
 
 # -- subcommands -------------------------------------------------------------
@@ -153,34 +162,46 @@ def cmd_solve(args) -> int:
 def cmd_measure(args) -> int:
     config = scatterer.ScattererConfig.load(args.config)
     obs = measure.Observable.load(args.observable)
-    radius = harness.truncation_radius(args.radius_factor, args.mk)
-    table = lattice.enumerate_spectrum(config.dim, radius)
-    triple = table.gap_triple(args.mk)
-    width = args.L0 if args.L0 is not None else (lattice.FOUR_PI_SQ * args.mk) ** args.delta
+    coeffs = None
     if args.coeffs:
-        lam = harness.gap_fraction_lambda(triple, args.lambda_frac)
         with open(args.coeffs, encoding="utf-8") as f:
-            d = np.array([complex(re, im) for re, im in json.load(f)])
-    else:
-        roots = scatterer.find_new_eigenvalues(config, triple, radius, solver_tol=args.tol)
-        if not roots:
-            raise NumericError(f"no new eigenvalue in the gap at m_k = {args.mk}")
-        d = roots[0].d
-        lam = SpectralParameter(roots[0].lambda_norm)
-    field = measure.assemble_field(d, config.positions, lam, radius)
-    report = measure.functional_report(field, table, triple, width, obs.nonzero_shifts())
-    err, env = measure.equidistribution_error(
-        field, obs, float(harness.GAMMA_BY_DIM[config.dim]), 0.0, config.n_scatterers
+            coeffs = json.load(f)
+    spec = harness.TrialSpec(
+        dim=config.dim,
+        n_scatterers=config.n_scatterers,
+        m_center=args.mk,
+        seed=0,
+        trials=1,
+        phases=config.phases.tolist(),
+        delta=args.delta,
+        l0_override=args.L0,
+        radius_factor=args.radius_factor,
+        observable=obs,
+        coefficient_mode="synthetic" if args.coeffs else "solver",
+        synthetic_coeffs=coeffs,
+        synthetic_lambda_frac=args.lambda_frac,
+        solver_tol=args.tol,
     )
-    payload = report.to_json()
-    payload.update(
-        {
-            "lambda_norm": lam.lambda_norm,
-            "norm_sq": field.norm_sq,
-            "err": err,
-            "envelope": env,
-        }
-    )
+    ctx = harness.RunContext.build(spec)
+    res = harness.measure_config(spec, config, ctx)
+    if res.no_root:
+        raise NumericError(f"no new eigenvalue in the gap at m_k = {args.mk}")
+    if res.endpoint_landing:
+        # the A values stop at the first shift that lands
+        zeta = ctx.zetas[len(res.a_vals)]
+        raise NonSPrimeError(f"shift {zeta} lands on an endpoint shell of the gap at m_k = {args.mk}")
+    key = lambda z: ",".join(str(c) for c in z)
+    payload = {
+        "A": {key(z): res.a_vals[z] for z in ctx.zetas},
+        "B": res.b_val,
+        "C": res.c_val,
+        "sigma": {key(z): ctx.sigma[z] for z in ctx.zetas},
+        "split": [res.annulus_sq, res.remainder_sq],
+        "lambda_norm": res.lambda_norm,
+        "norm_sq": res.norm_sq,
+        "err": res.err,
+        "envelope": res.envelope,
+    }
     out = Path(args.out)
     written: dict = {}
     stem = f"measure_m{args.mk}"
@@ -190,7 +211,7 @@ def cmd_measure(args) -> int:
         "observable": obs.to_json(),
         "m_k": args.mk,
         "delta": args.delta,
-        "L0": width,
+        "L0": ctx.width,
         "radius_factor": args.radius_factor,
         "lambda_frac": args.lambda_frac,
         "coeffs_file": args.coeffs,
@@ -302,8 +323,8 @@ def cmd_scale(args) -> int:
     if args.E is not None and args.L is not None:
         payload["lambda_physical"] = float(harness.scaling_map(args.E, args.L))
     if args.gamma is not None:
-        gamma = _parse_fraction(args.gamma)
-        eps = _parse_fraction(args.eps) if args.eps else Fraction(0)
+        gamma = _parse_fraction("gamma", args.gamma)
+        eps = _parse_fraction("eps", args.eps) if args.eps else Fraction(0)
         alpha, beta, threshold = harness.threshold_arithmetic(
             args.E if args.E is not None else 1.0,
             args.rho if args.rho is not None else 1.0,

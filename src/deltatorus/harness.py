@@ -23,23 +23,15 @@ import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
 from .greens import ShellSums, SpectralParameter
-from .lattice import (
-    FOUR_PI_SQ,
-    GapTriple,
-    SpectrumTable,
-    _check_dim,
-    annulus_range,
-    enumerate_spectrum,
-)
+from .lattice import FOUR_PI_SQ, GapTriple, _check_dim, enumerate_spectrum
 from .measure import (
     Observable,
-    _branch_weights,
+    _complement_weights,
     assemble_field,
     equidistribution_error,
     functional_A,
     functional_B,
     functional_C,
-    lex_first_shell_vector,
     pair_with_observable,
     sigma_sum,
     split_annulus,
@@ -220,7 +212,6 @@ class RunContext:
     """Immutable per-run data shared by every trial."""
 
     spec: TrialSpec
-    table: SpectrumTable
     interval: GapTriple
     width: float  # annulus half-width L_0
     shells: ShellSums
@@ -231,7 +222,6 @@ class RunContext:
     theory_b: float
     theory_c: float
     annulus_covers_gap: bool
-    xi0: tuple
 
     @classmethod
     def build(cls, spec: TrialSpec) -> "RunContext":
@@ -258,17 +248,13 @@ class RunContext:
         zetas = spec.observable.nonzero_shifts()
         sigma, bound = {}, {}
         for z in zetas:
-            sigma[z], bound[z] = sigma_sum(table, interval, width, z)
-        theory_b = 1.0 / interval.outer_gap**2
-        # complement sum with unit weights: the expectation-level version of
-        # the annulus-complement functional at this truncation
-        lo, hi = annulus_range(shells.norms, interval.center, width)
-        complement = np.concatenate((shells.norms[:lo], shells.norms[hi:]))
-        tc = math.fsum(_branch_weights(complement, interval)[0])
+            sigma[z], bound[z] = sigma_sum(shells, interval, width, z)
+        # the complement functional with unit weights |w|^2 = 1: its
+        # expectation-level value at this truncation
+        theory_c = math.fsum(_complement_weights(shells, interval, width))
         covers = FOUR_PI_SQ * (interval.next - interval.center) <= width
         return cls(
             spec=spec,
-            table=table,
             interval=interval,
             width=width,
             shells=shells,
@@ -276,10 +262,9 @@ class RunContext:
             zetas=zetas,
             sigma=sigma,
             sigma_bound=bound,
-            theory_b=theory_b,
-            theory_c=tc,
+            theory_b=1.0 / interval.outer_gap**2,
+            theory_c=theory_c,
             annulus_covers_gap=covers,
-            xi0=lex_first_shell_vector(spec.dim, interval.center),
         )
 
 
@@ -311,8 +296,21 @@ class TrialResult:
 
 
 def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult:
+    """Trial trial_index of the run: sample its positions and measure them."""
     positions = sample_positions(spec.seed, trial_index, spec.n_scatterers, spec.dim)
-    config = spec.config_for(positions)
+    return measure_config(spec, spec.config_for(positions), ctx, trial_index)
+
+
+def measure_config(
+    spec: TrialSpec, config: ScattererConfig, ctx: RunContext, trial_index: int = 0
+) -> TrialResult:
+    """Solve (or synthesize) one superposition on config in the run's gap,
+    assemble its Fourier field and evaluate every functional.
+
+    The body of each Monte Carlo trial and of ``deltatorus measure``.  No
+    root gives a result with no_root set; a shift landing on an endpoint
+    shell, one with endpoint_landing set and no A values.
+    """
     interval = ctx.interval
 
     if spec.coefficient_mode == "solver":
@@ -340,7 +338,7 @@ def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult
             residual=0.0,
         )
 
-    field_ = assemble_field(d, positions, lam, ctx.radius_sq)
+    field_ = assemble_field(d, config.positions, lam, ctx.radius_sq)
     res.norm_sq = field_.norm_sq
     res.annulus_sq, res.remainder_sq = split_annulus(field_, interval.center, ctx.width)
     res.b_val = functional_B(field_, interval)
@@ -527,22 +525,27 @@ def err_quantiles(results: list[TrialResult]) -> dict:
 # -- scaling arithmetic ----------------------------------------------------
 
 
+def _check_positive(name: str, value) -> None:
+    _check_finite(name, value)
+    if not value > 0:
+        raise ValidationError(f"{name} must be > 0, got {value!r}")
+
+
 def scaling_map(energy, length):
     """Spectral parameter of the unit-torus problem: lambda = E * L^2."""
-    if energy <= 0 or length <= 0:
-        raise ValidationError("energy and length must be positive")
+    _check_positive("energy", energy)
+    _check_positive("length", length)
     return energy * length * length
 
 
 def energy_from(lam_physical, length):
-    if length <= 0:
-        raise ValidationError("length must be positive")
+    _check_positive("length", length)
     return lam_physical / (length * length)
 
 
 def length_from(lam_physical, energy):
-    if energy <= 0 or lam_physical <= 0:
-        raise ValidationError("inputs must be positive")
+    _check_positive("lambda", lam_physical)
+    _check_positive("energy", energy)
     return math.sqrt(lam_physical / energy)
 
 
@@ -555,6 +558,10 @@ def threshold_arithmetic(energy, rho, gamma_d, d: int, eps=0):
     """
     if d not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
+    _check_positive("energy", energy)
+    _check_positive("density", rho)
+    _check_finite("gamma", gamma_d)
+    _check_finite("eps", eps)
     denom = 3 * d + 4 * gamma_d - eps
     if denom <= 0:
         raise ValidationError("exponent denominator must be positive")
@@ -567,8 +574,6 @@ def threshold_arithmetic(energy, rho, gamma_d, d: int, eps=0):
     else:
         alpha = num / denom
         beta = 1.0 / denom
-    if energy <= 0 or rho <= 0:
-        raise ValidationError("energy and density must be positive")
     threshold = float(energy) ** float(alpha) * float(rho) ** (-float(beta))
     return alpha, beta, threshold
 

@@ -16,10 +16,10 @@ truncation ball.  A field is stored once, on the ball's coordinate box
 The annulus is the one ``lattice`` defines, |m - m_k| <= K for the integer
 half-width K of L_0: on a field it is the contiguous range
 ``lattice.annulus_range`` of the norm-sorted ball points, read through their
-box positions, and sigma_sum runs over ``lattice.annulus_points``, the same
-points in the same order.  The lambda-free weights of A (per shift) and C
-(on the box) are built once per ball, interval and width and kept on the
-ShellSums instance.
+box positions.  The lambda-free weights of A (per shift) and C (on the box)
+are built once per ball, interval and width and kept on the ShellSums
+instance; the deterministic sum sigma_zeta is the exact sum of A's weights,
+and the closed-form C column that of C's.
 
 The two-branch sums freeze the coefficient at an interval endpoint, so
 they dominate or minorize the lambda-dependent quantities uniformly over
@@ -42,9 +42,7 @@ from .greens import ShellSums, SpectralParameter, check_radius
 from .lattice import (
     FOUR_PI_SQ,
     GapTriple,
-    SpectrumTable,
     annulus_half_width,
-    annulus_points,
     annulus_range,
     shell_vectors,
 )
@@ -210,7 +208,12 @@ def assemble_field(
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     dim = positions.shape[1]
-    total = float(np.sum(np.abs(d_coeffs) ** 2))
+    if d_coeffs.shape != (positions.shape[0],):
+        raise ValidationError(
+            f"need one coefficient per position, got shape {d_coeffs.shape} "
+            f"for {positions.shape[0]} positions"
+        )
+    total =float(np.sum(np.abs(d_coeffs) ** 2))
     if not abs(total - 1.0) <= 1e-9:  # so that a NaN sum fails too
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
@@ -410,10 +413,9 @@ def _complement_weights(shells: ShellSums, interval: GapTriple, width: float) ->
 
     def build():
         lo, hi = annulus_range(shells.norms, interval.center, width)
-        w, in_gap = _branch_weights(shells.norms, interval)
         # complement vectors on the endpoint shells fall in neither branch and
         # carry weight zero by the strict inequalities
-        w[in_gap] = 0.0
+        w = _branch_weights(shells.norms, interval)[0]
         w[lo:hi] = 0.0
         box = np.zeros(shells.box_size)
         box[shells.ball_order()] = w
@@ -434,23 +436,19 @@ def functional_C(field: FourierField, interval: GapTriple, width: float) -> floa
 
 
 def sigma_sum(
-    table: SpectrumTable, interval: GapTriple, width: float, zeta
+    shells: ShellSums, interval: GapTriple, width: float, zeta
 ) -> tuple[float, float]:
     """Deterministic shifted two-branch sum over the annulus, plus the
     count bound #A / width^2.
 
-    The annulus is ``lattice.annulus_points``: the same points, in the same
-    order, that functional_A reads from the field.
+    The sum is the exact (math.fsum) sum of the weights functional_A reads
+    for this shift, so it covers the same points of the same ball.
     """
-    zeta = np.asarray([int(z) for z in zeta], dtype=np.int64)
-    if not np.any(zeta):
+    zeta = _shift(zeta, shells.dim)
+    if not any(zeta):
         raise ValidationError("zeta must be nonzero")
-    pts = annulus_points(table, interval.center, width)
-    if pts.shape[0] == 0:
-        return 0.0, 0.0
-    shifted_norms = ((pts + zeta) ** 2).sum(axis=1)
-    w, _ = _branch_weights(shifted_norms, interval)
-    return math.fsum(w), pts.shape[0] / width**2
+    w = _shift_weights(shells, zeta, interval, width)[1]
+    return math.fsum(w), w.size / width**2
 
 
 def equidistribution_error(
@@ -470,46 +468,3 @@ def equidistribution_error(
     err = abs(pair_with_observable(field, a) - a.mean)
     envelope = a.l1_norm * math.sqrt(n_scatterers) * field.lam.physical ** (-gamma_d + eps)
     return float(err), float(envelope)
-
-
-@dataclass
-class FunctionalReport:
-    """All per-configuration functionals for one field and interval."""
-
-    a_vals: dict[tuple, float]
-    b_val: float
-    c_val: float
-    sigma: dict[tuple, float]
-    split: tuple[float, float]
-
-    def to_json(self) -> dict:
-        key = lambda z: ",".join(str(c) for c in z)
-        return {
-            "A": {key(z): v for z, v in sorted(self.a_vals.items())},
-            "B": self.b_val,
-            "C": self.c_val,
-            "sigma": {key(z): v for z, v in sorted(self.sigma.items())},
-            "split": list(self.split),
-        }
-
-
-def functional_report(
-    field: FourierField,
-    table: SpectrumTable,
-    interval: GapTriple,
-    width: float,
-    shifts,
-) -> FunctionalReport:
-    a_vals = {}
-    sig = {}
-    for zeta in shifts:
-        zt = tuple(int(z) for z in zeta)
-        a_vals[zt] = functional_A(field, zt, interval, width)
-        sig[zt] = sigma_sum(table, interval, width, zt)[0]
-    return FunctionalReport(
-        a_vals=a_vals,
-        b_val=functional_B(field, interval),
-        c_val=functional_C(field, interval, width),
-        sigma=sig,
-        split=split_annulus(field, interval.center, width),
-    )

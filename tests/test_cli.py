@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,9 +6,11 @@ import pytest
 
 from deltatorus.cli import main
 from deltatorus.errors import ValidationError
+from deltatorus.harness import sample_positions
 from deltatorus.reporting import (
     PLOTDATA_SCHEMAS,
     dumps_json,
+    fmt_float,
     plotdata_text,
     write_atomic,
 )
@@ -244,6 +247,86 @@ def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ValidationError"
     assert not mout.exists()
+
+
+MEASURE = ["measure", "--config", "CFG", "--observable", "OBS", "--mk", "25", "--out", "OUT"]
+GOOD_COEFFS = [[0.6, 0.0], [0.0, 0.8]]
+
+#: inputs every subcommand must reject with a ValidationError: id -> (argv, coeffs file)
+REJECTED_INPUTS = {
+    "coeffs_str": (MEASURE + ["--coeffs", "COEFFS"], [["a", 0], [0, 0]]),
+    "coeffs_one_for_two": (MEASURE + ["--coeffs", "COEFFS"], [[1.0, 0.0]]),
+    "coeffs_not_a_list": (MEASURE + ["--coeffs", "COEFFS"], {"re": 1.0}),
+    "coeffs_tol_inf": (MEASURE + ["--coeffs", "COEFFS", "--tol", "inf"], GOOD_COEFFS),
+    "solver_lambda_frac_above": (MEASURE + ["--lambda-frac", "1.5"], None),
+    "delta_inf": (MEASURE + ["--delta", "inf"], None),
+    "L0_inf": (MEASURE + ["--L0", "inf"], None),
+    "scale_gamma_div_zero": (["scale", "--gamma", "1/0"], None),
+    "scale_eps_div_zero": (["scale", "--gamma", "17/832", "--eps", "1/0"], None),
+    "scale_gamma_inf": (["scale", "--gamma", "1e400"], None),
+    "scale_E_nan": (["scale", "--E", "nan", "--L", "2"], None),
+    "scale_L_nan": (["scale", "--E", "4", "--L", "nan"], None),
+    "scale_E_inf": (["scale", "--E", "inf", "--L", "2"], None),
+    "scale_rho_inf": (["scale", "--gamma", "17/832", "--rho", "inf"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_INPUTS))
+def test_rejected_input_exit_code(tmp_path, capsys, name):
+    args, coeffs = REJECTED_INPUTS[name]
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(SPEC["observable"]))
+    paths = {"CFG": write_config(tmp_path, n=2), "OBS": obs, "OUT": tmp_path / "out",
+             "COEFFS": tmp_path / "c.json"}
+    paths["COEFFS"].write_text(json.dumps(coeffs))
+    before = set(tmp_path.iterdir())
+    assert main([str(paths.get(a, a)) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("mode", ["solver", "coeffs"])
+def test_measure_matches_mc_trials(tmp_path, mode):
+    # measure on trial t's sampled config runs mc's trial body: same numbers
+    flags = []
+    if mode == "coeffs":
+        spec = write_spec(tmp_path, coefficient_mode="synthetic", synthetic_coeffs=GOOD_COEFFS,
+                          synthetic_lambda_frac=0.3)
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps(GOOD_COEFFS))
+        flags = ["--coeffs", str(coeffs), "--lambda-frac", "0.3"]
+    else:
+        spec = write_spec(tmp_path)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "trials.csv", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(SPEC["observable"]))
+    measured = 0
+    for row in rows:
+        t = int(row["trial_index"])
+        cfg = tmp_path / f"cfg{t}.json"
+        positions = sample_positions(SPEC["seed"], t, 2, 2).tolist()
+        cfg.write_text(json.dumps({"dim": 2, "positions": positions, "u": {"phases": [0.0, 0.0]}}))
+        out = tmp_path / f"meas{t}"
+        code = main(["measure", "--config", str(cfg), "--observable", str(obs), "--mk", "40",
+                     "--L0", repr(SPEC["l0_override"]), "--radius-factor", "8",
+                     "--out", str(out), *flags])
+        if row["no_root"] == "1":
+            assert code == 3
+            continue
+        assert code == 0
+        p = json.loads((out / "measure_m40.json").read_text())
+        got = {"lambda_norm": p["lambda_norm"], "b_val": p["B"], "c_val": p["C"],
+               "annulus_sq": p["split"][0], "remainder_sq": p["split"][1],
+               "norm_sq": p["norm_sq"], "err": p["err"]}
+        got.update({"A_" + k.replace(",", "_"): v for k, v in p["A"].items()})
+        assert {k: fmt_float(v) for k, v in got.items()} == {k: row[k] for k in got}
+        measured += 1
+    assert measured >= len(rows) // 2
 
 
 def test_mc_reproducible_across_threads(tmp_path):

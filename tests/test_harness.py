@@ -74,7 +74,16 @@ def test_context_build():
     assert ctx.zetas == [(-2, 0), (2, 0)]
     assert ctx.theory_b == pytest.approx(1.0 / (FOUR_PI_SQ * 4) ** 2)
     assert ctx.sigma[(2, 0)] > 0
-    assert ctx.xi0 == (-6, -2)
+    # the C theory column: unit weights summed over the ball outside the
+    # annulus |m - 40| <= 1, each from its own endpoint of the gap (40, 41)
+    a = math.isqrt(ctx.radius_sq)
+    norms = [x * x + y * y for x in range(-a, a + 1) for y in range(-a, a + 1)]
+    terms = [
+        1.0 / (FOUR_PI_SQ * m - FOUR_PI_SQ * (40 if m < 40 else 41)) ** 2
+        for m in norms
+        if m <= ctx.radius_sq and abs(m - 40) > 1
+    ]
+    assert ctx.theory_c == math.fsum(terms)
 
 
 def test_synthetic_trial_matches_direct_evaluation():

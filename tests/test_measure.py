@@ -5,7 +5,13 @@ import pytest
 
 from deltatorus.errors import NonSPrimeError, ValidationError
 from deltatorus.greens import ShellSums, SpectralParameter
-from deltatorus.lattice import FOUR_PI_SQ, annulus_range, enumerate_spectrum, shell_vectors
+from deltatorus.lattice import (
+    FOUR_PI_SQ,
+    annulus_points,
+    annulus_range,
+    enumerate_spectrum,
+    shell_vectors,
+)
 from deltatorus.measure import (
     Observable,
     assemble_field,
@@ -14,7 +20,6 @@ from deltatorus.measure import (
     functional_A,
     functional_B,
     functional_C,
-    functional_report,
     lex_first_shell_vector,
     pair_with_observable,
     sigma_sum,
@@ -88,6 +93,18 @@ def test_half_shift_parity_cancellation():
 def test_field_requires_normalized_coefficients():
     with pytest.raises(ValidationError):
         small_field([0.5], [[0.1, 0.2]])
+
+
+@pytest.mark.parametrize(
+    "d,positions",
+    [([1.0], [[0.1, 0.2], [0.5, 0.7]]), ([0.6, 0.8], [[0.1, 0.2]]),
+     ([[0.6], [0.8]], [[0.1, 0.2], [0.5, 0.7]])],
+    ids=["one_for_two", "two_for_one", "column"],
+)
+def test_field_requires_one_coefficient_per_position(d, positions):
+    # a length-1 vector would otherwise broadcast over every scatterer
+    with pytest.raises(ValidationError, match="one coefficient per position"):
+        small_field(d, positions)
 
 
 def test_pair_with_constant_is_exactly_one():
@@ -385,20 +402,29 @@ def test_cached_weights_serve_every_interval_and_width():
 def test_sigma_sum():
     table = enumerate_spectrum(2, 200)
     tri = table.gap_triple(25)
+    shells = ShellSums.get(2, 200)
     width = 30.0
-    val, bound = sigma_sum(table, tri, width, (2, 0))
+    val, bound = sigma_sum(shells, tri, width, (2, 0))
     assert val > 0
     assert bound == pytest.approx(12 / width**2)
     assert val <= 4.0 * bound
+    # oracle: the two-branch weights summed over lattice.annulus_points
+    shifted = ((annulus_points(table, 25, width) + (2, 0)) ** 2).sum(axis=1)
+    terms = [
+        1.0 / (FOUR_PI_SQ * m - FOUR_PI_SQ * (tri.center if m < tri.center else tri.next)) ** 2
+        for m in shifted.tolist()
+        if not tri.center <= m <= tri.next
+    ]
+    assert val == math.fsum(terms)
     # central symmetry of the zero-shift annulus
-    val_neg, _ = sigma_sum(table, tri, width, (-2, 0))
+    val_neg, _ = sigma_sum(shells, tri, width, (-2, 0))
     assert val_neg == pytest.approx(val, rel=1e-14)
     with pytest.raises(ValidationError):
-        sigma_sum(table, tri, width, (0, 0))
+        sigma_sum(shells, tri, width, (0, 0))
     # 4pi^2 * (233 - 25) <= width: the annulus is the whole |xi|^2 <= 233 ball
     big = enumerate_spectrum(2, 20000)
     width = FOUR_PI_SQ * 208
-    _, bound = sigma_sum(big, big.gap_triple(25), width, (1, 0))
+    _, bound = sigma_sum(ShellSums.get(2, 20000), big.gap_triple(25), width, (1, 0))
     assert bound == big.circle_count(233)[0] / width**2
 
 
@@ -440,18 +466,3 @@ def test_equidistribution_envelope_frozen_value():
     lam = SpectralParameter(10**4)
     env = 1.0 * math.sqrt(4) * lam.physical ** (-17.0 / 832.0)
     assert env == pytest.approx(1.5370263012755337, abs=1e-12)
-
-
-def test_functional_report():
-    table = enumerate_spectrum(2, 200)
-    tri = table.gap_triple(25)
-    rng = np.random.default_rng(55)
-    d = rng.normal(size=2) + 1j * rng.normal(size=2)
-    d /= np.linalg.norm(d)
-    f = small_field(d, rng.uniform(size=(2, 2)), lam_norm=25.5)
-    rep = functional_report(f, table, tri, 30.0, [(2, 0), (0, 2)])
-    payload = rep.to_json()
-    assert set(payload) == {"A", "B", "C", "sigma", "split"}
-    assert set(payload["A"]) == {"2,0", "0,2"}
-    assert payload["split"][0] + payload["split"][1] == pytest.approx(f.norm_sq)
-    assert all(v >= 0 for v in payload["A"].values())
