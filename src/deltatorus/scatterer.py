@@ -269,6 +269,10 @@ def find_new_eigenvalues(
         j = n_lo - 1 - i
         x, last_step = 0.5 * (lo[j] + hi[j]), math.inf
         for _ in range(200):  # bisection alone needs about 60
+            # evaluate where the reported lambda_norm = t puts it, 4 pi^2 t,
+            # so that the residual is the one a caller sees at that lambda
+            t = x / FOUR_PI_SQ
+            x = FOUR_PI_SQ * t
             mu, vecs, slope = eigen(x)
             v = vecs[:, j]
             residual = scale * abs(float(mu[j]))
@@ -289,7 +293,7 @@ def find_new_eigenvalues(
         s2 = scale * float(others.min()) if others.size else math.inf
         roots.append(
             NewEigenvalue(
-                lambda_norm=x / FOUR_PI_SQ,
+                lambda_norm=t,
                 interval=interval,
                 v=v,
                 d=v.astype(np.complex128),

@@ -377,3 +377,22 @@ def test_simplicity_certificate():
     for r in roots:
         if not r.near_degenerate:
             assert r.second_smin > 1e3 * r.residual
+
+
+@pytest.mark.parametrize(
+    "seed,trial,theta",
+    [(5, 0, -1.3), (11, 19, 0.0), (11, 37, 0.0)],
+    ids=["seed5_t0_theta-1.3", "seed11_t19", "seed11_t37"],
+)
+def test_reported_residual_holds_at_the_reported_lambda(seed, trial, theta):
+    # acceptance spec, N = 8: each case has a root next to a pole, where one
+    # ulp of lambda moves sigma_min by about the tolerance
+    radius = 16058  # ceil(1.6 * 10036)
+    cfg = ScattererConfig(2, sample_positions(seed, trial, 8, 2), phases=[theta] * 8)
+    interval = enumerate_spectrum(2, radius).gap_triple(10036)
+    for root in find_new_eigenvalues(cfg, interval, radius, solver_tol=1e-8):
+        _, smin = secular_value(cfg, SpectralParameter(root.lambda_norm), radius)
+        if root.residual <= 1e-8:
+            assert smin <= 1e-8
+        # the same quantity, up to eigen-solver rounding next to the pole
+        assert smin == pytest.approx(root.residual, rel=1e-4, abs=1e-13)
