@@ -539,13 +539,14 @@ def scaling_map(energy, length):
 
 
 def energy_from(lam_physical, length):
-    _check_positive("length", length)
+    if length <= 0:
+        raise ValidationError("length must be positive")
     return lam_physical / (length * length)
 
 
 def length_from(lam_physical, energy):
-    _check_positive("lambda", lam_physical)
-    _check_positive("energy", energy)
+    if energy <= 0 or lam_physical <= 0:
+        raise ValidationError("inputs must be positive")
     return math.sqrt(lam_physical / energy)
 
 

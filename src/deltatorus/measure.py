@@ -213,7 +213,7 @@ def assemble_field(
             f"need one coefficient per position, got shape {d_coeffs.shape} "
             f"for {positions.shape[0]} positions"
         )
-    total =float(np.sum(np.abs(d_coeffs) ** 2))
+    total = float(np.sum(np.abs(d_coeffs) ** 2))
     if not abs(total - 1.0) <= 1e-9:  # so that a NaN sum fails too
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
