@@ -72,7 +72,7 @@ def cmd_spectrum(args) -> int:
     table = lattice.enumerate_spectrum(args.dim, args.mmax)
     written: dict = {}
     path = out / lattice.cache_filename(args.dim, args.mmax)
-    _write(path, table.to_csv_text(), written)
+    _write(path, reporting.csv_text(["m", "r"], zip(table.ms.tolist(), table.rs.tolist())), written)
     params = {"dim": args.dim, "m_max": args.mmax}
     _emit_manifest(out, path.name.replace(".csv", ".manifest.json"), "spectrum", params, written)
     print(json.dumps({"file": str(path), "entries": int(table.ms.size)}))
@@ -92,13 +92,9 @@ def cmd_sprime(args) -> int:
     out = Path(args.out)
     written: dict = {}
     stem = f"window_d{args.dim}_{args.mlo}_{args.mhi}"
-    rows = [
-        ",".join(["m_k", "gap_ok", "coeff_ok", "accepted"])
-    ] + [
-        f"{r['m_k']},{int(r['gap_ok'])},{int(r['coeff_ok'])},{int(r['accepted'])}"
-        for r in window.rows()
-    ]
-    _write(out / f"{stem}.csv", "\n".join(rows) + "\n", written)
+    cols = ["m_k", "gap_ok", "coeff_ok", "accepted"]
+    rows = ([r[c] for c in cols] for r in window.rows())
+    _write(out / f"{stem}.csv", reporting.csv_text(cols, rows), written)
     _write(out / f"{stem}.json", reporting.dumps_json(window.summary()), written)
     if args.density_bins > 0:
         edges = np.linspace(args.mlo, args.mhi, args.density_bins + 1)
@@ -118,23 +114,14 @@ def cmd_sprime(args) -> int:
 
 
 def _roots_csv(roots, config) -> str:
-    n = config.n_scatterers
     header = ["root_index", "lambda_norm", "residual", "second_smin", "near_degenerate"]
-    for j in range(n):
-        header += [f"d{j}_re", f"d{j}_im"]
-    lines = [",".join(header)]
-    for i, r in enumerate(roots):
-        row = [
-            str(i),
-            reporting.fmt_float(r.lambda_norm),
-            reporting.fmt_float(r.residual),
-            reporting.fmt_float(r.second_smin),
-            str(int(r.near_degenerate)),
-        ]
-        for j in range(n):
-            row += [reporting.fmt_float(float(r.d[j].real)), reporting.fmt_float(float(r.d[j].imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header += [f"d{j}_{part}" for j in range(config.n_scatterers) for part in ("re", "im")]
+    rows = (
+        [i, r.lambda_norm, r.residual, r.second_smin, r.near_degenerate]
+        + [x for dj in r.d.tolist() for x in (dj.real, dj.imag)]
+        for i, r in enumerate(roots)
+    )
+    return reporting.csv_text(header, rows)
 
 
 def cmd_solve(args) -> int:

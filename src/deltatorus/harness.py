@@ -270,12 +270,15 @@ class RunContext:
 
 @dataclass
 class TrialResult:
+    """One trial's numbers.  Every field is a column of ``trials.csv``, in
+    declaration order (a_vals one column per shift), so anything that is
+    not a deterministic trial result, such as timings, lives elsewhere."""
+
     trial_index: int
     no_root: bool = False
     root_count: int = 0
     lambda_norm: float = math.nan
     residual: float = math.nan
-    near_degenerate: bool = False
     b_val: float = math.nan
     c_val: float = math.nan
     a_vals: dict = field(default_factory=dict)
@@ -289,6 +292,7 @@ class TrialResult:
     chain_b_ok: bool = False
     chain_ratio_ok: bool = False
     pair_one_exact: bool = False
+    near_degenerate: bool = False
     endpoint_landing: bool = False
     # threshold events against the running means of preceding usable trials
     event_a_running: bool = False

@@ -14,8 +14,6 @@ half-width to the integer half-width K of the annulus |n - m_k| <= K, and
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -180,33 +178,6 @@ class SpectrumTable:
         lo = int(np.searchsorted(self.ms, m_lo))
         hi = int(np.searchsorted(self.ms, m_hi, side="right"))
         return self.ms[lo:hi].copy()
-
-    # -- persistence -----------------------------------------------------
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["m", "r"])
-        for m, r in zip(self.ms.tolist(), self.rs.tolist()):
-            w.writerow([m, r])
-        return buf.getvalue()
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(self.to_csv_text())
-
-    @classmethod
-    def load_csv(cls, path, dim: int, m_max: int) -> "SpectrumTable":
-        ms, rs = [], []
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if header != ["m", "r"]:
-                raise ValidationError(f"unexpected spectrum header {header!r} in {path}")
-            for row in reader:
-                ms.append(int(row[0]))
-                rs.append(int(row[1]))
-        return cls(dim, m_max, np.array(ms), np.array(rs))
 
 
 def cache_filename(dim: int, m_max: int) -> str:

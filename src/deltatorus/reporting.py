@@ -1,5 +1,6 @@
-"""Artifact serialization: trial CSVs, JSON with fixed float formatting,
-atomic writes, manifests and tidy plot-data series.
+"""Artifact serialization: CSVs through the one writer ``csv_text``, JSON
+with fixed float formatting, atomic writes, manifests and tidy plot-data
+series.
 
 Every float in persisted artifacts is rendered with 17 significant digits,
 which round-trips IEEE doubles exactly, so reruns with the same seed can be
@@ -16,11 +17,13 @@ import io
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArtifactConflictError, ValidationError
+from .harness import TrialResult
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -31,6 +34,10 @@ except Exception:  # not installed, e.g. run from a checkout
 
 
 def fmt_float(x) -> str:
+    """One CSV or JSON cell: a bool as 0/1, a float at 17 significant digits
+    (nan, inf, -inf spelled out), anything else as str."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -108,69 +115,39 @@ def build_manifest(kind: str, params: dict, outputs: dict | None = None) -> dict
     }
 
 
-# -- trial results ----------------------------------------------------------
+# -- CSV artifacts -----------------------------------------------------------
 
 
-def trials_csv_text(results, zetas) -> str:
-    """One row per trial, fixed column order, 17-digit floats."""
-    zcols = [f"A_{'_'.join(str(c) for c in z)}" for z in zetas]
-    header = (
-        ["trial_index", "no_root", "root_count", "lambda_norm", "residual", "b_val", "c_val"]
-        + zcols
-        + [
-            "a_weighted",
-            "norm_sq",
-            "annulus_sq",
-            "remainder_sq",
-            "err",
-            "envelope",
-            "chain_c_ok",
-            "chain_b_ok",
-            "chain_ratio_ok",
-            "pair_one_exact",
-            "near_degenerate",
-            "endpoint_landing",
-            "event_a_running",
-            "event_b_running",
-        ]
-    )
+def csv_text(header, rows) -> str:
+    """The one CSV writer: a header line, then each row with every cell
+    through fmt_float, "\n" line ends."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for r in results:
-        if r.no_root:
-            row = [r.trial_index, 1, 0] + [""] * (len(header) - 3)
-        else:
-            row = (
-                [
-                    r.trial_index,
-                    0,
-                    r.root_count,
-                    fmt_float(r.lambda_norm),
-                    fmt_float(r.residual),
-                    fmt_float(r.b_val),
-                    fmt_float(r.c_val),
-                ]
-                + [fmt_float(r.a_vals.get(z, math.nan)) for z in zetas]
-                + [
-                    fmt_float(r.a_weighted),
-                    fmt_float(r.norm_sq),
-                    fmt_float(r.annulus_sq),
-                    fmt_float(r.remainder_sq),
-                    fmt_float(r.err),
-                    fmt_float(r.envelope),
-                    int(r.chain_c_ok),
-                    int(r.chain_b_ok),
-                    int(r.chain_ratio_ok),
-                    int(r.pair_one_exact),
-                    int(r.near_degenerate),
-                    int(r.endpoint_landing),
-                    int(r.event_a_running),
-                    int(r.event_b_running),
-                ]
-            )
-        w.writerow(row)
+    w.writerows([fmt_float(c) for c in row] for row in rows)
     return buf.getvalue()
+
+
+def trials_csv_text(results, zetas) -> str:
+    """One row per trial: TrialResult's fields in declaration order, with
+    a_vals expanded in place into one A_<shift> column per shift (nan where
+    an endpoint landing stopped the A values).  A no-root row has
+    trial_index, 1, 0 and then blank cells."""
+    names = [f.name for f in fields(TrialResult)]
+    header = []
+    for name in names:
+        header += [f"A_{'_'.join(map(str, z))}" for z in zetas] if name == "a_vals" else [name]
+
+    def row(r):
+        cells = []
+        for name in names:
+            if name == "a_vals":
+                cells += [r.a_vals.get(z, math.nan) for z in zetas]
+            else:
+                cells.append(getattr(r, name))
+        return cells[:3] + [""] * (len(header) - 3) if r.no_root else cells
+
+    return csv_text(header, map(row, results))
 
 
 PLOTDATA_SCHEMAS = {
@@ -187,9 +164,4 @@ def plotdata_text(kind: str, rows) -> str:
             f"unknown plot kind {kind!r}; known: {sorted(PLOTDATA_SCHEMAS)}"
         )
     cols = PLOTDATA_SCHEMAS[kind]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for row in rows:
-        w.writerow([fmt_float(row[c]) for c in cols])
-    return buf.getvalue()
+    return csv_text(cols, ([row[c] for c in cols] for row in rows))

@@ -8,7 +8,6 @@ from deltatorus.greens import ShellSums
 from deltatorus.lattice import (
     FOUR_PI_SQ,
     GapTriple,
-    SpectrumTable,
     annulus_norms,
     annulus_points,
     annulus_range,
@@ -170,16 +169,6 @@ def test_shell_vectors():
     assert sorted(map(tuple, v.tolist())) == list(map(tuple, v.tolist()))
     assert shell_vectors(2, 3).shape == (0, 2)
     assert shell_vectors(3, 5).shape == (24, 3)
-
-
-def test_round_trip_csv(tmp_path, table_d2_small):
-    path = tmp_path / "spec.csv"
-    table_d2_small.save_csv(path)
-    loaded = SpectrumTable.load_csv(path, 2, 300)
-    assert np.array_equal(loaded.ms, table_d2_small.ms)
-    assert np.array_equal(loaded.rs, table_d2_small.rs)
-    # bit-exact text round trip
-    assert loaded.to_csv_text() == table_d2_small.to_csv_text()
 
 
 def test_enumeration_is_deterministic():
