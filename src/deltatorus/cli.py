@@ -80,6 +80,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sprime(args) -> int:
+    if args.density_bins < 0:
+        raise ValidationError(f"--density-bins must be >= 0, got {args.density_bins}")
     table = lattice.enumerate_spectrum(args.dim, args.mhi + max(64, args.mhi // 16))
     params = sprime.SPrimeParams(
         delta=args.delta,

@@ -559,7 +559,8 @@ def threshold_arithmetic(energy, rho, gamma_d, d: int, eps=0):
     beta = 1/(3d + 4 gamma - eps), threshold = E^alpha * rho^{-beta}.
 
     The threshold number doubles as the localization-length lower-bound
-    figure.  Exact over Fraction inputs for the exponents.
+    figure.  alpha and beta are Fractions when gamma and eps are both
+    exact (Fraction or int), floats otherwise.
     """
     if d not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
@@ -573,27 +574,15 @@ def threshold_arithmetic(energy, rho, gamma_d, d: int, eps=0):
     num = 2 * gamma_d - eps
     if num <= 0:
         raise ValidationError("numerator 2*gamma - eps must be positive")
-    if isinstance(gamma_d, Fraction) or isinstance(eps, Fraction):
-        alpha = Fraction(num) / Fraction(denom)
-        beta = Fraction(1) / Fraction(denom)
-    else:
-        alpha = num / denom
-        beta = 1.0 / denom
+    alpha = num / denom
+    beta = 1 / denom
     threshold = float(energy) ** float(alpha) * float(rho) ** (-float(beta))
     return alpha, beta, threshold
 
 
-def consistency_gamma2(theta, delta_choice=None):
+def consistency_gamma2(theta):
     """gamma = delta - theta/2 at the extremal delta = 1/2 - theta.
 
     Exact over Fractions; decreasing in theta.
     """
-    if isinstance(theta, Fraction):
-        half = Fraction(1, 2)
-        theta_half = theta / 2
-    else:
-        half = 0.5
-        theta_half = theta / 2.0
-    if delta_choice is None:
-        delta_choice = half - theta
-    return delta_choice - theta_half
+    return (1 - 2 * theta) / 2 - theta / 2

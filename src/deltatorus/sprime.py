@@ -73,8 +73,10 @@ class SPrimeParams:
             raise ValidationError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not 0.0 < self.theta < 0.5:
             raise ValidationError(f"theta must lie in (0, 1/2), got {self.theta}")
-        if self.c_gap <= 0 or self.c_coeff <= 0:
-            raise ValidationError("condition constants must be positive")
+        if not (self.c_gap > 0 and self.c_coeff > 0):
+            raise ValidationError(
+                f"condition constants must be positive, got {self.c_gap}, {self.c_coeff}"
+            )
         if self.eps is None:
             object.__setattr__(self, "eps", epsilon_from_delta(self.theta, self.delta))
         elif not self.eps > 0:

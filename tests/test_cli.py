@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -251,6 +252,8 @@ def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
 
 MEASURE = ["measure", "--config", "CFG", "--observable", "OBS", "--mk", "25", "--out", "OUT"]
 GOOD_COEFFS = [[0.6, 0.0], [0.0, 0.8]]
+SPRIME = ["sprime", "--dim", "2", "--mlo", "200", "--mhi", "400", "--eps-prime", "0.2",
+          "--out", "OUT"]
 
 #: inputs every subcommand must reject with a ValidationError: id -> (argv, coeffs file)
 REJECTED_INPUTS = {
@@ -268,6 +271,9 @@ REJECTED_INPUTS = {
     "scale_L_nan": (["scale", "--E", "4", "--L", "nan"], None),
     "scale_E_inf": (["scale", "--E", "inf", "--L", "2"], None),
     "scale_rho_inf": (["scale", "--gamma", "17/832", "--rho", "inf"], None),
+    "sprime_ccoeff_nan": (SPRIME + ["--ccoeff", "nan"], None),
+    "sprime_cgap_nan": (SPRIME + ["--cgap", "nan"], None),
+    "sprime_density_bins_negative": (SPRIME + ["--density-bins", "-1"], None),
 }
 
 
@@ -396,6 +402,27 @@ def test_scale_command(capsys):
     assert payload["threshold"] == pytest.approx(100 ** (1 / 56) * 0.5 ** (-3 / 28))
 
     assert main(["scale"]) == 2
+
+
+@pytest.mark.parametrize(
+    "gamma, eps",
+    [("0.0204", None), ("17/832", "0.01"), ("0.0204", "1/100"), ("17/832", "1/100")],
+    ids=["gamma_float", "eps_float", "gamma_float_eps_exact", "exact"],
+)
+def test_scale_exact_only_for_exact_exponents(capsys, gamma, eps):
+    # one binary float among the exponents gives float exponents, not the
+    # exact fraction of that float
+    args = ["scale", "--gamma", gamma] + (["--eps", eps] if eps else [])
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out.strip())
+    g, e = Fraction(gamma), Fraction(eps or 0)
+    alpha, beta = (2 * g - e) / (6 + 4 * g - e), 1 / (6 + 4 * g - e)
+    if "." in gamma or (eps and "." in eps):
+        assert payload["alpha"] == pytest.approx(float(alpha), rel=1e-14)
+        assert payload["beta"] == pytest.approx(float(beta), rel=1e-14)
+    else:
+        assert (payload["alpha"], payload["beta"]) == ("321/63146", "5200/31573")
+        assert (Fraction(payload["alpha"]), Fraction(payload["beta"])) == (alpha, beta)
 
 
 def test_missing_file_exit_code(tmp_path):
