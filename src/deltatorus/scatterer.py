@@ -203,7 +203,6 @@ class NewEigenvalue:
 
     lambda_norm: float
     interval: GapTriple
-    v: np.ndarray
     d: np.ndarray
     residual: float
     second_smin: float
@@ -295,7 +294,6 @@ def find_new_eigenvalues(
             NewEigenvalue(
                 lambda_norm=t,
                 interval=interval,
-                v=v,
                 d=v.astype(np.complex128),
                 residual=residual,
                 second_smin=s2,

@@ -25,7 +25,7 @@ outside that range, so the range is recorded as a flag rather than enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,24 +111,19 @@ def gap_condition(table: SpectrumTable, m_center: int, params: SPrimeParams) -> 
     return triple.outer_gap <= params.c_gap * (FOUR_PI_SQ * m_center) ** params.eps_prime
 
 
-def _min_interval_distance(n_shifted: float, n_lo: float, n_hi: float) -> float:
-    """Distance from n_shifted to the closed interval [n_lo, n_hi]."""
-    if n_lo <= n_shifted <= n_hi:
-        return 0.0
-    return min(abs(n_shifted - n_lo), abs(n_shifted - n_hi))
-
-
 def _coeff_check(
     points: np.ndarray, shifts: np.ndarray, n_lo: float, n_hi: float, threshold: float
 ) -> bool:
     """Exhaustive scan: every |xi+zeta|^2, scaled by 4*pi^2, must keep
-    distance >= threshold from [n_lo, n_hi]."""
-    for zeta in shifts:
-        shifted = points + zeta
-        norms = (shifted.astype(np.int64) ** 2).sum(axis=1)
-        for m in np.unique(norms):
-            if _min_interval_distance(FOUR_PI_SQ * float(m), n_lo, n_hi) < threshold:
-                return False
+    distance >= threshold from [n_lo, n_hi].  The (shift, point) pairs go
+    in blocks of about 2^20, which bounds the memory for a large eps."""
+    step = max(1, (1 << 20) // max(1, points.shape[0]))
+    for i in range(0, shifts.shape[0], step):
+        block = shifts[i : i + step]
+        m = sum((block[:, k, None] + points[None, :, k]) ** 2 for k in range(points.shape[1]))
+        n = FOUR_PI_SQ * m
+        if np.any(np.maximum(np.maximum(n_lo - n, n - n_hi), 0.0) < threshold):
+            return False
     return True
 
 
@@ -158,7 +153,10 @@ class SPrimeWindow:
     members: list[int]  # all spectrum norms scanned (both neighbors in table)
     gap_ok: list[bool]
     coeff_ok: list[bool]
-    heuristic_d3: bool = field(default=False)
+
+    @property
+    def heuristic_d3(self) -> bool:
+        return self.dim == 3
 
     @property
     def accepted(self) -> list[int]:
@@ -229,7 +227,6 @@ def build_window(
         members=members,
         gap_ok=gaps,
         coeff_ok=coeffs,
-        heuristic_d3=(table.dim == 3),
     )
 
 

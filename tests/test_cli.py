@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltatorus.cli import main
@@ -438,6 +439,48 @@ def test_plotdata_schemas(tmp_path):
         rows = [{c: 1.0 for c in cols}]
         out = plotdata_text(kind, rows)
         assert out.splitlines()[0] == ",".join(cols)
+
+
+TRIALS_HEADER = (
+    "trial_index,no_root,root_count,lambda_norm,residual,b_val,c_val,A_-2_0,A_2_0,"
+    "a_weighted,norm_sq,annulus_sq,remainder_sq,err,envelope,chain_c_ok,chain_b_ok,"
+    "chain_ratio_ok,pair_one_exact,near_degenerate,endpoint_landing,event_a_running,"
+    "event_b_running"
+)
+
+
+def test_csv_headers(tmp_path):
+    # every CSV artifact's exact header; trials.csv follows TrialResult's fields
+    spec = write_spec(tmp_path, trials=4)
+    cfg = write_config(tmp_path, n=2)
+    runs = {
+        "mc/trials.csv": ["mc", "--spec", str(spec), "--out", str(tmp_path / "mc")],
+        "trend/err_vs_lambda.csv": ["mc", "--spec", str(spec), "--out", str(tmp_path / "trend"),
+                                    "--trend-mk", "40", "72"],
+        "solve/roots_m40.csv": ["solve", "--config", str(cfg), "--mk", "40",
+                                "--out", str(tmp_path / "solve")],
+        "win/window_d2_200_400.csv": ["sprime", "--dim", "2", "--mlo", "200", "--mhi", "400",
+                                      "--eps-prime", "0.2", "--density-bins", "2",
+                                      "--out", str(tmp_path / "win")],
+        "spec/spectrum_d2_m100.csv": ["spectrum", "--dim", "2", "--mmax", "100",
+                                      "--out", str(tmp_path / "spec")],
+    }
+    for args in runs.values():
+        assert main(args) == 0, args
+    headers = {
+        "mc/trials.csv": TRIALS_HEADER,
+        "trend/err_vs_lambda.csv": "m_k,median_err,q10,q90",
+        "solve/roots_m40.csv":
+            "root_index,lambda_norm,residual,second_smin,near_degenerate,d0_re,d0_im,d1_re,d1_im",
+        "win/window_d2_200_400.csv": "m_k,gap_ok,coeff_ok,accepted",
+        "win/window_d2_200_400_density.csv": "X,density",
+        "spec/spectrum_d2_m100.csv": "m,r",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) > 1 and all(line.count(",") == header.count(",") for line in lines)
+    assert [fmt_float(x) for x in (True, np.True_, False, np.False_)] == ["1", "1", "0", "0"]
 
 
 def test_dumps_json_float_format():
