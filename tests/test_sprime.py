@@ -95,6 +95,27 @@ def test_coeff_condition_vacuous_on_empty_annulus():
     assert _coeff_check(empty, shifts, 10.0, 20.0, 5.0) is True
 
 
+def test_coeff_check_matches_pointwise_loop(table_d2_mid):
+    # the block scan against a loop over every (shift, point) pair, at the
+    # exact smallest distance (passes) and one ulp above it (fails)
+    from deltatorus.lattice import FOUR_PI_SQ, annulus_points
+    from deltatorus.sprime import _coeff_check
+
+    for m in (10016, 10025, 10034):
+        triple = table_d2_mid.gap_triple(m)
+        lo, hi = triple.n_center, triple.n_next
+        points = annulus_points(table_d2_mid, m, (FOUR_PI_SQ * m) ** 0.3)
+        shifts = shift_vectors(2, 3.5)
+        dist = math.inf
+        for zeta in shifts.tolist():
+            for xi in points.tolist():
+                n = FOUR_PI_SQ * float((xi[0] + zeta[0]) ** 2 + (xi[1] + zeta[1]) ** 2)
+                dist = min(dist, 0.0 if lo <= n <= hi else min(abs(n - lo), abs(n - hi)))
+        assert dist > 0
+        assert _coeff_check(points, shifts, lo, hi, dist) is True
+        assert _coeff_check(points, shifts, lo, hi, math.nextafter(dist, math.inf)) is False
+
+
 def test_build_window_density_limits(table_d2_mid):
     # constants too small: nothing passes
     tiny = build_window(
