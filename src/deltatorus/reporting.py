@@ -134,17 +134,12 @@ def trials_csv_text(results, zetas) -> str:
     an endpoint landing stopped the A values).  A no-root row has
     trial_index, 1, 0 and then blank cells."""
     names = [f.name for f in fields(TrialResult)]
-    header = []
-    for name in names:
-        header += [f"A_{'_'.join(map(str, z))}" for z in zetas] if name == "a_vals" else [name]
+    a = names.index("a_vals")
+    header = names[:a] + [f"A_{'_'.join(map(str, z))}" for z in zetas] + names[a + 1 :]
 
     def row(r):
-        cells = []
-        for name in names:
-            if name == "a_vals":
-                cells += [r.a_vals.get(z, math.nan) for z in zetas]
-            else:
-                cells.append(getattr(r, name))
+        cells = [getattr(r, name) for name in names]
+        cells[a : a + 1] = [r.a_vals.get(z, math.nan) for z in zetas]
         return cells[:3] + [""] * (len(header) - 3) if r.no_root else cells
 
     return csv_text(header, map(row, results))
