@@ -224,10 +224,10 @@ def _aggregate_payload(spec, results, ctx, ref_means=None) -> dict:
             ",".join(map(str, z)): ctx.sigma_bound[z] for z in ctx.zetas
         },
     }
-    usable = [r for r in results if not r.no_root and not r.endpoint_landing]
-    if len(usable) >= 30:
+    usable = harness.usable(results)
+    if len(usable) >= harness.MIN_EXPECTATION_TRIALS:
         agg["expectations"] = harness.estimate_expectations(results, ctx)
-    if len(usable) >= 500:
+    if len(usable) >= harness.MIN_EVENT_TRIALS:
         c0s = [2.0, 5.0, 14.0 * spec.n_scatterers]
         agg["events"] = harness.event_frequencies(
             results, c0s, spec.n_scatterers, ref_means=ref_means
@@ -283,7 +283,7 @@ def cmd_mc(args) -> int:
         if "events" not in ref:
             raise ValidationError(
                 f"{args.ref_aggregate} has no events block (the reference run "
-                "needs at least 500 usable trials)"
+                f"needs at least {harness.MIN_EVENT_TRIALS} usable trials)"
             )
         ev = ref["events"]["ref_means"]
         ref_means = {"A_a": ev["A_a"], "B": ev["B"], "C": ev["C"]}

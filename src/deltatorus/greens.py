@@ -39,10 +39,6 @@ class SpectralParameter:
     def physical(self) -> float:
         return FOUR_PI_SQ * self.lambda_norm
 
-    @classmethod
-    def from_physical(cls, lam: float) -> "SpectralParameter":
-        return cls(lam / FOUR_PI_SQ)
-
 
 def _points_estimate(dim: int, radius_sq: float) -> float:
     if dim == 2:

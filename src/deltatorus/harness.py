@@ -13,6 +13,7 @@ density, which is exact over Fractions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +37,18 @@ from .measure import (
     sigma_sum,
     split_annulus,
 )
-from .scatterer import ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues
+from .scatterer import (
+    ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, torus_distance
+)
 from .sprime import SPrimeParams, coeff_condition, gap_condition
 
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
 
 MIN_PAIR_DISTANCE = 1e-9
+
+#: usable trials a run needs before it reports expectations / event frequencies
+MIN_EXPECTATION_TRIALS = 30
+MIN_EVENT_TRIALS = 500
 
 
 def _check_real(name: str, value) -> None:
@@ -89,17 +96,9 @@ def sample_positions(seed: int, trial_index: int, n: int, dim: int) -> np.ndarra
     gen = np.random.Generator(bg)
     while True:
         pts = gen.uniform(size=(n, dim))
-        ok = True
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = np.abs(pts[a] - pts[b])
-                d = np.minimum(d, 1.0 - d)
-                if math.sqrt(float((d * d).sum())) < MIN_PAIR_DISTANCE:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            torus_distance(a, b) >= MIN_PAIR_DISTANCE for a, b in itertools.combinations(pts, 2)
+        ):
             return pts
 
 
@@ -400,11 +399,17 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def estimate_expectations(results: list[TrialResult], ctx: RunContext, min_trials: int = 30) -> dict:
+def usable(results: list[TrialResult]) -> list[TrialResult]:
+    """The trials the statistics use: a root was found and no shift landed
+    on an endpoint shell."""
+    return [r for r in results if not r.no_root and not r.endpoint_landing]
+
+
+def estimate_expectations(results: list[TrialResult], ctx: RunContext) -> dict:
     """Empirical means with standard errors next to the closed-form columns."""
-    used = [r for r in results if not r.no_root and not r.endpoint_landing]
-    if len(used) < min_trials:
-        raise ValidationError(f"need >= {min_trials} usable trials, got {len(used)}")
+    used = usable(results)
+    if len(used) < MIN_EXPECTATION_TRIALS:
+        raise ValidationError(f"need >= {MIN_EXPECTATION_TRIALS} usable trials, got {len(used)}")
     out = {"trials_used": len(used)}
     b_mean, b_se = _mean_se([r.b_val for r in used])
     c_mean, c_se = _mean_se([r.c_val for r in used])
@@ -443,7 +448,6 @@ def event_frequencies(
     c0_values,
     n_scatterers: int,
     ref_means: dict | None = None,
-    min_trials: int = 500,
 ) -> dict:
     """Frequencies of the threshold events against reference means.
 
@@ -453,9 +457,9 @@ def event_frequencies(
     lower-tail event uses the gap functional with threshold mean/3 and
     reference probability 9/(14 N).
     """
-    used = [r for r in results if not r.no_root and not r.endpoint_landing]
-    if len(used) < min_trials:
-        raise ValidationError(f"need >= {min_trials} usable trials, got {len(used)}")
+    used = usable(results)
+    if len(used) < MIN_EVENT_TRIALS:
+        raise ValidationError(f"need >= {MIN_EVENT_TRIALS} usable trials, got {len(used)}")
     if ref_means is None:
         a_ref = _mean_se([r.a_weighted for r in used])[0]
         b_ref = _mean_se([r.b_val for r in used])[0]
@@ -493,12 +497,13 @@ def event_frequencies(
 
 def running_event_flags(results: list[TrialResult], c0: float) -> list[dict]:
     """Per-trial event flags against the running means of usable trials."""
+    kept = {r.trial_index for r in usable(results)}
     flags = []
     a_sum = b_sum = 0.0
     count = 0
     for r in sorted(results, key=lambda t: t.trial_index):
-        if r.no_root or r.endpoint_landing:
-            flags.append({"event_a": False, "event_b": False, "counted": False})
+        if r.trial_index not in kept:
+            flags.append({"event_a": False, "event_b": False})
             continue
         a_sum += r.a_weighted
         b_sum += r.b_val
@@ -507,7 +512,6 @@ def running_event_flags(results: list[TrialResult], c0: float) -> list[dict]:
             {
                 "event_a": r.a_weighted <= c0 * (a_sum / count),
                 "event_b": r.b_val > (b_sum / count) / 3.0,
-                "counted": True,
             }
         )
     return flags
@@ -540,18 +544,6 @@ def scaling_map(energy, length):
     _check_positive("energy", energy)
     _check_positive("length", length)
     return energy * length * length
-
-
-def energy_from(lam_physical, length):
-    if length <= 0:
-        raise ValidationError("length must be positive")
-    return lam_physical / (length * length)
-
-
-def length_from(lam_physical, energy):
-    if energy <= 0 or lam_physical <= 0:
-        raise ValidationError("inputs must be positive")
-    return math.sqrt(lam_physical / energy)
 
 
 def threshold_arithmetic(energy, rho, gamma_d, d: int, eps=0):

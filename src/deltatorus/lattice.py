@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OnSpectrumError, OutOfRangeError, ValidationError
+from .errors import OutOfRangeError, ValidationError
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -68,10 +68,6 @@ class GapTriple:
     def __post_init__(self):
         if not self.prev < self.center < self.next:
             raise ValidationError(f"gap triple not ascending: {self}")
-
-    @property
-    def n_prev(self) -> float:
-        return FOUR_PI_SQ * self.prev
 
     @property
     def n_center(self) -> float:
@@ -147,20 +143,6 @@ class SpectrumTable:
         else:
             volume = (4.0 * math.pi / 3.0) * x**1.5
         return count, count - volume
-
-    def neighbors(self, lambda_norm: float) -> GapTriple:
-        """Enclosing triple (m_{k-1}, m_k, m_{k+1}) for an off-spectrum point.
-
-        lambda_norm is in normalized units (physical eigenvalue / 4pi^2).
-        """
-        i = int(np.searchsorted(self.ms, lambda_norm, side="right"))
-        if i > 0 and self.ms[i - 1] == lambda_norm:
-            raise OnSpectrumError(f"{lambda_norm} is an unperturbed eigenvalue norm")
-        if i < 2:
-            raise OutOfRangeError(f"{lambda_norm} lies below the first usable gap")
-        if i >= len(self.ms):
-            raise OutOfRangeError(f"{lambda_norm} lies above table limit {self.m_max}")
-        return GapTriple(int(self.ms[i - 2]), int(self.ms[i - 1]), int(self.ms[i]))
 
     def gap_triple(self, m_center: int) -> GapTriple:
         """Triple around a spectrum member m_k (needs both neighbors tabulated)."""

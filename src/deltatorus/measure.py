@@ -50,10 +50,10 @@ from .lattice import (
 
 @dataclass
 class Observable:
-    """Finitely supported trigonometric polynomial sum_zeta ahat(zeta) e_zeta."""
+    """Finitely supported real-valued trigonometric polynomial
+    sum_zeta ahat(zeta) e_zeta, so ahat(-zeta) = conj(ahat(zeta))."""
 
     coeffs: dict[tuple, complex]
-    real_valued: bool = True
 
     def __post_init__(self):
         clean = {}
@@ -65,15 +65,14 @@ class Observable:
         self.coeffs = clean
         if not self.coeffs:
             raise ValidationError("observable needs at least one coefficient")
-        if self.real_valued:
-            for zeta, v in self.coeffs.items():
-                neg = tuple(-z for z in zeta)
-                w = self.coeffs.get(neg, 0.0)
-                if abs(np.conj(v) - w) > 1e-12 * max(1.0, abs(v)):
-                    raise ValidationError(
-                        f"real-valued observable needs ahat(-zeta) = conj(ahat(zeta)); "
-                        f"violated at {zeta}"
-                    )
+        for zeta, v in self.coeffs.items():
+            neg = tuple(-z for z in zeta)
+            w = self.coeffs.get(neg, 0.0)
+            if abs(np.conj(v) - w) > 1e-12 * max(1.0, abs(v)):
+                raise ValidationError(
+                    f"real-valued observable needs ahat(-zeta) = conj(ahat(zeta)); "
+                    f"violated at {zeta}"
+                )
 
     @property
     def l1_norm(self) -> float:
@@ -87,24 +86,13 @@ class Observable:
     def nonzero_shifts(self) -> list[tuple]:
         return sorted(z for z in self.coeffs if any(c != 0 for c in z))
 
-    def truncated(self, shift_bound: float) -> "Observable":
-        """Drop every mode with |zeta| > shift_bound (the zero mode stays)."""
-        kept = {
-            z: v
-            for z, v in self.coeffs.items()
-            if sum(c * c for c in z) <= shift_bound * shift_bound
-        }
-        if not kept:
-            raise ValidationError(f"no modes survive |zeta| <= {shift_bound}")
-        return Observable(kept, real_valued=self.real_valued)
-
     def to_json(self) -> dict:
         return {
             ",".join(str(c) for c in z): [v.real, v.imag] for z, v in sorted(self.coeffs.items())
         }
 
     @classmethod
-    def from_json(cls, obj: dict, real_valued: bool = True) -> "Observable":
+    def from_json(cls, obj: dict) -> "Observable":
         if not isinstance(obj, dict):
             raise ValidationError(f"an observable maps modes to [re, im] pairs, got {obj!r}")
         coeffs = {}
@@ -120,12 +108,12 @@ class Observable:
             re, im = value
             zeta = tuple(int(t) for t in key.split(","))
             coeffs[zeta] = complex(re, im)
-        return cls(coeffs, real_valued=real_valued)
+        return cls(coeffs)
 
     @classmethod
-    def load(cls, path, real_valued: bool = True) -> "Observable":
+    def load(cls, path) -> "Observable":
         with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f), real_valued=real_valued)
+            return cls.from_json(json.load(f))
 
 
 @dataclass(eq=False)
@@ -135,9 +123,8 @@ class FourierField:
     The box arrays are flat in the order of ``ShellSums.index_of``; D is
     exactly 0 outside the ball.  They come from the ball's array pool and go
     back to it when the field is collected, so they are valid while the
-    field is.  ``weights``, ``values`` and ``abs_sq`` are ball-order copies
-    made when read, for callers off the trial path; ``weights`` is
-    D / c_lambda.
+    field is.  ``weights`` and ``values`` are ball-order copies made when
+    read, for callers off the trial path; ``weights`` is D / c_lambda.
     """
 
     lam: SpectralParameter
@@ -173,16 +160,6 @@ class FourierField:
     @property
     def values(self) -> np.ndarray:
         return self.box_values[self.shells.ball_order()]
-
-    @property
-    def abs_sq(self) -> np.ndarray:
-        return _abs_sq(self.values)
-
-    def weight_at(self, xi) -> complex:
-        i = self.shells.index_of(xi)
-        if i < 0:
-            raise ValidationError(f"{tuple(xi)} outside the truncation set")
-        return complex(self.box_values[i] * (self.shells.physical_box()[i] - self.lam.physical))
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
@@ -463,8 +440,6 @@ def equidistribution_error(
     The envelope is l1(ahat) * sqrt(N) * lambda^{-gamma_d + eps}; only the
     ratio is meaningful, no constant is asserted.
     """
-    if not a.real_valued:
-        raise ValidationError("equidistribution error needs a real observable")
     err = abs(pair_with_observable(field, a) - a.mean)
     envelope = a.l1_norm * math.sqrt(n_scatterers) * field.lam.physical ** (-gamma_d + eps)
     return float(err), float(envelope)

@@ -47,12 +47,13 @@ def fmt_float(x) -> str:
     return str(x)
 
 
-def dumps_json(obj, indent: int = 1) -> str:
-    """JSON text with floats at 17 significant digits, keys in given order."""
+def dumps_json(obj) -> str:
+    """JSON text indented one space per level, floats at 17 significant
+    digits, keys in given order."""
 
     def render(o, level):
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = " " * level
+        pad_in = " " * (level + 1)
         if isinstance(o, dict):
             if not o:
                 return "{}"

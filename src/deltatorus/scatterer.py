@@ -139,11 +139,6 @@ class ScattererConfig:
             )
         return cls(obj["dim"], obj["positions"], obj["u"]["phases"])
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=1)
-
-
     @classmethod
     def load(cls, path) -> "ScattererConfig":
         with open(path, encoding="utf-8") as f:
@@ -202,7 +197,6 @@ class NewEigenvalue:
     """A root of the spectral equation inside one gap."""
 
     lambda_norm: float
-    interval: GapTriple
     d: np.ndarray
     residual: float
     second_smin: float
@@ -293,7 +287,6 @@ def find_new_eigenvalues(
         roots.append(
             NewEigenvalue(
                 lambda_norm=t,
-                interval=interval,
                 d=v.astype(np.complex128),
                 residual=residual,
                 second_smin=s2,

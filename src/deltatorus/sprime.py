@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,12 +80,12 @@ class SPrimeParams:
             )
         if self.eps is None:
             object.__setattr__(self, "eps", epsilon_from_delta(self.theta, self.delta))
-        elif not self.eps > 0:
-            raise ValidationError("eps must be positive")
+        elif not 0 < self.eps < math.inf:
+            raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.eps_prime is None:
             object.__setattr__(self, "eps_prime", self.eps)
-        elif not self.eps_prime > 0:
-            raise ValidationError("eps_prime must be positive")
+        elif not 0 < self.eps_prime < math.inf:
+            raise ValidationError(f"eps_prime must be finite and positive, got {self.eps_prime}")
 
     @property
     def delta_in_paper_range(self) -> bool:
@@ -100,9 +101,19 @@ class SPrimeParams:
 
 
 def shift_vectors(dim: int, bound: float) -> np.ndarray:
-    """All nonzero integer vectors with |zeta| <= bound, lexicographic order."""
-    pts, norms = ball_points(dim, math.floor(bound * bound))
-    return pts[norms > 0]
+    """All nonzero integer vectors with |zeta| <= bound, lexicographic order.
+
+    The bound varies slowly across a window, so the read-only array is
+    cached per dimension and integer radius-squared."""
+    return _shift_vectors_cached(dim, math.floor(bound * bound))
+
+
+@lru_cache(maxsize=64)
+def _shift_vectors_cached(dim: int, radius_sq: int) -> np.ndarray:
+    pts, norms = ball_points(dim, radius_sq)
+    shifts = pts[norms > 0]
+    shifts.flags.writeable = False
+    return shifts
 
 
 def gap_condition(table: SpectrumTable, m_center: int, params: SPrimeParams) -> bool:

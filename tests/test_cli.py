@@ -275,6 +275,8 @@ REJECTED_INPUTS = {
     "sprime_ccoeff_nan": (SPRIME + ["--ccoeff", "nan"], None),
     "sprime_cgap_nan": (SPRIME + ["--cgap", "nan"], None),
     "sprime_density_bins_negative": (SPRIME + ["--density-bins", "-1"], None),
+    "sprime_eps_inf": (SPRIME + ["--eps", "inf"], None),
+    "sprime_eps_prime_inf": (SPRIME + ["--eps-prime", "inf"], None),
 }
 
 

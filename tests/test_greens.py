@@ -37,7 +37,7 @@ def test_coefficient():
 def test_spectral_parameter_units():
     lam = SpectralParameter(2.5)
     assert lam.physical == pytest.approx(FOUR_PI_SQ * 2.5)
-    assert SpectralParameter.from_physical(lam.physical).lambda_norm == pytest.approx(2.5)
+    assert SpectralParameter(lam.physical / FOUR_PI_SQ).lambda_norm == pytest.approx(2.5)
 
 
 def test_policy_resolution():
@@ -157,7 +157,7 @@ def test_residue_at_poles():
     z = np.array([0.013, 0.027])
     for m in (1, 2, 5):
         n_k = FOUR_PI_SQ * m
-        lam = SpectralParameter.from_physical(n_k - 1e-6)
+        lam = SpectralParameter((n_k - 1e-6) / FOUR_PI_SQ)
         g = regularized_pair(z, (0.0, 0.0), lam, +1, 600).value.real
         vecs = shell_vectors(2, m)
         shell = math.fsum(

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from deltatorus.errors import OnSpectrumError, OutOfRangeError, ValidationError
+from deltatorus.errors import OutOfRangeError, ValidationError
 from deltatorus.greens import ShellSums
 from deltatorus.lattice import (
     FOUR_PI_SQ,
-    GapTriple,
     annulus_norms,
     annulus_points,
     annulus_range,
@@ -77,29 +76,6 @@ def test_circle_remainder_envelope():
     for x in (10**3, 10**4):
         _, rem = t.circle_count(x)
         assert abs(rem) <= 12.0 * x**0.35
-
-
-def test_neighbors(table_d2_small):
-    assert table_d2_small.neighbors(9.5) == GapTriple(8, 9, 10)
-    assert table_d2_small.neighbors(2.5) == GapTriple(1, 2, 4)
-    with pytest.raises(OnSpectrumError):
-        table_d2_small.neighbors(9.0)
-    with pytest.raises(OutOfRangeError):
-        table_d2_small.neighbors(0.5)  # below the first usable gap
-    with pytest.raises(OutOfRangeError):
-        table_d2_small.neighbors(10**6)
-
-
-def test_neighbors_triple_is_consecutive(table_d2_small):
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        lam = float(rng.uniform(2.0, 290.0))
-        if table_d2_small.contains(int(lam)) and lam == int(lam):
-            continue
-        tri = table_d2_small.neighbors(lam)
-        assert tri.center < lam < tri.next
-        between = table_d2_small.norms_in(tri.prev + 1, tri.next - 1)
-        assert between.tolist() == [tri.center]
 
 
 def test_gap_triple_requires_neighbors(table_d2_small):

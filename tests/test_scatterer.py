@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from deltatorus.errors import DegenerateExtensionError, ValidationError
 from deltatorus.greens import ShellSums, SpectralParameter, regularized_pair
 from deltatorus.harness import TrialSpec, sample_positions
-from deltatorus.lattice import enumerate_spectrum
+from deltatorus.lattice import FOUR_PI_SQ, enumerate_spectrum
 from deltatorus.scatterer import (
     ScattererConfig,
     SecularWorkspace,
@@ -116,7 +117,7 @@ def test_config_validation():
 def test_config_json_round_trip(tmp_path):
     cfg = ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), phases=np.array([-0.4, -0.4]))
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_json()), encoding="utf-8")
     back = ScattererConfig.load(path)
     assert np.array_equal(back.positions, cfg.positions)
     assert np.array_equal(back.phases, cfg.phases) and back.theta == cfg.theta
@@ -172,11 +173,11 @@ def test_secular_value_sign_flip_and_smin():
     root = closed_form_root(shells, 0.0, tri)
     # det M = (1 + e^{-i theta}) H for one scatterer, and H is real
     scale = 1.0 + np.exp(-1j * cfg.phases[0])
-    det_lo = secular_value(cfg, SpectralParameter.from_physical(root - 1.0), R)[0] / scale
-    det_hi = secular_value(cfg, SpectralParameter.from_physical(root + 1.0), R)[0] / scale
+    det_lo = secular_value(cfg, SpectralParameter((root - 1.0) / FOUR_PI_SQ), R)[0] / scale
+    det_hi = secular_value(cfg, SpectralParameter((root + 1.0) / FOUR_PI_SQ), R)[0] / scale
     assert det_lo.real < 0 < det_hi.real
     assert abs(det_lo.imag) < 1e-10 * abs(det_lo)
-    _, smin = secular_value(cfg, SpectralParameter.from_physical(root), R)
+    _, smin = secular_value(cfg, SpectralParameter(root / FOUR_PI_SQ), R)
     assert smin < 1e-10
 
 

@@ -41,6 +41,10 @@ def test_shift_vectors():
     assert shift_vectors(2, 0.5).shape == (0, 2)
     unit = shift_vectors(2, 1.0)
     assert sorted(map(tuple, unit.tolist())) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    # one cached array per integer radius-squared, shared and read-only
+    assert shift_vectors(2, 1.2) is unit and not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0, 0] = 5
     assert shift_vectors(2, 1.5).shape == (8, 2)
     # norms 1, 2, 4, 5: 4 + 4 + 4 + 8 vectors in d = 2, 6 + 12 + 8 + 6 + 24 in d = 3
     for dim, count in ((2, 20), (3, 56)):
