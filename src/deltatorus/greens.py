@@ -23,10 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, OnSpectrumError, ValidationError
-from .lattice import FOUR_PI_SQ, _check_dim, ball_points
-
-#: largest truncation ball ShellSums will enumerate, in estimated points
-MAX_BALL_POINTS = 32_000_000
+from .lattice import FOUR_PI_SQ, MAX_BALL_POINTS, _check_dim, _points_estimate, ball_points
 
 
 @dataclass(frozen=True)
@@ -38,12 +35,6 @@ class SpectralParameter:
     @property
     def physical(self) -> float:
         return FOUR_PI_SQ * self.lambda_norm
-
-
-def _points_estimate(dim: int, radius_sq: float) -> float:
-    if dim == 2:
-        return math.pi * radius_sq
-    return (4.0 * math.pi / 3.0) * radius_sq**1.5
 
 
 def check_radius(radius_sq: int, lam: SpectralParameter) -> int:

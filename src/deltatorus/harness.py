@@ -13,7 +13,6 @@ density, which is exact over Fractions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +37,7 @@ from .measure import (
     split_annulus,
 )
 from .scatterer import (
-    ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, torus_distance
+    ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, pair_distances
 )
 from .sprime import SPrimeParams, coeff_condition, gap_condition
 
@@ -96,9 +95,7 @@ def sample_positions(seed: int, trial_index: int, n: int, dim: int) -> np.ndarra
     gen = np.random.Generator(bg)
     while True:
         pts = gen.uniform(size=(n, dim))
-        if all(
-            torus_distance(a, b) >= MIN_PAIR_DISTANCE for a, b in itertools.combinations(pts, 2)
-        ):
+        if np.all(pair_distances(pts) >= MIN_PAIR_DISTANCE):
             return pts
 
 

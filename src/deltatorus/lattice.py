@@ -27,6 +27,9 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 #: enumeration ceilings for the direct coordinate-box loop
 M_MAX_LIMIT = {2: 10**7, 3: 10**5}
 
+#: largest ball ``ball_points`` (and so ShellSums) will enumerate, in estimated points
+MAX_BALL_POINTS = 32_000_000
+
 
 def _check_dim(dim: int) -> None:
     if dim not in (2, 3):
@@ -224,6 +227,12 @@ def shell_vectors(dim: int, m: int) -> np.ndarray:
     return np.array(vecs, dtype=np.int64)
 
 
+def _points_estimate(dim: int, radius_sq: float) -> float:
+    if dim == 2:
+        return math.pi * radius_sq
+    return (4.0 * math.pi / 3.0) * radius_sq**1.5
+
+
 def _floor_isqrt(x: np.ndarray) -> np.ndarray:
     """Elementwise exact integer sqrt floor for nonnegative int64 input."""
     r = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
@@ -238,6 +247,8 @@ def ball_points(dim: int, radius_sq: int) -> tuple[np.ndarray, np.ndarray]:
     _check_dim(dim)
     if radius_sq < 0:
         raise ValidationError("radius-squared must be nonnegative")
+    if _points_estimate(dim, radius_sq) > MAX_BALL_POINTS:
+        raise ValidationError(f"the ball |xi|^2 <= {radius_sq} is too large to enumerate")
     top = math.isqrt(radius_sq)
     blocks = []
     for a in range(-top, top + 1):

@@ -15,9 +15,14 @@ unperturbed eigenvalues where H is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and are symmetric in the pair, so they are
-computed once per unordered pair (ShellSums.weights_many), and H at one
-more lambda is one matrix product of the shell coefficients c_lambda with
-an (S, N*(N+1)/2) weight array, unpacked to N x N.
+computed once per unordered pair (ShellSums.weights_many) as an
+(S, N*(N+1)/2) weight array W.  Inside one gap only the shells at and
+next to its ends are singular.  SecularWorkspace keeps those few as exact
+terms and sums every other shell through a power series in lambda about
+the midpoint of the gap, whose moments are fitted from W once per gap
+(``_far_table``).  H at one more lambda is then one small product over
+the near rows and the moments, whatever the size S of the ball, unpacked
+to N x N.
 
 The derivative c_lambda^2 @ W of H is positive semidefinite, so every
 ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
@@ -36,6 +41,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +56,29 @@ from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 COMMON_PHASE_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
+#: a shell within h / NEAR_RATIO of the midpoint of a gap of half width h
+#: enters H exactly; every farther one through a series in NEAR_RATIO
+NEAR_RATIO = 0.1
+#: largest m * n * k of a matrix product that OpenBLAS (0.3.31, x86-64) runs
+#: on its single-threaded small-matrix path; a larger one wakes its threads
+ONE_THREAD_GEMM = 10**6
 
-def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(np.asarray(a) - np.asarray(b))
+
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), which costs more than the distances at n = 2."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def pair_distances(positions: np.ndarray) -> np.ndarray:
+    """Torus distance of every pair a < b of the (N, d) positions, in
+    np.triu_indices(N, 1) order."""
+    rows, cols = _pairs(positions.shape[0])
+    d = np.abs(positions[rows] - positions[cols])
     d = np.minimum(d, 1.0 - d)
-    return float(np.sqrt((d * d).sum()))
+    return np.sqrt((d * d).sum(axis=1))
 
 
 def _real_array(name: str, value, shape: tuple) -> np.ndarray:
@@ -110,10 +134,11 @@ class ScattererConfig:
             raise ValidationError("positions must be an (N, dim) array with N >= 1")
         self.positions = np.mod(_real_array("positions", pos, (pos.shape[0], self.dim)), 1.0)
         n = self.positions.shape[0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if torus_distance(self.positions[a], self.positions[b]) <= 0.0:
-                    raise ValidationError(f"positions {a} and {b} coincide")
+        coincide = np.flatnonzero(pair_distances(self.positions) <= 0.0)
+        if coincide.size:
+            rows, cols = _pairs(n)
+            a, b = rows[coincide[0]], cols[coincide[0]]
+            raise ValidationError(f"positions {a} and {b} coincide")
         self.theta = common_phase(self.phases, n)
         self.phases = np.asarray(self.phases, dtype=np.float64)
 
@@ -145,14 +170,59 @@ class ScattererConfig:
             return cls.from_json(json.load(f))
 
 
+def _far_table(shells: ShellSums, i: int) -> tuple:
+    """(x0, h, a, b, table): the lambda-free part of H's split form on the
+    gap (n_i, n_{i+1}) of the ball's shells, built once per ball and gap.
+
+    With x0 the midpoint of the gap and h its half width, a shell is near
+    when |n_s - x0| <= h / NEAR_RATIO; the near shells are [a, b) and H
+    keeps them as exact terms.  For a far shell and tau = (x - x0) / h in
+    (-1, 1),
+
+        1 / (n_s - x) = sum_{p >= 0} tau^p h^p / (n_s - x0)^{p+1},
+
+    with terms that shrink by at least NEAR_RATIO each.  As |E_m| <= mult_m,
+    the terms from p = P on move an entry of H by at most
+
+        sum_far mult_s / |n_s - x0| * NEAR_RATIO^P / (1 - NEAR_RATIO)
+
+    for any positions, and P is the least count that puts this below
+    2^-53 / n_{i+1}: shell 0 (E_0 = 1 for every pair) alone gives each
+    entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.  Row p of the
+    (P + 1, S) table is h^p / (n_s - x0)^{p+1} on the far shells and 0 on
+    the near ones; row P keeps the slope's series, one term shorter than
+    the value's, to the same order.
+    """
+
+    def build():
+        ns = shells.ns_physical
+        x0, h = 0.5 * (ns[i] + ns[i + 1]), 0.5 * (ns[i + 1] - ns[i])
+        a = int(np.searchsorted(ns, x0 - h / NEAR_RATIO))
+        b = int(np.searchsorted(ns, x0 + h / NEAR_RATIO, side="right"))
+        inv = 1.0 / (ns - x0)
+        inv[a:b] = 0.0
+        bound = float(shells.mult @ np.abs(inv)) / (1.0 - NEAR_RATIO)
+        p = 0
+        while bound > 2.0**-53 / ns[i + 1]:
+            bound *= NEAR_RATIO
+            p += 1
+        table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
+        return x0, h, a, b, table
+
+    return shells.memo(("far_table", i), build)
+
+
 class SecularWorkspace:
     """Shell data bound to one configuration for fast evaluation of H.
 
     W[s, t] = E_{m_s}(x_k - x_j) for the unordered pair (k, j) in column t
     of np.triu_indices(N) (ShellSums.weights_many), and the deficiency sum
-    G_{+i}(x_k, x_j) is lambda-independent.  H and its slope at one more
-    lambda are one product of (c_lambda, c_lambda^2) with W over the
-    N*(N+1)/2 pairs, unpacked to N x N through a fixed index map.
+    G_{+i}(x_k, x_j) is lambda-independent.  H is evaluated in the split
+    form of ``_far_table``: the few shells near the gap that holds lambda
+    exactly, every other shell through moments of W fitted once per gap.
+    H and its slope at one more lambda are then one small product over
+    those near rows and moments, whatever the size of the ball, unpacked
+    to N x N through a fixed index map.
     """
 
     def __init__(self, config: ScattererConfig, radius_sq: int):
@@ -169,12 +239,58 @@ class SecularWorkspace:
         self._re_g = ((ns / (ns * ns + 1.0)) @ self._w)[self._unpack]
         im_g = ((1.0 / (ns * ns + 1.0)) @ self._w)[self._unpack]
         self._tan_im_g = math.tan(config.theta / 2.0) * im_g
+        # (2, N, N) positions of the H and slope entries in the flat (2, pairs)
+        # product of ``symmetric``
+        self._unpack2 = np.stack((self._unpack, self._unpack + rows.size))
+        self._gap = None
+
+    def _fit(self, x: float) -> tuple:
+        """(n_i, n_{i+1}, x0, h, near shells, [W_near; moments], p / h) for
+        the gap (n_i, n_{i+1}) of the ball's shells that holds x.
+
+        The moments M = table @ W go in row blocks whose product stays
+        within ONE_THREAD_GEMM, so the fit wakes no BLAS worker thread.
+        """
+        ns = self.shells.ns_physical
+        i = int(np.searchsorted(ns, x)) - 1  # ns[i] < x <= ns[i + 1]
+        if not (0 <= i < ns.size - 1 and x < ns[i + 1]):
+            raise ValidationError(
+                f"lambda {x!r} does not lie strictly between two shells of the ball"
+            )
+        x0, h, a, b, table = _far_table(self.shells, i)
+        step = max(1, ONE_THREAD_GEMM // (ns.size * self._w.shape[1]))
+        moments = [table[r : r + step] @ self._w for r in range(0, table.shape[0], step)]
+        stacked = np.concatenate([self._w[a:b], *moments])
+        dscale = np.arange(1, table.shape[0]) / h
+        return float(ns[i]), float(ns[i + 1]), x0, h, ns[a:b], stacked, dscale
 
     def symmetric(self, lam_physical: float) -> tuple[np.ndarray, np.ndarray]:
-        """H = c_lambda @ W - Re G_{+i} + tan(theta/2) Im G_{+i} and dH/dlambda = c_lambda^2 @ W."""
-        c = self.shells.coeffs(lam_physical)
-        h, slope = (np.stack((c, c * c)) @ self._w)[:, self._unpack]
-        return h - self._re_g + self._tan_im_g, slope
+        """H and dH/dlambda at one parameter strictly inside a gap of the ball.
+
+        With tau = (lambda - x0) / h on the gap of midpoint x0 and half
+        width h, H = sum_near W_s / (n_s - lambda) + sum_p M_p tau^p
+        - Re G_{+i} + tan(theta/2) Im G_{+i}, and dH/dlambda =
+        sum_near W_s / (n_s - lambda)^2 + sum_p p M_p tau^{p-1} / h.
+        The moments are fitted on the first call in a gap and kept until
+        a call in another gap.
+        """
+        gap = self._gap
+        if gap is None or not gap[0] < lam_physical < gap[1]:
+            gap = self._gap = self._fit(lam_physical)
+        _, _, x0, h, near, stacked, dscale = gap
+        k = near.size
+        # row 0: c_near then tau^p; row 1: c_near^2 then p tau^{p-1} / h
+        coef = np.empty((2, stacked.shape[0]))
+        c, powers = coef[0, :k], coef[0, k:]
+        np.subtract(near, lam_physical, out=c)
+        np.reciprocal(c, out=c)
+        np.square(c, out=coef[1, :k])
+        powers[0], powers[1:] = 1.0, (lam_physical - x0) / h
+        np.cumprod(powers, out=powers)
+        coef[1, k] = 0.0
+        np.multiply(dscale, powers[:-1], out=coef[1, k + 1 :])
+        h_mat, slope = (coef @ stacked).take(self._unpack2)
+        return h_mat - self._re_g + self._tan_im_g, slope
 
 
 def secular_value(

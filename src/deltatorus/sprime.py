@@ -97,15 +97,29 @@ class SPrimeParams:
 
     def shift_bound(self, m_center: int) -> float:
         """Largest |zeta| tested: (4*pi^2*m_k)^eps."""
-        return (FOUR_PI_SQ * m_center) ** self.eps
+        return _n_power(m_center, self.eps, "eps")
+
+
+def _n_power(m_center: int, exponent: float, name: str) -> float:
+    """(4*pi^2*m_k)^exponent, or ValidationError where float64 overflows."""
+    try:
+        return (FOUR_PI_SQ * m_center) ** exponent
+    except OverflowError:
+        raise ValidationError(
+            f"(4 pi^2 m_k)^{name} overflows float64 at m_k = {m_center}, {name} = {exponent}"
+        ) from None
 
 
 def shift_vectors(dim: int, bound: float) -> np.ndarray:
     """All nonzero integer vectors with |zeta| <= bound, lexicographic order.
 
     The bound varies slowly across a window, so the read-only array is
-    cached per dimension and integer radius-squared."""
-    return _shift_vectors_cached(dim, math.floor(bound * bound))
+    cached per dimension and integer radius-squared.  A bound whose ball
+    is too large for ``ball_points`` raises ValidationError."""
+    radius_sq = bound * bound
+    if not math.isfinite(radius_sq):
+        raise ValidationError(f"the shift ball |zeta| <= {bound} is too large to enumerate")
+    return _shift_vectors_cached(dim, math.floor(radius_sq))
 
 
 @lru_cache(maxsize=64)
@@ -119,7 +133,7 @@ def _shift_vectors_cached(dim: int, radius_sq: int) -> np.ndarray:
 def gap_condition(table: SpectrumTable, m_center: int, params: SPrimeParams) -> bool:
     """Condition (i): 4*pi^2*(m_{k+1} - m_{k-1}) <= c_gap * n_k^{eps_prime}."""
     triple = table.gap_triple(m_center)
-    return triple.outer_gap <= params.c_gap * (FOUR_PI_SQ * m_center) ** params.eps_prime
+    return triple.outer_gap <= params.c_gap * _n_power(m_center, params.eps_prime, "eps_prime")
 
 
 def _coeff_check(

@@ -277,6 +277,11 @@ REJECTED_INPUTS = {
     "sprime_density_bins_negative": (SPRIME + ["--density-bins", "-1"], None),
     "sprime_eps_inf": (SPRIME + ["--eps", "inf"], None),
     "sprime_eps_prime_inf": (SPRIME + ["--eps-prime", "inf"], None),
+    # (4 pi^2 m)^eps overflows float64, or only its square does
+    "sprime_eps_overflow": (SPRIME + ["--eps", "1000"], None),
+    "sprime_eps_shift_radius_overflow": (SPRIME + ["--eps", "50"], None),
+    # a finite shift ball of about 2e8 points, refused before it is enumerated
+    "sprime_eps_ball_too_large": (SPRIME + ["--eps", "1"], None),
 }
 
 

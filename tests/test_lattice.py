@@ -10,6 +10,7 @@ from deltatorus.lattice import (
     annulus_norms,
     annulus_points,
     annulus_range,
+    ball_points,
     enumerate_spectrum,
     shell_vectors,
 )
@@ -47,6 +48,15 @@ def test_small_table_examples():
 def test_enumeration_rejects_bad_dim():
     with pytest.raises(ValidationError):
         enumerate_spectrum(4, 10)
+
+
+def test_ball_points_refuses_an_oversized_ball():
+    # the ceiling is checked before anything is allocated: R = 10^8 would be
+    # 3.1e8 points in d = 2, and R = 10^6 1.0e9 points in d = 3
+    for dim, radius_sq in ((2, 10**8), (3, 10**6)):
+        with pytest.raises(ValidationError):
+            ball_points(dim, radius_sq)
+    assert ball_points(2, 2)[0].shape == (9, 2)
 
 
 def test_multiplicity_queries(table_d2_small):

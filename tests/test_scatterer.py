@@ -204,6 +204,50 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
     assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
 
 
+@pytest.mark.parametrize(
+    "dim,radius_sq,m_center", [(2, 16058, 10036), (2, 4000, 100), (3, 400, 101), (3, 2000, 1000)]
+)
+def test_split_form_against_the_plain_shell_sum(dim, radius_sq, m_center):
+    # the near shells exactly plus the far moments give H = c_x @ W - Re G_{+i}
+    # + tan(theta/2) Im G_{+i} to rounding across the gap, up to 1e-9 of the
+    # gap from either pole, and the slope c_x^2 @ W, positive semidefinite
+    theta = -1.3
+    tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
+    rng = np.random.default_rng(m_center)
+    cfg = ScattererConfig(dim, rng.uniform(size=(5, dim)), phases=np.full(5, theta))
+    ws = SecularWorkspace(cfg, radius_sq)
+    ns = ws.shells.ns_physical
+    w = ws.shells.weights_many(cfg.positions)
+    rows, cols = np.triu_indices(5)
+    unpack = np.empty((5, 5), dtype=np.intp)
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+    g = (-ns / (ns * ns + 1.0)) @ w + math.tan(theta / 2.0) * ((1.0 / (ns * ns + 1.0)) @ w)
+    a, b = tri.n_center, tri.n_next
+    inner = np.linspace(a, b, 43)[1:-1]
+    for x in [*inner, a + 1e-9 * (b - a), b - 1e-9 * (b - a)]:
+        h, slope = ws.symmetric(x)
+        c = 1.0 / (ns - x)
+        assert np.all(np.abs(h - (c @ w + g)[unpack]) <= 1e-13 * (np.abs(c) @ np.abs(w))[unpack])
+        assert np.all(np.abs(slope - ((c * c) @ w)[unpack]) <= 1e-13 * ((c * c) @ np.abs(w))[unpack])
+        assert np.linalg.eigvalsh(slope).min() >= -1e-13 * np.abs(slope).max()
+    for x in inner:
+        step = 1e-5 * (b - a)
+        diff = (ws.symmetric(x + step)[0] - ws.symmetric(x - step)[0]) / (2 * step)
+        slope = ws.symmetric(x)[1]
+        assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
+
+
+def test_split_form_needs_a_shell_on_either_side():
+    cfg = one_scatterer(0.4)
+    ws = SecularWorkspace(cfg, R)
+    top = ws.shells.ns_physical[-1]
+    for x in (-1.0, 0.0, top, top + 1.0, math.nan):
+        with pytest.raises(ValidationError):
+            ws.symmetric(x)
+    with pytest.raises(ValidationError):
+        secular_value(cfg, SpectralParameter(-0.5), R)
+
+
 def test_solver_rejects_a_foreign_workspace():
     # a workspace holds one configuration's pair weights on one ball; any
     # other configuration or radius would get that configuration's roots
