@@ -239,6 +239,8 @@ def _aggregate_payload(spec, results, ctx, ref_means=None) -> dict:
 
 
 def _resolve_threads(requested: int) -> int:
+    if requested < 0:
+        raise ValidationError(f"--threads must be >= 0 (0 = auto), got {requested}")
     if requested > 0:
         return requested
     return min(4, os.cpu_count() or 1)  # 0 = auto
@@ -264,12 +266,13 @@ def cmd_mc(args) -> int:
             results, _ = harness.run_trials(spec, threads=threads)
             q = harness.err_quantiles(results)
             rows.append(
-                {"m_k": mk, "median_err": q["median"], "q10": q["q10"], "q90": q["q90"]}
+                {"m_k": mk, "median_err": q["median"], "q10": q["q10"], "q90": q["q90"],
+                 "count": q["count"], "landings": q["landings"]}
             )
         monotone = all(
             rows[i + 1]["median_err"] <= rows[i]["median_err"] for i in range(len(rows) - 1)
         )
-        _write(out / "err_vs_lambda.csv", reporting.plotdata_text("err_vs_lambda", rows), written)
+        _write(out / "err_vs_lambda.csv", reporting.plotdata_text("err_trend", rows), written)
         params = {"spec": spec_obj, "m_k_values": list(args.trend_mk)}
         _emit_manifest(out, "trend.manifest.json", "mc-trend", params, written)
         print(json.dumps({"monotone_nonincreasing": monotone}))

@@ -25,6 +25,21 @@ import numpy as np
 from .errors import NumericError, OnSpectrumError, ValidationError
 from .lattice import FOUR_PI_SQ, MAX_BALL_POINTS, _check_dim, _points_estimate, ball_points
 
+#: largest m * n * k of a matrix product that OpenBLAS (0.3.31, x86-64) runs
+#: on its single-threaded small-matrix path; a larger one wakes its threads
+ONE_THREAD_GEMM = 10**6
+
+
+def one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b for 2-D arrays, in row blocks of a whose product stays
+    within ONE_THREAD_GEMM, so that no BLAS worker thread wakes and
+    concurrent trials do not contend for cores.  The blocks depend on the
+    shapes alone, so equal inputs give equal bits."""
+    step = max(1, ONE_THREAD_GEMM // (b.shape[0] * b.shape[1]))
+    for r in range(0, a.shape[0], step):
+        np.matmul(a[r : r + step], b, out=out[r : r + step])
+    return out
+
 
 @dataclass(frozen=True)
 class SpectralParameter:

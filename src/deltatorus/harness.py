@@ -515,15 +515,20 @@ def running_event_flags(results: list[TrialResult], c0: float) -> list[dict]:
 
 
 def err_quantiles(results: list[TrialResult]) -> dict:
-    used = sorted(r.err for r in results if not r.no_root)
+    """Quantiles of the equidistribution error over the trials the means use
+    (``usable``); ``landings`` counts the endpoint-landing trials left out."""
+    used = sorted(r.err for r in usable(results))
+    landings = sum(1 for r in results if r.endpoint_landing)
     if not used:
-        return {"median": math.nan, "q10": math.nan, "q90": math.nan, "count": 0}
+        return {"median": math.nan, "q10": math.nan, "q90": math.nan, "count": 0,
+                "landings": landings}
     arr = np.array(used)
     return {
         "median": float(np.quantile(arr, 0.5)),
         "q10": float(np.quantile(arr, 0.1)),
         "q90": float(np.quantile(arr, 0.9)),
         "count": len(used),
+        "landings": landings,
     }
 
 

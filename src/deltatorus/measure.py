@@ -4,7 +4,11 @@ A new eigenfunction with coefficients d_j at positions x_j has Fourier data
 D(xi) = c_lambda(xi) * w(xi), where w(xi) = sum_j d_j e_xi(-x_j) is the
 position-dependent phase sum.  Everything here is a finite sum over a fixed
 truncation ball.  A field is stored once, on the ball's coordinate box
-(ShellSums), and then queried read-only by contiguous array passes:
+(ShellSums): w factors over the coordinates, so it is one real matrix product
+written into the box, in row blocks that keep OpenBLAS on one core.  The
+field is then queried read-only; the norm, the correlations and the
+complement functional are each one row-wise dot along the last box axis
+summed over the rows, the rest are gathers at fixed box positions:
 
   * observable pairings  <e_zeta g, g> = sum_xi D(xi) conj(D(xi+zeta)),
   * the annulus split of the L^2 mass around the interval center,
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSPrimeError, ValidationError
-from .greens import ShellSums, SpectralParameter, check_radius
+from .greens import ShellSums, SpectralParameter, check_radius, one_thread_matmul
 from .lattice import (
     FOUR_PI_SQ,
     GapTriple,
@@ -166,6 +170,13 @@ def _abs_sq(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
+def _box_dot(x: np.ndarray, y: np.ndarray):
+    """sum of conj(x) * y over two box arrays of one shape: one vecdot along
+    the last axis, then a pairwise sum over the rows.  Each row is one dot
+    of fixed length, so the bits depend on the shape alone."""
+    return np.sum(np.vecdot(x, y))
+
+
 def assemble_field(
     d_coeffs: np.ndarray,
     positions: np.ndarray,
@@ -175,12 +186,16 @@ def assemble_field(
     """Evaluate D(xi) on the ball |xi|^2 <= radius_sq for given coefficients/positions.
 
     The phase e_xi(-x_j) factors over the coordinates, so
-    w = sum_j (d_j A_j) (x) B_j [(x) C_j] is a sum of outer products of the
-    1-D tables exp(-2*pi*i*a*x_{j,c}), a = -half..half, written in place
-    into pooled box arrays; |w|^2 is kept and w is scaled in place into D.
+    w = sum_j (d_j A_j) (x) B_j [(x) C_j] with the 1-D tables
+    exp(-2*pi*i*a*x_{j,c}), a = -half..half.  That is one real matrix
+    product written straight into the float64 view of a pooled box array:
+    rows are every box axis but the last (the per-scatterer product of the
+    first tables in d = 3), the inner dimension is re and im of d_j times
+    those rows (k = 2N), and the columns are the last table interleaved
+    re/im.  It runs in row blocks through ``one_thread_matmul``, so OpenBLAS
+    stays on one core.  |w|^2 is kept and w is scaled in place into D;
     c_lambda is 1/(n - lambda) on ``physical_box``, exactly 0 outside the
-    ball.  No BLAS call: a threaded product of this shape costs more in
-    thread wake-up than in arithmetic and makes concurrent trials contend.
+    ball, and norm_sq is the row-wise dot of D with itself.
     """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -197,31 +212,27 @@ def assemble_field(
     shells.pole_check(lam)
     coords = np.arange(-shells.half, shells.half + 1, dtype=np.float64)
     tables = [np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(dim)]
-    tables[0] *= d_coeffs[:, None]
-    values, term = shells.take(np.complex128), shells.take(np.complex128)
-    for j in range(d_coeffs.size):
-        out = (values if j == 0 else term).reshape(shells.box_shape)
-        head = tables[0][j]
-        for table in tables[1:-1]:
-            head = np.multiply.outer(head, table[j])
-        np.multiply.outer(head, tables[-1][j], out=out)
-        if j > 0:
-            values += term
-    np.square(values.view(np.float64), out=term.view(np.float64))
-    w_sq = shells.take(np.float64)
-    np.add(term.real, term.imag, out=w_sq)
-    c = shells.take(np.float64)
+    head = tables[0] * d_coeffs[:, None]
+    for table in tables[1:-1]:
+        head = (head[:, :, None] * table[:, None, :]).reshape(d_coeffs.size, -1)
+    # real form of head.T @ last: [Re, Im] of head against the rows
+    # [last; i * last] read as interleaved (re, im) pairs
+    left = np.ascontiguousarray(np.concatenate((head.real, head.imag)).T)
+    right = np.concatenate((tables[-1], 1j * tables[-1])).view(np.float64)
+    values = shells.take(np.complex128)
+    rows = values.view(np.float64).reshape(left.shape[0], right.shape[1])
+    one_thread_matmul(left, right, out=rows)
+    w_sq, c = shells.take(np.float64), shells.take(np.float64)
+    np.multiply(values.real, values.real, out=w_sq)
+    np.multiply(values.imag, values.imag, out=c)
+    w_sq += c
     np.subtract(shells.physical_box(), lam.physical, out=c)
     np.divide(1.0, c, out=c)
     values *= c
-    # |D|^2 = c^2 |w|^2; np.sum is single-threaded pairwise reduction, so the
-    # norm is the same bit pattern for any number of worker threads
-    np.multiply(c, c, out=c)
-    np.multiply(c, w_sq, out=c)
-    norm_sq = float(np.sum(c))
-    shells.give(term, c)
+    shells.give(c)
     return FourierField(
-        lam=lam, shells=shells, box_values=values, box_weights_sq=w_sq, norm_sq=norm_sq
+        lam=lam, shells=shells, box_values=values, box_weights_sq=w_sq,
+        norm_sq=float(_box_dot(rows, rows)),
     )
 
 
@@ -235,7 +246,7 @@ def _shift(zeta, dim: int) -> tuple:
 def correlation_sum(field: FourierField, zeta) -> complex:
     """sum_xi D(xi) conj(D(xi + zeta)); missing xi + zeta contributes zero.
 
-    One product of two overlapping slices of the box.  A shift whose first
+    One row-wise dot of two overlapping slices of the box.  A shift whose first
     nonzero component is negative is the conjugate of its opposite, so
     S_{-zeta} == conj(S_zeta) holds exactly.
     """
@@ -251,14 +262,7 @@ def correlation_sum(field: FourierField, zeta) -> complex:
     box = field.box_values.reshape(shells.box_shape)
     src = tuple(slice(max(-z, 0), side - max(z, 0)) for z in zeta)
     dst = tuple(slice(max(z, 0), side - max(-z, 0)) for z in zeta)
-    shape = tuple(side - abs(z) for z in zeta)
-    scratch = shells.take(np.complex128)
-    prod = scratch[: math.prod(shape)].reshape(shape)
-    np.conjugate(box[dst], out=prod)
-    prod *= box[src]
-    total = complex(np.sum(prod))
-    shells.give(scratch)
-    return total
+    return complex(_box_dot(box[dst], box[src]))
 
 
 def pair_with_observable(field: FourierField, a: Observable) -> complex:
@@ -405,11 +409,9 @@ def functional_C(field: FourierField, interval: GapTriple, width: float) -> floa
     """Two-branch endpoint-coefficient sum over the annulus complement
     (within the truncation ball)."""
     shells = field.shells
-    contrib = shells.take(np.float64)
-    np.multiply(_complement_weights(shells, interval, width), field.box_weights_sq, out=contrib)
-    total = float(np.sum(contrib))
-    shells.give(contrib)
-    return total
+    rows = (-1, shells.box_shape[-1])
+    weights = _complement_weights(shells, interval, width).reshape(rows)
+    return float(_box_dot(weights, field.box_weights_sq.reshape(rows)))
 
 
 def sigma_sum(

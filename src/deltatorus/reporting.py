@@ -148,6 +148,8 @@ def trials_csv_text(results, zetas) -> str:
 
 PLOTDATA_SCHEMAS = {
     "err_vs_lambda": ["m_k", "median_err", "q10", "q90"],
+    # the mc --trend-mk rows: the series plus the trials behind each median
+    "err_trend": ["m_k", "median_err", "q10", "q90", "count", "landings"],
     "density_vs_window": ["X", "density"],
     "freq_vs_c0": ["C0", "freq", "stderr", "bound"],
 }

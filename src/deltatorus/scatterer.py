@@ -50,7 +50,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .greens import ShellSums, SpectralParameter, check_radius
+from .greens import ShellSums, SpectralParameter, check_radius, one_thread_matmul
 from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
 COMMON_PHASE_TOL = 1e-10
@@ -59,9 +59,6 @@ DEGENERACY_TOL = 1e-9
 #: a shell within h / NEAR_RATIO of the midpoint of a gap of half width h
 #: enters H exactly; every farther one through a series in NEAR_RATIO
 NEAR_RATIO = 0.1
-#: largest m * n * k of a matrix product that OpenBLAS (0.3.31, x86-64) runs
-#: on its single-threaded small-matrix path; a larger one wakes its threads
-ONE_THREAD_GEMM = 10**6
 
 
 @lru_cache(maxsize=16)
@@ -248,8 +245,8 @@ class SecularWorkspace:
         """(n_i, n_{i+1}, x0, h, near shells, [W_near; moments], p / h) for
         the gap (n_i, n_{i+1}) of the ball's shells that holds x.
 
-        The moments M = table @ W go in row blocks whose product stays
-        within ONE_THREAD_GEMM, so the fit wakes no BLAS worker thread.
+        The moments M = table @ W go through ``one_thread_matmul``, so the
+        fit wakes no BLAS worker thread.
         """
         ns = self.shells.ns_physical
         i = int(np.searchsorted(ns, x)) - 1  # ns[i] < x <= ns[i + 1]
@@ -258,9 +255,9 @@ class SecularWorkspace:
                 f"lambda {x!r} does not lie strictly between two shells of the ball"
             )
         x0, h, a, b, table = _far_table(self.shells, i)
-        step = max(1, ONE_THREAD_GEMM // (ns.size * self._w.shape[1]))
-        moments = [table[r : r + step] @ self._w for r in range(0, table.shape[0], step)]
-        stacked = np.concatenate([self._w[a:b], *moments])
+        stacked = np.empty((b - a + table.shape[0], self._w.shape[1]))
+        stacked[: b - a] = self._w[a:b]
+        one_thread_matmul(table, self._w, out=stacked[b - a :])
         dscale = np.arange(1, table.shape[0]) / h
         return float(ns[i]), float(ns[i + 1]), x0, h, ns[a:b], stacked, dscale
 

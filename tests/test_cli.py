@@ -282,6 +282,7 @@ REJECTED_INPUTS = {
     "sprime_eps_shift_radius_overflow": (SPRIME + ["--eps", "50"], None),
     # a finite shift ball of about 2e8 points, refused before it is enumerated
     "sprime_eps_ball_too_large": (SPRIME + ["--eps", "1"], None),
+    "mc_threads_negative": (["mc", "--spec", "SPEC", "--out", "OUT", "--threads", "-1"], None),
 }
 
 
@@ -291,7 +292,7 @@ def test_rejected_input_exit_code(tmp_path, capsys, name):
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps(SPEC["observable"]))
     paths = {"CFG": write_config(tmp_path, n=2), "OBS": obs, "OUT": tmp_path / "out",
-             "COEFFS": tmp_path / "c.json"}
+             "COEFFS": tmp_path / "c.json", "SPEC": write_spec(tmp_path)}
     paths["COEFFS"].write_text(json.dumps(coeffs))
     before = set(tmp_path.iterdir())
     assert main([str(paths.get(a, a)) for a in args]) == 2
@@ -391,7 +392,7 @@ def test_mc_trend_mode(tmp_path):
         "--trend-mk", "40", "72", "136",
     ]) == 0
     rows = (out / "err_vs_lambda.csv").read_text().splitlines()
-    assert rows[0] == "m_k,median_err,q10,q90"
+    assert rows[0] == "m_k,median_err,q10,q90,count,landings"
     assert len(rows) == 4
 
 
@@ -476,7 +477,7 @@ def test_csv_headers(tmp_path):
         assert main(args) == 0, args
     headers = {
         "mc/trials.csv": TRIALS_HEADER,
-        "trend/err_vs_lambda.csv": "m_k,median_err,q10,q90",
+        "trend/err_vs_lambda.csv": "m_k,median_err,q10,q90,count,landings",
         "solve/roots_m40.csv":
             "root_index,lambda_norm,residual,second_smin,near_degenerate,d0_re,d0_im,d1_re,d1_im",
         "win/window_d2_200_400.csv": "m_k,gap_ok,coeff_ok,accepted",

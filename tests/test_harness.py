@@ -184,7 +184,20 @@ def test_err_quantiles():
     results, _ = run_trials(spec)
     q = err_quantiles(results)
     assert q["q10"] <= q["median"] <= q["q90"]
-    assert q["count"] > 0
+    assert q["count"] == len(usable(results)) > 0
+    assert q["landings"] == 0
+
+
+def test_err_quantiles_leave_out_endpoint_landings():
+    # at m_k = 25 the shift (1, 0) takes (0, 5) onto the endpoint shell 26,
+    # so every trial with a root lands and the means use none of them
+    obs = Observable({(0, 0): 1.0, (1, 0): 0.5, (-1, 0): 0.5})
+    results, _ = run_trials(small_spec(m_center=25, observable=obs))
+    landed = [r for r in results if not r.no_root]
+    assert landed and all(r.endpoint_landing and r.err >= 0.0 for r in landed)
+    q = err_quantiles(results)
+    assert (q["count"], q["landings"]) == (0, len(landed))
+    assert math.isnan(q["median"]) and math.isnan(q["q10"]) and math.isnan(q["q90"])
 
 
 def test_reproducibility_across_thread_counts():

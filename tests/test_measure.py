@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltatorus.errors import NonSPrimeError, ValidationError
-from deltatorus.greens import ShellSums, SpectralParameter
+from deltatorus.greens import ONE_THREAD_GEMM, ShellSums, SpectralParameter
 from deltatorus.lattice import (
     FOUR_PI_SQ,
     annulus_points,
@@ -159,14 +159,19 @@ def test_split_annulus():
 
 
 def test_field_matches_direct_exponentials():
-    # the separable box assembly against e_xi(-x_j) summed point by point
+    # the box assembly against e_xi(-x_j) summed point by point; the last
+    # d = 3 ball's box takes several row blocks of one_thread_matmul
     rng = np.random.default_rng(8)
-    for dim, radius_sq in ((2, 400), (3, 400)):
-        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for dim, radius_sq, n in ((2, 400, 1), (2, 400, 2), (2, 400, 3), (2, 400, 8), (3, 400, 3),
+                              (3, 900, 8)):
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
         d /= np.linalg.norm(d)
-        x = rng.uniform(size=(3, dim))
+        x = rng.uniform(size=(n, dim))
         lam = SpectralParameter(9.4)
         shells = ShellSums.get(dim, radius_sq)
+        if radius_sq == 900:
+            side = shells.box_shape[-1]
+            assert side ** (dim - 1) * 2 * side * 2 * n > 4 * ONE_THREAD_GEMM
         f = assemble_field(d, x, lam, radius_sq)
         assert f.shells is shells
         direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
@@ -180,6 +185,34 @@ def test_field_matches_direct_exponentials():
         outside[shells.ball_order()] = False
         assert not np.any(f.box_values[outside])
         assert f.norm_sq == pytest.approx(float(np.sum(np.abs(f.values) ** 2)), rel=1e-13)
+
+
+def test_field_bits_do_not_depend_on_the_pool_buffer():
+    # a second field from the same input lands in other pool arrays, here ones
+    # offset by 8 bytes from the allocator's alignment; every number a trial
+    # reads from it must be the same bits (thread-count reproducibility)
+    rng = np.random.default_rng(31)
+    for dim, radius_sq, n in ((2, 16058, 8), (3, 900, 8)):
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        x = rng.uniform(size=(n, dim))
+        tri = enumerate_spectrum(dim, radius_sq).gap_triple(100)
+        lam = SpectralParameter(tri.center + 0.37)
+        first = assemble_field(d, x, lam, radius_sq)
+        shells = first.shells
+        size = shells.box_size
+        shells.give(np.empty(2 * size + 1)[1 : 2 * size + 1].view(np.complex128))
+        shells.give(np.empty(size + 1)[1:], np.empty(size + 1)[1:])
+        second = assemble_field(d, x, lam, radius_sq)
+        assert second.box_values.ctypes.data % 16 == 8
+        assert np.array_equal(first.box_values, second.box_values)
+        assert np.array_equal(first.box_weights_sq, second.box_weights_sq)
+        assert first.norm_sq == second.norm_sq
+        unit = [0] * (dim - 1)
+        for zeta in [(1, *unit), (0, *unit[:-1], 1), (3, -2, *unit[1:]), (-1, 2, *unit[1:])]:
+            assert correlation_sum(first, zeta) == correlation_sum(second, zeta)
+        width = FOUR_PI_SQ * 3.5
+        assert functional_C(first, tri, width) == functional_C(second, tri, width)
 
 
 def test_correlation_sum_matches_ball_order_oracle():
