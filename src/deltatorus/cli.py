@@ -269,9 +269,9 @@ def cmd_mc(args) -> int:
                 {"m_k": mk, "median_err": q["median"], "q10": q["q10"], "q90": q["q90"],
                  "count": q["count"], "landings": q["landings"]}
             )
-        monotone = all(
-            rows[i + 1]["median_err"] <= rows[i]["median_err"] for i in range(len(rows) - 1)
-        )
+        # a center without usable trials has a NaN median and no place in the trend
+        medians = [row["median_err"] for row in rows if row["count"]]
+        monotone = all(later <= earlier for earlier, later in zip(medians, medians[1:]))
         _write(out / "err_vs_lambda.csv", reporting.plotdata_text("err_trend", rows), written)
         params = {"spec": spec_obj, "m_k_values": list(args.trend_mk)}
         _emit_manifest(out, "trend.manifest.json", "mc-trend", params, written)

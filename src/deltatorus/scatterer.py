@@ -333,16 +333,25 @@ def find_new_eigenvalues(
     eigenvalue of H nondecreasing in lambda.  The root count is the number
     of negative eigenvalues of H a few ulps above n_k minus the number a
     few ulps below n_{k+1}.  Root i, counted
-    from the left, is the zero of eigenvalue branch n_lo - 1 - i: Newton
-    steps on that branch (slope v^T H' v) kept inside its sign bracket, with
-    bisection whenever a step leaves the bracket or fails to halve.  Each
-    eigen-solve tightens the brackets of every branch.  A root is accepted
-    once the last step or its bracket is at most solver_tol times the gap
-    length and the residual |1 + e^{-i theta}| |mu| is at most solver_tol,
-    or once its bracket reaches the floating-point floor; the latter keeps a
-    root that sits so close to a pole that float64 cannot reach the
-    residual, and reports the residual it measured.  A prebuilt workspace
-    must be the one for this config and radius_sq.
+    from the left, is the zero of eigenvalue branch n_lo - 1 - i.  Each
+    step on that branch goes to the root of the one-pole model
+    c + r / (p - lambda) matched to mu and its slope mu' = v^T H' v at the
+    iterate x, with p = n_{k+1} when mu < 0 and p = n_k otherwise (the
+    rational step of secular-equation solvers, R.-C. Li, LAPACK Working
+    Note 89): the Newton step on the slope raised by |mu| / |p - x|, which
+    stops short of p, where most roots crowd.  A step is kept inside the
+    branch's sign bracket, with bisection whenever it leaves the bracket or
+    fails to halve.  Every branch after the first starts from that model's
+    root at the last eigen-solve of the branch before it, when that point
+    is inside its bracket, else from the bracket midpoint.  Each
+    eigen-solve tightens the brackets of every branch.  The inertia count
+    and the stopping rule do not depend on the step: a root is accepted
+    once the Newton step |mu / mu'| or its bracket is at most solver_tol
+    times the gap length and the residual |1 + e^{-i theta}| |mu| is at
+    most solver_tol, or once its bracket reaches the floating-point floor;
+    the latter keeps a root that sits so close to a pole that float64
+    cannot reach the residual, and reports the residual it measured.  A
+    prebuilt workspace must be the one for this config and radius_sq.
     """
     if not (solver_tol > 0 and math.isfinite(solver_tol)):
         raise ValidationError(f"solver_tol must be finite and > 0, got {solver_tol!r}")
@@ -368,12 +377,24 @@ def find_new_eigenvalues(
         np.copyto(hi, np.minimum(hi, x), where=~neg)
         return mu, vecs, slope
 
+    def pole_step(x, mu_j, deriv):
+        # the root of c + r / (p - lambda) matched to mu_j and its slope at
+        # x, with p the pole the branch's root lies toward: a Newton step on
+        # the slope raised by |mu_j| / |p - x|, so it stops short of p
+        to_pole = b - x if mu_j < 0.0 else x - a
+        return -mu_j / (deriv + abs(mu_j) / to_pole) if deriv > 0.0 else math.inf
+
     n_lo = int(np.count_nonzero(eigen(x_lo)[0] < 0.0))
     n_hi = int(np.count_nonzero(eigen(x_hi)[0] < 0.0))
     roots: list[NewEigenvalue] = []
     for i in range(n_lo - n_hi):
         j = n_lo - 1 - i
         x, last_step = 0.5 * (lo[j] + hi[j]), math.inf
+        if i > 0:  # warm start from the last eigen-solve, at the previous root
+            v = vecs[:, j]
+            start = x_prev + pole_step(x_prev, float(mu[j]), float(v @ slope @ v))
+            if lo[j] < start < hi[j]:
+                x = start
         for _ in range(200):  # bisection alone needs about 60
             # evaluate where the reported lambda_norm = t puts it, 4 pi^2 t,
             # so that the residual is the one a caller sees at that lambda
@@ -381,20 +402,23 @@ def find_new_eigenvalues(
             x = FOUR_PI_SQ * t
             mu, vecs, slope = eigen(x)
             v = vecs[:, j]
-            residual = scale * abs(float(mu[j]))
+            mu_j = float(mu[j])
+            residual = scale * abs(mu_j)
             deriv = float(v @ slope @ v)
-            step = -float(mu[j]) / deriv if deriv > 0.0 else math.inf
+            newton = -mu_j / deriv if deriv > 0.0 else math.inf
             bracket = hi[j] - lo[j]
-            if residual <= solver_tol and min(abs(step), bracket) <= width:
+            if residual <= solver_tol and min(abs(newton), bracket) <= width:
                 break
             if bracket <= floor:
                 break
+            step = pole_step(x, mu_j, deriv)
             if lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last_step:
                 x, last_step = x + step, abs(step)
             else:
                 x, last_step = 0.5 * (lo[j] + hi[j]), 0.5 * bracket
         else:
             raise NumericError(f"root search did not converge on branch {j}")
+        x_prev = x
         others = np.abs(np.delete(mu, j))
         s2 = scale * float(others.min()) if others.size else math.inf
         roots.append(

@@ -396,6 +396,25 @@ def test_mc_trend_mode(tmp_path):
     assert len(rows) == 4
 
 
+def test_mc_trend_skips_a_landing_only_center(tmp_path, capsys):
+    # at m_k = 25 the shift (1, 0) takes (0, 5) onto the endpoint shell 26:
+    # every trial lands, the center has no usable trials and a NaN median,
+    # and the trend is read over the other centers alone
+    obs = {"0,0": [1.0, 0.0], "1,0": [0.5, 0.0], "-1,0": [0.5, 0.0]}
+    spec = write_spec(tmp_path, trials=6, observable=obs)
+    out = tmp_path / "trend"
+    assert main([
+        "mc", "--spec", str(spec), "--out", str(out), "--threads", "1",
+        "--trend-mk", "40", "25", "72", "136",
+    ]) == 0
+    with open(out / "err_vs_lambda.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["m_k"], r["count"], r["landings"]) for r in rows][1] == ("25", "0", "6")
+    medians = [float(r["median_err"]) for r in rows if r["count"] != "0"]
+    assert len(medians) == 3 and medians == sorted(medians, reverse=True)
+    assert json.loads(capsys.readouterr().out.strip()) == {"monotone_nonincreasing": True}
+
+
 def test_scale_command(capsys):
     assert main(["scale", "--check-gamma2"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())

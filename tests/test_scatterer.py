@@ -363,6 +363,46 @@ def test_root_next_to_the_upper_pole():
     assert fracs[-1] == pytest.approx(0.99941, abs=5e-6)
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_default_roots_lie_within_tolerance_of_tight_roots(n):
+    # acceptance spec: the stopping rule at the default solver_tol leaves
+    # every root within solver_tol of the gap length from a 1e-12 solve
+    radius = 16058  # ceil(1.6 * 10036)
+    tri = enumerate_spectrum(2, radius).gap_triple(10036)
+    length = tri.next - tri.center
+    for trial in range(4):
+        cfg = ScattererConfig(2, sample_positions(11, trial, n, 2), phases=np.zeros(n))
+        ws = SecularWorkspace(cfg, radius)
+        loose = find_new_eigenvalues(cfg, tri, radius, workspace=ws)
+        tight = find_new_eigenvalues(cfg, tri, radius, solver_tol=1e-12, workspace=ws)
+        assert loose and len(loose) == len(tight)
+        for a, b in zip(loose, tight):
+            assert abs(a.lambda_norm - b.lambda_norm) <= 1e-8 * length
+
+
+def test_eigen_solves_per_root_search():
+    # mean eigen-solves per call on fixed acceptance-spec trials, two of them
+    # the inertia count; plain Newton steps took 15.0 / 24.8 / 49.2 here
+    radius = 16058
+    tri = enumerate_spectrum(2, radius).gap_triple(10036)
+    for n, budget in ((2, 11), (4, 18), (8, 35)):
+        solves = 0
+        for seed in (5, 11):
+            for trial in range(16):
+                cfg = ScattererConfig(2, sample_positions(seed, trial, n, 2), phases=np.zeros(n))
+                ws = SecularWorkspace(cfg, radius)
+                symmetric = ws.symmetric
+
+                def counted(x, symmetric=symmetric):
+                    nonlocal solves
+                    solves += 1
+                    return symmetric(x)
+
+                ws.symmetric = counted
+                assert len(find_new_eigenvalues(cfg, tri, radius, workspace=ws)) == n
+        assert solves / 32 <= budget, (n, solves / 32)
+
+
 def test_roots_with_a_common_nonzero_phase():
     # every root is a root of the complex matrix M, by its own SVD
     theta = -1.3
