@@ -367,14 +367,17 @@ def find_new_eigenvalues(
     floor = 4.0 * float(np.spacing(b))
     width = max(solver_tol * (b - a), floor)
     x_lo, x_hi = a + floor, b - floor
-    lo, hi = np.full(n, x_lo), np.full(n, x_hi)  # sign bracket of each branch
+    lo, hi = [x_lo] * n, [x_hi] * n  # sign bracket of each branch
 
     def eigen(x):
         h, slope = ws.symmetric(x)
         mu, vecs = np.linalg.eigh(h)
-        neg = mu < 0.0
-        np.copyto(lo, np.maximum(lo, x), where=neg)
-        np.copyto(hi, np.minimum(hi, x), where=~neg)
+        # for N <= a few dozen, a loop over floats costs less than array calls
+        for k, m in enumerate(mu.tolist()):
+            if m < 0.0:
+                lo[k] = max(lo[k], x)
+            else:
+                hi[k] = min(hi[k], x)
         return mu, vecs, slope
 
     def pole_step(x, mu_j, deriv):

@@ -380,27 +380,24 @@ def test_default_roots_lie_within_tolerance_of_tight_roots(n):
             assert abs(a.lambda_norm - b.lambda_norm) <= 1e-8 * length
 
 
-def test_eigen_solves_per_root_search():
+def test_eigen_solves_per_root_search(monkeypatch):
     # mean eigen-solves per call on fixed acceptance-spec trials, two of them
     # the inertia count; plain Newton steps took 15.0 / 24.8 / 49.2 here
     radius = 16058
     tri = enumerate_spectrum(2, radius).gap_triple(10036)
+    solves = []
+    symmetric = SecularWorkspace.symmetric
+    monkeypatch.setattr(
+        SecularWorkspace, "symmetric", lambda ws, x: solves.append(x) or symmetric(ws, x)
+    )
     for n, budget in ((2, 11), (4, 18), (8, 35)):
-        solves = 0
+        solves.clear()
         for seed in (5, 11):
             for trial in range(16):
                 cfg = ScattererConfig(2, sample_positions(seed, trial, n, 2), phases=np.zeros(n))
-                ws = SecularWorkspace(cfg, radius)
-                symmetric = ws.symmetric
-
-                def counted(x, symmetric=symmetric):
-                    nonlocal solves
-                    solves += 1
-                    return symmetric(x)
-
-                ws.symmetric = counted
-                assert len(find_new_eigenvalues(cfg, tri, radius, workspace=ws)) == n
-        assert solves / 32 <= budget, (n, solves / 32)
+                assert len(find_new_eigenvalues(cfg, tri, radius)) == n
+        mean = len(solves) / 32
+        assert mean <= budget, (n, mean)
 
 
 def test_roots_with_a_common_nonzero_phase():
