@@ -243,7 +243,7 @@ def _resolve_threads(requested: int) -> int:
         raise ValidationError(f"--threads must be >= 0 (0 = auto), got {requested}")
     if requested > 0:
         return requested
-    return min(4, os.cpu_count() or 1)  # 0 = auto
+    return min(4, len(os.sched_getaffinity(0)))  # 0 = auto: the cores this process may run on
 
 
 def cmd_mc(args) -> int:

@@ -221,8 +221,8 @@ class ShellSums:
 
     def memo(self, key, build):
         """Lambda-free data of this ball: ``build()`` once per key, then the
-        stored value.  Two threads may both build a missing key; they store
-        equal values."""
+        stored value.  The table is per process: a forked trial worker
+        starts with the entries its parent had filled and keeps its own."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()
@@ -230,7 +230,8 @@ class ShellSums:
 
     def take(self, dtype) -> np.ndarray:
         """A flat box-sized array of dtype (contents undefined) from this
-        ball's pool; hand it back with ``give`` to reuse its memory."""
+        ball's pool; hand it back with ``give`` to reuse its memory.  Each
+        process has its own pool and runs one trial at a time."""
         try:
             return self._free[np.dtype(dtype)].pop()
         except IndexError:

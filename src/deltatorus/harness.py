@@ -2,10 +2,12 @@
 
 Positions are drawn from a counter-based generator (Philox, keyed by the
 run seed with the trial index in the counter word), so trial t is the same
-bit pattern no matter how many worker threads execute the run or in what
-order.  Each trial solves (or synthesizes) one superposition in a fixed
-spectral gap, assembles its Fourier field and evaluates the functionals;
-aggregation is a commutative reduction followed by a sort on trial index.
+bit pattern no matter how many worker processes execute the run or in what
+order.  More than one worker means forked processes of one pool, kept
+between runs on the same context (``run_trials``).  Each trial solves (or
+synthesizes) one superposition in a fixed spectral gap, assembles its
+Fourier field and evaluates the functionals; aggregation is a commutative
+reduction followed by a sort on trial index.
 
 Also home to the scaling arithmetic relating torus size, energy and
 density, which is exact over Fractions.
@@ -13,9 +15,9 @@ density, which is exact over Fractions.
 
 from __future__ import annotations
 
+import atexit
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -364,20 +366,67 @@ def measure_config(
     return res
 
 
+# the multi-worker pool, kept between calls: (ctx, workers, executor)
+_pool = None
+# the RunContext of a pool worker, set by its initializer
+_worker_ctx = None
+
+
+def _init_worker(ctx: RunContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_share(spec: TrialSpec, first: int, step: int) -> list[TrialResult]:
+    return [run_trial(spec, i, _worker_ctx) for i in range(first, spec.trials, step)]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[2].shutdown(wait=True, cancel_futures=True)
+        _pool = None
+
+
 def run_trials(spec: TrialSpec, threads: int = 1, ctx: RunContext | None = None):
     """Execute all trials; result list is ordered by trial index.
 
-    Trials are independent, so a thread pool may execute them in any order;
-    the running-mean event flags are attached afterwards in index order,
-    which keeps the output identical for every worker count.
+    With threads > 1 the trials run in at most min(threads, spec.trials)
+    forked worker processes, worker w taking trials w, w + workers, ...
+    The pool is kept for the next call with the same ctx object and worker
+    count.  The ctx reaches each worker through the fork, not by pickling,
+    so a worker starts with every ShellSums cache the parent had filled.
+    Trials are independent and the running-mean event flags are attached
+    afterwards in index order, which keeps the output identical for every
+    worker count.
     """
+    global _pool
     if ctx is None:
         ctx = RunContext.build(spec)
-    if threads <= 1:
+    workers = min(threads, spec.trials)
+    if workers <= 1:
         results = [run_trial(spec, i, ctx) for i in range(spec.trials)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: run_trial(spec, i, ctx), range(spec.trials)))
+        # imported here: they add about 2 MB to every 1-worker process
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if _pool is None or _pool[0] is not ctx or _pool[1] != workers:
+            _drop_pool()
+            executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(ctx,),
+            )
+            _pool = (ctx, workers, executor)
+        try:
+            futures = [_pool[2].submit(_run_share, spec, w, workers) for w in range(workers)]
+            results = [r for f in futures for r in f.result()]
+        except BaseException:
+            _drop_pool()
+            raise
     results.sort(key=lambda r: r.trial_index)
     for r, flags in zip(results, running_event_flags(results, c0=2.0)):
         r.event_a_running = flags["event_a"]

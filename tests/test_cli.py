@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from deltatorus import cli, harness
 from deltatorus.cli import main
-from deltatorus.errors import ValidationError
+from deltatorus.errors import NumericError, ValidationError
 from deltatorus.harness import sample_positions
 from deltatorus.reporting import (
     PLOTDATA_SCHEMAS,
@@ -353,6 +355,27 @@ def test_mc_reproducible_across_threads(tmp_path):
     assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
     # rerun into the same directory: identical content, no conflict
     assert main(["mc", "--spec", str(spec), "--out", str(out1), "--threads", "2"]) == 0
+
+
+def test_mc_auto_workers_follow_the_affinity_mask(monkeypatch):
+    # --threads 0 counts the cores this process may run on, not the machine's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._resolve_threads(0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert cli._resolve_threads(0) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert cli._resolve_threads(0) == 4
+    assert cli._resolve_threads(6) == 6
+
+
+def test_mc_numeric_error_in_a_worker_exits_3(tmp_path, monkeypatch):
+    # mc builds a fresh context, so its pool forks with the patched trial
+    def failing(spec, trial_index, ctx):
+        raise NumericError(f"trial {trial_index} failed")
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    spec = write_spec(tmp_path)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "2"]) == 3
 
 
 def test_mc_two_pass_reference_means(tmp_path):

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deltatorus.errors import ValidationError
+from deltatorus import harness
+from deltatorus.errors import NumericError, ValidationError
 from deltatorus.greens import SpectralParameter
 from deltatorus.harness import (
     RunContext,
@@ -207,23 +212,109 @@ def test_reproducibility_across_thread_counts():
     assert trials_csv_text(r1, ctx.zetas) == trials_csv_text(r2, ctx.zetas)
 
 
-def test_pooled_field_arrays_under_thread_switching():
-    # trials share each ball's pool of box arrays; with more workers than
-    # cores and a switch every microsecond, a field whose arrays were handed
-    # to another trial while still alive would change the output
+def test_reused_process_pool_matches_serial_bytes():
+    # eight reruns on one context go to the same forked pool, whose workers
+    # keep their ball caches and box arrays from one call to the next
     spec = small_spec(
         coefficient_mode="synthetic", synthetic_coeffs=[[0.6, 0.0], [0.0, 0.8]], trials=64
     )
     r1, ctx = run_trials(spec, threads=1)
     serial = trials_csv_text(r1, ctx.zetas)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(8):
-            r2, _ = run_trials(spec, threads=4, ctx=ctx)
-            assert trials_csv_text(r2, ctx.zetas) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    pools = set()
+    for _ in range(8):
+        r2, _ = run_trials(spec, threads=4, ctx=ctx)
+        assert trials_csv_text(r2, ctx.zetas) == serial
+        pools.add(id(harness._pool[2]))
+    assert len(pools) == 1
+
+
+def test_pool_size_is_capped_by_the_trial_count(monkeypatch):
+    spec = small_spec(trials=2)
+    ctx = RunContext.build(spec)
+    r1, _ = run_trials(spec, threads=1, ctx=ctx)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    r2, _ = run_trials(spec, threads=16, ctx=ctx)
+    assert len(forks) == 2
+    assert trials_csv_text(r2, ctx.zetas) == trials_csv_text(r1, ctx.zetas)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # patched before the fresh context forks its pool, so the workers run it
+    def failing(spec, trial_index, ctx):
+        raise NumericError(f"trial {trial_index} failed")
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    spec = small_spec(trials=4)
+    with pytest.raises(NumericError, match="failed"):
+        run_trials(spec, threads=2, ctx=RunContext.build(spec))
+
+
+def test_dead_worker_drops_the_pool(monkeypatch):
+    spec = small_spec(trials=6)
+    ctx = RunContext.build(spec)
+    serial = trials_csv_text(run_trials(spec, threads=1, ctx=ctx)[0], ctx.zetas)
+    real_trial = harness.run_trial
+
+    def dying(spec, trial_index, ctx):
+        if trial_index == 3:
+            os._exit(1)
+        return real_trial(spec, trial_index, ctx)
+
+    monkeypatch.setattr(harness, "run_trial", dying)
+    with pytest.raises(BrokenProcessPool):
+        run_trials(spec, threads=2, ctx=ctx)
+    assert harness._pool is None
+    monkeypatch.undo()
+    results, _ = run_trials(spec, threads=2, ctx=ctx)
+    assert trials_csv_text(results, ctx.zetas) == serial
+
+
+def run_script(code: str):
+    """Run code in a fresh interpreter that leads its own session; returns
+    its pid, exit code, stdout and stderr once it has exited."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc.pid, proc.returncode, out, err
+
+
+SCRIPT_SPEC = """
+from deltatorus import cli, harness
+spec = harness.TrialSpec.from_json({
+    "dim": 2, "n_scatterers": 2, "m_center": 40, "seed": 42, "trials": 4,
+    "phases": [0.0, 0.0], "l0_override": 47.4, "radius_factor": 8.0,
+    "observable": {"0,0": [1.0, 0.0]},
+})
+"""
+
+
+def test_two_worker_run_leaves_no_process_behind():
+    pid, code, _, err = run_script(SCRIPT_SPEC + "harness.run_trials(spec, threads=2)\n")
+    assert (code, err) == (0, "")
+    # the script led its own session: nothing of its group outlives it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pid, 0)
+
+
+def test_one_worker_run_imports_no_process_machinery():
+    _, code, out, err = run_script(
+        SCRIPT_SPEC + "import sys\n"
+        "harness.run_trials(spec, threads=1)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    assert (code, out.strip()) == (0, "[]"), err
 
 
 def test_scaling_map():
