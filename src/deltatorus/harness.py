@@ -309,9 +309,10 @@ def measure_config(
     """Solve (or synthesize) one superposition on config in the run's gap,
     assemble its Fourier field and evaluate every functional.
 
-    The body of each Monte Carlo trial and of ``deltatorus measure``.  No
-    root gives a result with no_root set; a shift landing on an endpoint
-    shell, one with endpoint_landing set and no A values.
+    The body of each Monte Carlo trial and of ``deltatorus measure``.  The
+    solver reads the root count and the lowest root, so no later root is
+    solved.  No root gives a result with no_root set; a shift landing on an
+    endpoint shell, one with endpoint_landing set and no A values.
     """
     interval = ctx.interval
 

@@ -40,6 +40,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +57,9 @@ from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
 COMMON_PHASE_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
+
+#: steps a root search may take on one branch; bisection alone needs about 60
+MAX_BRANCH_STEPS = 200
 
 #: a shell within h / NEAR_RATIO of the midpoint of a gap of half width h
 #: enters H exactly; every farther one through a series in NEAR_RATIO
@@ -320,19 +325,57 @@ class NewEigenvalue:
         return FOUR_PI_SQ * self.lambda_norm
 
 
+class Roots(Sequence):
+    """The roots of one gap, ascending, each solved the first time it is read.
+
+    len() is the certified root count.  ``find_new_eigenvalues`` solves the
+    lowest root before it returns; reading root i > 0, by index or by
+    iteration, solves every root up to i that is not solved yet, in
+    ascending order, so a root's bits do not depend on when or in what order
+    it is read.  A branch whose search fails raises NumericError at the read
+    that runs it, and again at every read of it or of a later root.
+    """
+
+    def __init__(self, count: int, branches: Iterator[NewEigenvalue]):
+        self._count = count
+        self._branches = branches
+        self._solved: list[NewEigenvalue] = []
+        self._error: str | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index) -> NewEigenvalue:
+        i = operator.index(index)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError(f"root index {index} out of range for {self._count} roots")
+        while len(self._solved) <= i:
+            if self._error is not None:
+                raise NumericError(self._error)
+            try:
+                self._solved.append(next(self._branches))
+            except NumericError as exc:
+                self._error = str(exc)
+                raise
+        return self._solved[i]
+
+
 def find_new_eigenvalues(
     config: ScattererConfig,
     interval: GapTriple,
     radius_sq: int,
     solver_tol: float = 1e-8,
     workspace: SecularWorkspace | None = None,
-) -> list[NewEigenvalue]:
-    """All spectral-equation roots in the open gap (n_k, n_{k+1}), ascending.
+) -> Roots:
+    """The spectral-equation roots in the open gap (n_k, n_{k+1}), ascending.
 
     M = (1 + e^{-i theta}) H with H real symmetric and every ordered
     eigenvalue of H nondecreasing in lambda.  The root count is the number
     of negative eigenvalues of H a few ulps above n_k minus the number a
-    few ulps below n_{k+1}.  Root i, counted
+    few ulps below n_{k+1}; it is the returned sequence's len(), and only
+    the lowest root is solved in this call (``Roots``).  Root i, counted
     from the left, is the zero of eigenvalue branch n_lo - 1 - i.  Each
     step on that branch goes to the root of the one-pole model
     c + r / (p - lambda) matched to mu and its slope mu' = v^T H' v at the
@@ -351,7 +394,10 @@ def find_new_eigenvalues(
     most solver_tol, or once its bracket reaches the floating-point floor;
     the latter keeps a root that sits so close to a pole that float64
     cannot reach the residual, and reports the residual it measured.  A
-    prebuilt workspace must be the one for this config and radius_sq.
+    branch that takes MAX_BRANCH_STEPS steps raises NumericError: for the
+    lowest root in this call, for a later one when it is first read.  A
+    prebuilt workspace must be the one for this config and radius_sq; the
+    sequence keeps using it for the roots it solves later.
     """
     if not (solver_tol > 0 and math.isfinite(solver_tol)):
         raise ValidationError(f"solver_tol must be finite and > 0, got {solver_tol!r}")
@@ -387,50 +433,52 @@ def find_new_eigenvalues(
         to_pole = b - x if mu_j < 0.0 else x - a
         return -mu_j / (deriv + abs(mu_j) / to_pole) if deriv > 0.0 else math.inf
 
-    n_lo = int(np.count_nonzero(eigen(x_lo)[0] < 0.0))
-    n_hi = int(np.count_nonzero(eigen(x_hi)[0] < 0.0))
-    roots: list[NewEigenvalue] = []
-    for i in range(n_lo - n_hi):
-        j = n_lo - 1 - i
-        x, last_step = 0.5 * (lo[j] + hi[j]), math.inf
-        if i > 0:  # warm start from the last eigen-solve, at the previous root
-            v = vecs[:, j]
-            start = x_prev + pole_step(x_prev, float(mu[j]), float(v @ slope @ v))
-            if lo[j] < start < hi[j]:
-                x = start
-        for _ in range(200):  # bisection alone needs about 60
-            # evaluate where the reported lambda_norm = t puts it, 4 pi^2 t,
-            # so that the residual is the one a caller sees at that lambda
-            t = x / FOUR_PI_SQ
-            x = FOUR_PI_SQ * t
-            mu, vecs, slope = eigen(x)
-            v = vecs[:, j]
-            mu_j = float(mu[j])
-            residual = scale * abs(mu_j)
-            deriv = float(v @ slope @ v)
-            newton = -mu_j / deriv if deriv > 0.0 else math.inf
-            bracket = hi[j] - lo[j]
-            if residual <= solver_tol and min(abs(newton), bracket) <= width:
-                break
-            if bracket <= floor:
-                break
-            step = pole_step(x, mu_j, deriv)
-            if lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last_step:
-                x, last_step = x + step, abs(step)
+    def branches():
+        for i in range(n_lo - n_hi):
+            j = n_lo - 1 - i
+            x, last_step = 0.5 * (lo[j] + hi[j]), math.inf
+            if i > 0:  # warm start from the last eigen-solve, at the previous root
+                v = vecs[:, j]
+                start = x_prev + pole_step(x_prev, float(mu[j]), float(v @ slope @ v))
+                if lo[j] < start < hi[j]:
+                    x = start
+            for _ in range(MAX_BRANCH_STEPS):
+                # evaluate where the reported lambda_norm = t puts it, 4 pi^2 t,
+                # so that the residual is the one a caller sees at that lambda
+                t = x / FOUR_PI_SQ
+                x = FOUR_PI_SQ * t
+                mu, vecs, slope = eigen(x)
+                v = vecs[:, j]
+                mu_j = float(mu[j])
+                residual = scale * abs(mu_j)
+                deriv = float(v @ slope @ v)
+                newton = -mu_j / deriv if deriv > 0.0 else math.inf
+                bracket = hi[j] - lo[j]
+                if residual <= solver_tol and min(abs(newton), bracket) <= width:
+                    break
+                if bracket <= floor:
+                    break
+                step = pole_step(x, mu_j, deriv)
+                if lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last_step:
+                    x, last_step = x + step, abs(step)
+                else:
+                    x, last_step = 0.5 * (lo[j] + hi[j]), 0.5 * bracket
             else:
-                x, last_step = 0.5 * (lo[j] + hi[j]), 0.5 * bracket
-        else:
-            raise NumericError(f"root search did not converge on branch {j}")
-        x_prev = x
-        others = np.abs(np.delete(mu, j))
-        s2 = scale * float(others.min()) if others.size else math.inf
-        roots.append(
-            NewEigenvalue(
+                raise NumericError(f"root search did not converge on branch {j}")
+            x_prev = x
+            others = np.abs(np.delete(mu, j))
+            s2 = scale * float(others.min()) if others.size else math.inf
+            yield NewEigenvalue(
                 lambda_norm=t,
                 d=v.astype(np.complex128),
                 residual=residual,
                 second_smin=s2,
                 near_degenerate=bool(s2 < 1e3 * residual),
             )
-        )
+
+    n_lo = int(np.count_nonzero(eigen(x_lo)[0] < 0.0))
+    n_hi = int(np.count_nonzero(eigen(x_hi)[0] < 0.0))
+    roots = Roots(max(n_lo - n_hi, 0), branches())
+    if roots:
+        roots[0]  # the lowest root is solved in this call
     return roots

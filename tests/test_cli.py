@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltatorus import cli, harness
+from deltatorus import cli, harness, scatterer
 from deltatorus.cli import main
 from deltatorus.errors import NumericError, ValidationError
 from deltatorus.harness import sample_positions
@@ -18,6 +18,7 @@ from deltatorus.reporting import (
     plotdata_text,
     write_atomic,
 )
+from deltatorus.scatterer import find_new_eigenvalues
 
 SPEC = {
     "dim": 2,
@@ -376,6 +377,21 @@ def test_mc_numeric_error_in_a_worker_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_trial", failing)
     spec = write_spec(tmp_path)
     assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "2"]) == 3
+
+
+def test_solve_exits_3_when_a_later_root_search_fails(tmp_path, monkeypatch):
+    # solve reads every root; the call solves root 0, then branch 1 gets no
+    # steps, so the search fails while the roots are written out
+    def fail_after_the_call(*args, **kwargs):
+        roots = find_new_eigenvalues(*args, **kwargs)
+        monkeypatch.setattr(scatterer, "MAX_BRANCH_STEPS", 0)
+        return roots
+
+    monkeypatch.setattr(scatterer, "find_new_eigenvalues", fail_after_the_call)
+    cfg = write_config(tmp_path, n=3)
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(cfg), "--mk", "40", "--out", str(out)]) == 3
+    assert not (out / "roots_m40.csv").exists()
 
 
 def test_mc_two_pass_reference_means(tmp_path):
