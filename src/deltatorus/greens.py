@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, OnSpectrumError, ValidationError
-from .lattice import FOUR_PI_SQ, MAX_BALL_POINTS, _check_dim, _points_estimate, ball_points
+from .errors import OnSpectrumError, ValidationError
+from .lattice import FOUR_PI_SQ, _check_dim, ball_points
 
 #: largest m * n * k of a matrix product that OpenBLAS (0.3.31, x86-64) runs
 #: on its single-threaded small-matrix path; a larger one wakes its threads
@@ -103,8 +103,6 @@ class ShellSums:
         _check_dim(dim)
         self.dim = dim
         self.radius_sq = int(radius_sq)
-        if _points_estimate(dim, self.radius_sq) > MAX_BALL_POINTS:
-            raise NumericError(f"truncation ball |xi|^2 <= {radius_sq} is too large to enumerate")
         coords, norms = ball_points(dim, self.radius_sq)
         # pts ordered by (norm, lexicographic): a stable sort keeps the
         # lexicographic order within each shell
@@ -119,7 +117,6 @@ class ShellSums:
         self.half = math.isqrt(self.radius_sq)
         self.box_shape = (2 * self.half + 1,) * dim
         self.box_size = math.prod(self.box_shape)
-        self._orthant_index = None
         self._memo: dict = {}
         self._free = {np.dtype(np.float64): [], np.dtype(np.complex128): []}
 
@@ -188,13 +185,15 @@ class ShellSums:
         """The ball points with every coordinate >= 0, in point order:
         coordinates as a (d, Q) index into the 1-D cosine tables, the number
         of sign flips 2^{#nonzero xi_c} each one stands for, and shell ids."""
-        if self._orthant_index is None:
+
+        def build():
             inside = np.flatnonzero(np.all(self.pts >= 0, axis=1))
             coords = np.ascontiguousarray(self.pts[inside].T, dtype=np.intp)
             weight = np.ldexp(1.0, np.count_nonzero(coords, axis=0))
             shell = np.repeat(np.arange(self.shell_ms.size), self.mult)[inside]
-            self._orthant_index = (coords, weight, shell)
-        return self._orthant_index
+            return coords, weight, shell
+
+        return self.memo("orthant", build)
 
     def index_of(self, xi) -> int:
         """Flat position of a lattice vector in the coordinate box, or -1

@@ -41,7 +41,6 @@ from .measure import (
 from .scatterer import (
     ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, pair_distances
 )
-from .sprime import SPrimeParams, coeff_condition, gap_condition
 
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
 
@@ -119,10 +118,6 @@ class TrialSpec:
     synthetic_coeffs: list | None = None  # [[re, im], ...] unit vector
     synthetic_lambda_frac: float = 0.5
     solver_tol: float = 1e-8
-    eps_shift: float = 0.05  # shift-range exponent for the strict window check
-    strict_sprime: bool = False
-    gamma: float | None = None
-    gamma_eps: float = 0.0
 
     def __post_init__(self):
         for name in ("dim", "n_scatterers", "m_center", "seed", "trials"):
@@ -137,10 +132,9 @@ class TrialSpec:
             raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        for name in ("delta", "l0_override", "synthetic_lambda_frac", "solver_tol",
-                     "eps_shift", "gamma", "gamma_eps"):
+        for name in ("delta", "l0_override", "synthetic_lambda_frac", "solver_tol"):
             value = getattr(self, name)
-            if value is not None or name not in ("l0_override", "gamma"):
+            if value is not None or name != "l0_override":
                 _check_finite(name, value)
         if not self.solver_tol > 0:
             raise ValidationError(f"solver_tol must be > 0, got {self.solver_tol!r}")
@@ -164,8 +158,6 @@ class TrialSpec:
         if self.phases is None:
             self.phases = [0.0] * self.n_scatterers
         common_phase(self.phases, self.n_scatterers)
-        if self.gamma is None:
-            self.gamma = float(GAMMA_BY_DIM[self.dim])
 
     def synthetic_d(self) -> np.ndarray:
         """The synthetic coefficient vector: one [re, im] pair of finite reals
@@ -205,6 +197,11 @@ class TrialSpec:
         return cls(**obj)
 
 
+#: the TrialSpec fields RunContext.build reads; a context serves any spec
+#: that agrees with its own on these
+CONTEXT_FIELDS = ("dim", "m_center", "radius_factor", "delta", "l0_override", "observable")
+
+
 @dataclass
 class RunContext:
     """Immutable per-run data shared by every trial."""
@@ -231,17 +228,6 @@ class RunContext:
             if spec.l0_override is not None
             else (FOUR_PI_SQ * spec.m_center) ** spec.delta
         )
-        if spec.strict_sprime:
-            params = SPrimeParams(
-                delta=spec.delta, eps=spec.eps_shift, c_gap=10.0, c_coeff=10.0
-            )
-            if not (
-                gap_condition(table, spec.m_center, params)
-                and coeff_condition(table, spec.m_center, params)
-            ):
-                raise ValidationError(
-                    f"m_center {spec.m_center} rejected by the strict window check"
-                )
         shells = ShellSums.get(spec.dim, radius_sq)
         zetas = spec.observable.nonzero_shifts()
         sigma, bound = {}, {}
@@ -356,10 +342,12 @@ def measure_config(
     except NonSPrimeError:
         res.endpoint_landing = True
     res.err, res.envelope = equidistribution_error(
-        field_, spec.observable, spec.gamma, spec.gamma_eps, spec.n_scatterers
+        field_, spec.observable, float(GAMMA_BY_DIM[spec.dim]), spec.n_scatterers
     )
     one = Observable({tuple([0] * spec.dim): 1.0})
     res.pair_one_exact = pair_with_observable(field_, one) == 1.0
+    # the last read of the field: its box arrays go back to the ball's pool
+    field_.shells.give(field_.box_values, field_.box_weights_sq)
     res.chain_c_ok = res.remainder_sq <= res.c_val
     res.chain_b_ok = res.annulus_sq >= res.b_val
     if res.b_val > 0:
@@ -398,6 +386,8 @@ def run_trials(spec: TrialSpec, threads: int = 1, ctx: RunContext | None = None)
     The pool is kept for the next call with the same ctx object and worker
     count.  The ctx reaches each worker through the fork, not by pickling,
     so a worker starts with every ShellSums cache the parent had filled.
+    A ctx built for a spec that differs from this one in any of
+    CONTEXT_FIELDS is a ValidationError.
     Trials are independent and the running-mean event flags are attached
     afterwards in index order, which keeps the output identical for every
     worker count.
@@ -405,6 +395,9 @@ def run_trials(spec: TrialSpec, threads: int = 1, ctx: RunContext | None = None)
     global _pool
     if ctx is None:
         ctx = RunContext.build(spec)
+    differ = [f for f in CONTEXT_FIELDS if getattr(ctx.spec, f) != getattr(spec, f)]
+    if differ:
+        raise ValidationError(f"the run context was built for another {', '.join(differ)}")
     workers = min(threads, spec.trials)
     if workers <= 1:
         results = [run_trial(spec, i, ctx) for i in range(spec.trials)]

@@ -36,7 +36,6 @@ import cmath
 import json
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +124,11 @@ class FourierField:
     """Fourier data of one superposition on the coordinate box of its ball.
 
     The box arrays are flat in the order of ``ShellSums.index_of``; D is
-    exactly 0 outside the ball.  They come from the ball's array pool and go
-    back to it when the field is collected, so they are valid while the
-    field is.  ``weights`` and ``values`` are ball-order copies made when
-    read, for callers off the trial path; ``weights`` is D / c_lambda.
+    exactly 0 outside the ball.  They come from the ball's array pool, and
+    the field owns them: only ``harness.measure_config``, after its last
+    read, hands them back with ``shells.give``.  ``weights`` and ``values``
+    are ball-order copies made when read, for callers off the trial path;
+    ``weights`` is D / c_lambda.
     """
 
     lam: SpectralParameter
@@ -136,9 +136,6 @@ class FourierField:
     box_values: np.ndarray  # complex, D(xi) = c_lambda(xi) * w(xi)
     box_weights_sq: np.ndarray  # real, |w(xi)|^2
     norm_sq: float
-
-    def __post_init__(self):
-        weakref.finalize(self, self.shells.give, self.box_values, self.box_weights_sq).atexit = False
 
     @property
     def dim(self) -> int:
@@ -434,14 +431,13 @@ def equidistribution_error(
     field: FourierField,
     a: Observable,
     gamma_d: float,
-    eps: float,
     n_scatterers: int,
 ) -> tuple[float, float]:
     """(deviation of <a g, g> from the observable mean, theory envelope).
 
-    The envelope is l1(ahat) * sqrt(N) * lambda^{-gamma_d + eps}; only the
-    ratio is meaningful, no constant is asserted.
+    The envelope is l1(ahat) * sqrt(N) * lambda^{-gamma_d}; only the ratio
+    is meaningful, no constant is asserted.
     """
     err = abs(pair_with_observable(field, a) - a.mean)
-    envelope = a.l1_norm * math.sqrt(n_scatterers) * field.lam.physical ** (-gamma_d + eps)
+    envelope = a.l1_norm * math.sqrt(n_scatterers) * field.lam.physical ** -gamma_d
     return float(err), float(envelope)

@@ -17,9 +17,10 @@ Monte Carlo functionals use, and the shifts are the nonzero points of a
 ``lattice.ball_points`` ball; ``recheck_conclusion`` enumerates the annulus
 again, shell by shell, as an independent check of the scan.
 
-The asymptotic theory needs delta inside (theta/2, 1/2 - theta) with theta
-the circle-law remainder exponent; finite windows are often more interesting
-outside that range, so the range is recorded as a flag rather than enforced.
+The asymptotic theory needs delta inside (theta/2, 1/2 - theta), with
+theta = THETA the circle-law remainder exponent; finite windows are often
+more interesting outside that range, so the range is recorded as a flag
+rather than enforced.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .lattice import (
 )
 
 #: circle-law remainder exponent (best known, used only for parameter bookkeeping)
-THETA_DEFAULT = 133.0 / 416.0
+THETA = 133.0 / 416.0
 
 
 def epsilon_from_delta(theta: float, delta: float) -> float:
@@ -58,12 +59,11 @@ def epsilon_from_delta(theta: float, delta: float) -> float:
 class SPrimeParams:
     """Constants for the window conditions.
 
-    eps defaults to the derived value (1/2 - theta - delta)/2 when that is
+    eps defaults to the derived value (1/2 - THETA - delta)/2 when that is
     positive; for larger delta it must be supplied explicitly.
     """
 
     delta: float = 0.1
-    theta: float = THETA_DEFAULT
     eps: float | None = None
     eps_prime: float | None = None
     c_gap: float = 10.0
@@ -72,14 +72,12 @@ class SPrimeParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValidationError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not 0.0 < self.theta < 0.5:
-            raise ValidationError(f"theta must lie in (0, 1/2), got {self.theta}")
         if not (self.c_gap > 0 and self.c_coeff > 0):
             raise ValidationError(
                 f"condition constants must be positive, got {self.c_gap}, {self.c_coeff}"
             )
         if self.eps is None:
-            object.__setattr__(self, "eps", epsilon_from_delta(self.theta, self.delta))
+            object.__setattr__(self, "eps", epsilon_from_delta(THETA, self.delta))
         elif not 0 < self.eps < math.inf:
             raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.eps_prime is None:
@@ -89,7 +87,7 @@ class SPrimeParams:
 
     @property
     def delta_in_paper_range(self) -> bool:
-        return self.theta / 2.0 < self.delta < 0.5 - self.theta
+        return THETA / 2.0 < self.delta < 0.5 - THETA
 
     def l0(self, m_center: int) -> float:
         """Annulus half-width L_0 = (4*pi^2*m_k)^delta."""
@@ -206,7 +204,7 @@ class SPrimeWindow:
         return {
             "params": {
                 "delta": p.delta,
-                "theta": p.theta,
+                "theta": THETA,
                 "eps": p.eps,
                 "eps_prime": p.eps_prime,
                 "c_gap": p.c_gap,

@@ -379,6 +379,18 @@ def test_mc_numeric_error_in_a_worker_exits_3(tmp_path, monkeypatch):
     assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "2"]) == 3
 
 
+def test_solve_rejects_a_ball_too_large_to_enumerate(tmp_path, capsys):
+    # R = ceil(1.6 * 30000) = 48000 holds about 4.4e7 points in d = 3: the
+    # same ceiling as the shift ball, so the same validation error (exit 2)
+    cfg = tmp_path / "cfg3.json"
+    cfg.write_text(json.dumps({"dim": 3, "positions": [[0.37, 0.11, 0.5]], "u": {"phases": [0.0]}}))
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(cfg), "--mk", "30000", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValidationError" and "too large" in record["message"]
+    assert not out.exists()
+
+
 def test_solve_exits_3_when_a_later_root_search_fails(tmp_path, monkeypatch):
     # solve reads every root; the call solves root 0, then branch 1 gets no
     # steps, so the search fails while the roots are written out

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from deltatorus.errors import NumericError, OnSpectrumError, ValidationError
+from deltatorus.errors import OnSpectrumError, ValidationError
 from deltatorus.greens import (
     ShellSums,
     SpectralParameter,
@@ -50,8 +50,8 @@ def test_policy_resolution():
     assert type(TruncationPolicy.by_radius(np.int64(7))) is int
     with pytest.raises(ValidationError):
         TruncationPolicy.by_radius(0)
-    # the ball is enumerated up to a fixed point cap
-    with pytest.raises(NumericError):
+    # the ball is enumerated up to a fixed point cap, the one rule of lattice.ball_points
+    with pytest.raises(ValidationError, match="too large to enumerate"):
         ShellSums(2, 10**8)
 
 

@@ -357,8 +357,7 @@ def test_trial_spec_json_round_trip():
     # manifests write the keys in this order
     assert list(spec.to_json()) == [
         "dim", "n_scatterers", "m_center", "seed", "trials", "phases", "delta", "l0_override", "radius_factor", "observable", "coefficient_mode",
-        "synthetic_coeffs", "synthetic_lambda_frac", "solver_tol", "eps_shift",
-        "strict_sprime", "gamma", "gamma_eps",
+        "synthetic_coeffs", "synthetic_lambda_frac", "solver_tol",
     ]
 
 
@@ -369,10 +368,10 @@ def test_trial_spec_json_round_trip():
      dict(dim=2.0), dict(m_center=40.0), dict(radius_factor=math.inf),
      dict(radius_factor=math.nan), dict(radius_factor="1.6"), dict(radius_factor=True),
      dict(radius_factor=0.0), dict(radius_factor=-1.6), dict(delta="0.3"),
-     dict(solver_tol="1e-8"), dict(eps_shift="x"), dict(gamma="0.1"), dict(gamma_eps=None),
-     dict(l0_override="3"), dict(delta=math.nan), dict(gamma=math.inf), dict(solver_tol=-1.0),
-     dict(solver_tol=0.0), dict(l0_override=0.0), dict(synthetic_lambda_frac=1.5),
-     dict(synthetic_lambda_frac=True), dict(synthetic_lambda_frac=0.0),
+     dict(solver_tol="1e-8"), dict(l0_override="3"), dict(delta=math.nan),
+     dict(solver_tol=-1.0), dict(solver_tol=0.0), dict(l0_override=0.0),
+     dict(synthetic_lambda_frac=1.5), dict(synthetic_lambda_frac=True),
+     dict(synthetic_lambda_frac=0.0),
      dict(coefficient_mode="synthetic"),
      dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0]]),
      dict(coefficient_mode="synthetic", synthetic_coeffs=[[1.0, 0.0], [1.0, 0.0]]),
@@ -388,12 +387,12 @@ def test_trial_spec_json_round_trip():
          "seed_bool", "trials_fraction", "scatterers_fraction", "dim_float", "m_center_float",
          "radius_factor_inf", "radius_factor_nan", "radius_factor_str", "radius_factor_bool",
          "radius_factor_zero", "radius_factor_negative", "delta_str", "solver_tol_str",
-         "eps_shift_str", "gamma_str", "gamma_eps_none", "l0_override_str", "delta_nan",
-         "gamma_inf", "solver_tol_negative", "solver_tol_zero", "l0_override_zero",
-         "lambda_frac_above", "lambda_frac_bool", "lambda_frac_zero", "synthetic_no_coeffs",
-         "synthetic_short_coeffs", "synthetic_unnormalized", "synthetic_not_pairs",
-         "synthetic_nan", "observable_dim3", "phases_distinct", "phases_short", "phases_long",
-         "phases_pi", "phases_nan", "phases_str", "phases_distinct_synthetic"],
+         "l0_override_str", "delta_nan", "solver_tol_negative", "solver_tol_zero",
+         "l0_override_zero", "lambda_frac_above", "lambda_frac_bool", "lambda_frac_zero",
+         "synthetic_no_coeffs", "synthetic_short_coeffs", "synthetic_unnormalized",
+         "synthetic_not_pairs", "synthetic_nan", "observable_dim3", "phases_distinct",
+         "phases_short", "phases_long", "phases_pi", "phases_nan", "phases_str",
+         "phases_distinct_synthetic"],
 )
 def test_trial_spec_rejects_out_of_range_fields(override):
     with pytest.raises(ValidationError):
@@ -433,6 +432,53 @@ def test_d3_solver_trials():
     assert all(r.pair_one_exact for r in usable)
 
 
-def test_strict_sprime_gate():
-    with pytest.raises(ValidationError):
-        RunContext.build(small_spec(strict_sprime=True, delta=0.3, l0_override=None))
+@pytest.mark.parametrize(
+    "override",
+    [dict(eps_shift="x"), dict(gamma="0.1"), dict(gamma_eps=None), dict(gamma=math.inf),
+     dict(strict_sprime=True)],
+    ids=["eps_shift_str", "gamma_str", "gamma_eps_none", "gamma_inf", "strict_sprime"],
+)
+def test_trial_spec_rejects_removed_keys(override):
+    # the envelope exponent and the window rule are fixed, not run inputs:
+    # an old spec that still sets one of these keys is an unknown-key error
+    obj = {**small_spec().to_json(), **override}
+    with pytest.raises(ValidationError, match=f"unknown trial spec keys: {next(iter(override))}"):
+        TrialSpec.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [dict(m_center=41), dict(dim=3, observable=None, phases=None), dict(radius_factor=9.0),
+     dict(delta=0.2), dict(l0_override=FOUR_PI_SQ * 2.2),
+     dict(observable=Observable.from_json({"0,0": [1.0, 0.0], "1,0": [0.5, 0.0],
+                                           "-1,0": [0.5, 0.0]}))],
+    ids=["m_center", "dim", "radius_factor", "delta", "l0_override", "observable"],
+)
+def test_run_trials_rejects_a_context_built_for_another_run(override):
+    ctx = RunContext.build(small_spec())
+    with pytest.raises(ValidationError, match="built for another"):
+        run_trials(small_spec(**override), ctx=ctx)
+
+
+def test_a_trial_hands_its_field_arrays_back_to_the_pool():
+    # the trial path reuses one set of box arrays instead of faulting in
+    # fresh pages for every field
+    spec = small_spec(trials=2)
+    ctx = RunContext.build(spec)
+    run_trial(spec, 0, ctx)
+    pooled = {dtype: [id(a) for a in arrays] for dtype, arrays in ctx.shells._free.items()}
+    assert all(pooled.values())
+    run_trial(spec, 1, ctx)
+    assert {dtype: [id(a) for a in arrays] for dtype, arrays in ctx.shells._free.items()} == pooled
+
+
+def test_run_trials_reuses_a_context_across_the_per_trial_fields():
+    # the benchmark and the acceptance fixtures share one context between
+    # runs that differ in seed, N, trial count, coefficient mode and tolerance
+    ctx = RunContext.build(small_spec())
+    spec = small_spec(
+        n_scatterers=3, phases=None, seed=7, trials=3, solver_tol=1e-9,
+        coefficient_mode="synthetic", synthetic_coeffs=[[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]],
+    )
+    results, same = run_trials(spec, ctx=ctx)
+    assert same is ctx and len(results) == 3

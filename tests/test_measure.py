@@ -187,6 +187,20 @@ def test_field_matches_direct_exponentials():
         assert f.norm_sq == pytest.approx(float(np.sum(np.abs(f.values) ** 2)), rel=1e-13)
 
 
+def test_a_field_owns_its_box_arrays():
+    # a field's arrays outlive the field object: the next field on the same
+    # ball must not be written into them
+    positions = np.array([[0.37, 0.11], [0.73, 0.52]])
+    args = (np.array([0.6, 0.8j]), positions, SpectralParameter(25.4), 200)
+    values = assemble_field(*args).box_values
+    weights_sq = assemble_field(*args).box_weights_sq
+    kept = values.copy()
+    other = assemble_field(np.array([0.8, 0.6j]), np.array([[0.1, 0.2], [0.5, 0.9]]), *args[2:])
+    assert not np.shares_memory(values, other.box_values)
+    assert not np.shares_memory(weights_sq, other.box_weights_sq)
+    assert np.array_equal(values, kept)
+
+
 def test_field_bits_do_not_depend_on_the_pool_buffer():
     # a second field from the same input lands in other pool arrays, here ones
     # offset by 8 bytes from the allocator's alignment; every number a trial
@@ -474,10 +488,10 @@ def test_per_sample_chain_on_random_fields():
 def test_equidistribution_error():
     f = small_field([1.0], [[0.33, 0.71]], lam_norm=25.4)
     const = Observable({(0, 0): 2.5})
-    err, env = equidistribution_error(f, const, 17.0 / 832.0, 0.0, 1)
+    err, env = equidistribution_error(f, const, 17.0 / 832.0, 1)
     assert err == 0.0
     a = Observable({(0, 0): 1.0, (1, 0): 0.5, (-1, 0): 0.5})
-    err, env = equidistribution_error(f, a, 17.0 / 832.0, 0.0, 1)
+    err, env = equidistribution_error(f, a, 17.0 / 832.0, 1)
     assert err <= 2.0 * a.l1_norm
     assert env == pytest.approx(
         2.0 * f.lam.physical ** (-17.0 / 832.0), rel=1e-12
@@ -485,7 +499,7 @@ def test_equidistribution_error():
 
 
 def test_equidistribution_envelope_frozen_value():
-    # N = 4, l1 = 1, lambda = 4 pi^2 * 10^4, gamma = 17/832, eps = 0
+    # N = 4, l1 = 1, lambda = 4 pi^2 * 10^4, gamma = 17/832
     lam = SpectralParameter(10**4)
     env = 1.0 * math.sqrt(4) * lam.physical ** (-17.0 / 832.0)
     assert env == pytest.approx(1.5370263012755337, abs=1e-12)
