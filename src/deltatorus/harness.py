@@ -3,8 +3,9 @@
 Positions are drawn from a counter-based generator (Philox, keyed by the
 run seed with the trial index in the counter word), so trial t is the same
 bit pattern no matter how many worker processes execute the run or in what
-order.  More than one worker means forked processes of one pool, kept
-between runs on the same context (``run_trials``).  Each trial solves (or
+order.  More than one worker means the calling process runs one share of
+the trials and forked child processes, kept between runs on the same
+context, run the others (``run_trials``).  Each trial solves (or
 synthesizes) one superposition in a fixed spectral gap, assembles its
 Fourier field and evaluates the functionals; aggregation is a commutative
 reduction followed by a sort on trial index.
@@ -355,37 +356,87 @@ def measure_config(
     return res
 
 
-# the multi-worker pool, kept between calls: (ctx, workers, executor)
+# the multi-worker pool, kept between calls: (ctx, workers, children), where
+# children lists (process, parent end of its pipe) for shares 1 .. workers - 1
 _pool = None
-# the RunContext of a pool worker, set by its initializer
-_worker_ctx = None
 
 
-def _init_worker(ctx: RunContext) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
+class ChildTraceback(Exception):
+    """The traceback, as text, of a trial exception raised in a pool child;
+    run_trials re-raises that exception from it."""
 
 
-def _run_share(spec: TrialSpec, first: int, step: int) -> list[TrialResult]:
-    return [run_trial(spec, i, _worker_ctx) for i in range(first, spec.trials, step)]
+def _serve(conn, ctx: RunContext) -> None:
+    """A pool child: run each (spec, first, step) share it is sent and send
+    back its results, or its exception and traceback, until it is sent None."""
+    while (task := conn.recv()) is not None:
+        spec, first, step = task
+        try:
+            reply = [run_trial(spec, i, ctx) for i in range(first, spec.trials, step)]
+        except Exception as exc:
+            import traceback  # about 5 ms, paid only by a failing child
+
+            reply = exc, traceback.format_exc()
+        conn.send(reply)
 
 
-@atexit.register
-def _drop_pool() -> None:
+def _drop_pool(kill: bool = False) -> None:
+    """Stop the pool's children and forget the pool: idle ones are sent None
+    and joined, busy ones killed.  Closing the parent ends would not stop
+    them, as each child holds copies of the parent ends of every child
+    forked before it."""
     global _pool
-    if _pool is not None:
-        _pool[2].shutdown(wait=True, cancel_futures=True)
-        _pool = None
+    if _pool is None:
+        return
+    children, _pool = _pool[2], None
+    for proc, conn in children:
+        if kill:
+            proc.kill()
+        else:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # the child is gone already
+    for proc, conn in children:
+        proc.join()
+        conn.close()
+
+
+def _fork_pool(ctx: RunContext, workers: int) -> list:
+    """Fork the children that run shares 1 .. workers - 1 of each call."""
+    # imported here: it adds about 0.6 MB to every 1-worker process
+    import multiprocessing
+
+    mp = multiprocessing.get_context("fork")
+    children = []
+    for _ in range(workers - 1):
+        conn, child_end = mp.Pipe()
+        proc = mp.Process(target=_serve, args=(child_end, ctx), daemon=True)
+        proc.start()
+        # the child's end is now the child's alone, so its death is an
+        # EOFError on conn
+        child_end.close()
+        children.append((proc, conn))
+    # registered after multiprocessing's own exit hook, so that it runs
+    # first and the children are stopped rather than terminated
+    atexit.unregister(_drop_pool)
+    atexit.register(_drop_pool)
+    return children
 
 
 def run_trials(spec: TrialSpec, threads: int = 1, ctx: RunContext | None = None):
     """Execute all trials; result list is ordered by trial index.
 
-    With threads > 1 the trials run in at most min(threads, spec.trials)
-    forked worker processes, worker w taking trials w, w + workers, ...
-    The pool is kept for the next call with the same ctx object and worker
-    count.  The ctx reaches each worker through the fork, not by pickling,
-    so a worker starts with every ShellSums cache the parent had filled.
+    With threads > 1 the trials run in workers = min(threads, spec.trials)
+    shares, share w taking trials w, w + workers, ...  The calling process
+    runs share 0 itself and workers - 1 forked child processes run the
+    others, each answering over its own pipe.  The children are kept for
+    the next call with the same ctx object and worker count.  The ctx
+    reaches each child through the fork, not by pickling, so a child starts
+    with every ShellSums cache the parent had filled.  A child that dies is
+    a ChildProcessError; a trial's exception reaches the caller with its
+    type, and from a child with the child's traceback as its cause (a
+    ChildTraceback).  Either drops the children.
     A ctx built for a spec that differs from this one in any of
     CONTEXT_FIELDS is a ValidationError.
     Trials are independent and the running-mean event flags are attached
@@ -402,24 +453,27 @@ def run_trials(spec: TrialSpec, threads: int = 1, ctx: RunContext | None = None)
     if workers <= 1:
         results = [run_trial(spec, i, ctx) for i in range(spec.trials)]
     else:
-        # imported here: they add about 2 MB to every 1-worker process
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         if _pool is None or _pool[0] is not ctx or _pool[1] != workers:
             _drop_pool()
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(ctx,),
-            )
-            _pool = (ctx, workers, executor)
+            _pool = (ctx, workers, _fork_pool(ctx, workers))
         try:
-            futures = [_pool[2].submit(_run_share, spec, w, workers) for w in range(workers)]
-            results = [r for f in futures for r in f.result()]
+            for w, (proc, conn) in enumerate(_pool[2], 1):
+                try:
+                    conn.send((spec, w, workers))
+                except BrokenPipeError:
+                    raise ChildProcessError(f"trial worker process {proc.pid} died") from None
+            results = [run_trial(spec, i, ctx) for i in range(0, spec.trials, workers)]
+            for proc, conn in _pool[2]:
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    raise ChildProcessError(f"trial worker process {proc.pid} died") from None
+                if isinstance(reply, tuple):
+                    exc, tb = reply
+                    raise exc from ChildTraceback(tb)
+                results += reply
         except BaseException:
-            _drop_pool()
+            _drop_pool(kill=True)
             raise
     results.sort(key=lambda r: r.trial_index)
     for r, flags in zip(results, running_event_flags(results, c0=2.0)):

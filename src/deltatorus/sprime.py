@@ -45,12 +45,12 @@ from .lattice import (
 THETA = 133.0 / 416.0
 
 
-def epsilon_from_delta(theta: float, delta: float) -> float:
-    """The shift-range exponent (1/2 - theta - delta) / 2."""
-    eps = (0.5 - theta - delta) / 2.0
+def epsilon_from_delta(delta: float) -> float:
+    """The shift-range exponent (1/2 - THETA - delta) / 2."""
+    eps = (0.5 - THETA - delta) / 2.0
     if not eps > 0:
         raise ValidationError(
-            f"delta {delta} admits no positive shift exponent at theta {theta}"
+            f"delta {delta} admits no positive shift exponent at theta {THETA}"
         )
     return eps
 
@@ -77,7 +77,7 @@ class SPrimeParams:
                 f"condition constants must be positive, got {self.c_gap}, {self.c_coeff}"
             )
         if self.eps is None:
-            object.__setattr__(self, "eps", epsilon_from_delta(THETA, self.delta))
+            object.__setattr__(self, "eps", epsilon_from_delta(self.delta))
         elif not 0 < self.eps < math.inf:
             raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.eps_prime is None:

@@ -379,6 +379,21 @@ def test_mc_numeric_error_in_a_worker_exits_3(tmp_path, monkeypatch):
     assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "2"]) == 3
 
 
+def test_mc_dead_worker_exits_4(tmp_path, monkeypatch, capsys):
+    real_trial = harness.run_trial
+
+    def dying(spec, trial_index, ctx):
+        if trial_index % 2:  # the forked child's share
+            os._exit(1)
+        return real_trial(spec, trial_index, ctx)
+
+    monkeypatch.setattr(harness, "run_trial", dying)
+    spec = write_spec(tmp_path)
+    assert main(["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "2"]) == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ChildProcessError"
+
+
 def test_solve_rejects_a_ball_too_large_to_enumerate(tmp_path, capsys):
     # R = ceil(1.6 * 30000) = 48000 holds about 4.4e7 points in d = 3: the
     # same ceiling as the shift ball, so the same validation error (exit 2)

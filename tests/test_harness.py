@@ -1,8 +1,10 @@
 import math
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,7 +215,7 @@ def test_reproducibility_across_thread_counts():
 
 
 def test_reused_process_pool_matches_serial_bytes():
-    # eight reruns on one context go to the same forked pool, whose workers
+    # eight reruns on one context go to the same forked children, which
     # keep their ball caches and box arrays from one call to the next
     spec = small_spec(
         coefficient_mode="synthetic", synthetic_coeffs=[[0.6, 0.0], [0.0, 0.8]], trials=64
@@ -243,12 +245,13 @@ def test_pool_size_is_capped_by_the_trial_count(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     r2, _ = run_trials(spec, threads=16, ctx=ctx)
-    assert len(forks) == 2
+    # two shares: the caller runs one, a single forked child the other
+    assert len(forks) == 1
     assert trials_csv_text(r2, ctx.zetas) == trials_csv_text(r1, ctx.zetas)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
-    # patched before the fresh context forks its pool, so the workers run it
+    # patched before the fresh context forks its pool, so the children run it
     def failing(spec, trial_index, ctx):
         raise NumericError(f"trial {trial_index} failed")
 
@@ -256,6 +259,58 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     spec = small_spec(trials=4)
     with pytest.raises(NumericError, match="failed"):
         run_trials(spec, threads=2, ctx=RunContext.build(spec))
+
+
+def test_child_exception_reaches_the_caller_with_its_type(monkeypatch):
+    spec = small_spec(trials=6)
+    ctx = RunContext.build(spec)
+    serial = trials_csv_text(run_trials(spec, threads=1, ctx=ctx)[0], ctx.zetas)
+    real_trial = harness.run_trial
+
+    def failing(spec, trial_index, ctx):
+        if trial_index == 4:  # share 1, the first child's
+            raise NumericError(f"trial {trial_index} failed")
+        return real_trial(spec, trial_index, ctx)
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    with pytest.raises(NumericError, match="trial 4 failed") as info:
+        run_trials(spec, threads=3, ctx=ctx)
+    # the child's traceback comes along as the cause
+    cause = info.value.__cause__
+    assert isinstance(cause, harness.ChildTraceback) and "in failing" in str(cause)
+    assert harness._pool is None
+    monkeypatch.undo()
+    results, _ = run_trials(spec, threads=3, ctx=ctx)
+    assert trials_csv_text(results, ctx.zetas) == serial
+
+
+def test_caller_exception_kills_the_running_children(monkeypatch):
+    spec = small_spec(trials=4)
+    ctx = RunContext.build(spec)
+    serial = trials_csv_text(run_trials(spec, threads=1, ctx=ctx)[0], ctx.zetas)
+    real_trial = harness.run_trial
+
+    def stalling(spec, trial_index, ctx):
+        if trial_index == 0:  # the caller's own share
+            raise NumericError("trial 0 failed")
+        time.sleep(600)  # the child's share: still running when trial 0 fails
+        return real_trial(spec, trial_index, ctx)
+
+    monkeypatch.setattr(harness, "run_trial", stalling)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="trial 0 failed"):
+        run_trials(spec, threads=2, ctx=ctx)
+    assert time.perf_counter() - t0 < 60
+    assert harness._pool is None
+    monkeypatch.undo()
+    results, _ = run_trials(spec, threads=2, ctx=ctx)
+    assert trials_csv_text(results, ctx.zetas) == serial
+
+
+def test_multi_worker_run_starts_no_thread():
+    spec = small_spec(trials=4)
+    run_trials(spec, threads=2)
+    assert threading.active_count() == 1
 
 
 def test_dead_worker_drops_the_pool(monkeypatch):
@@ -270,7 +325,8 @@ def test_dead_worker_drops_the_pool(monkeypatch):
         return real_trial(spec, trial_index, ctx)
 
     monkeypatch.setattr(harness, "run_trial", dying)
-    with pytest.raises(BrokenProcessPool):
+    # told apart from a trial's own error, which keeps its type
+    with pytest.raises(ChildProcessError):
         run_trials(spec, threads=2, ctx=ctx)
     assert harness._pool is None
     monkeypatch.undo()
@@ -278,15 +334,35 @@ def test_dead_worker_drops_the_pool(monkeypatch):
     assert trials_csv_text(results, ctx.zetas) == serial
 
 
+def test_child_killed_between_runs_drops_the_pool():
+    spec = small_spec(trials=4)
+    ctx = RunContext.build(spec)
+    serial = trials_csv_text(run_trials(spec, threads=2, ctx=ctx)[0], ctx.zetas)
+    child = harness._pool[2][0][0]
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(60)
+    assert child.exitcode == -signal.SIGKILL
+    with pytest.raises(ChildProcessError):
+        run_trials(spec, threads=2, ctx=ctx)
+    assert harness._pool is None
+    results, _ = run_trials(spec, threads=2, ctx=ctx)
+    assert trials_csv_text(results, ctx.zetas) == serial
+
+
 def run_script(code: str):
     """Run code in a fresh interpreter that leads its own session; returns
-    its pid, exit code, stdout and stderr once it has exited."""
+    its pid, exit code, stdout and stderr once it has exited.  After 120 s
+    its whole group is killed and TimeoutExpired raised."""
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
     with subprocess.Popen(
         [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True,
     ) as proc:
-        out, err = proc.communicate(timeout=120)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
     return proc.pid, proc.returncode, out, err
 
 
@@ -304,6 +380,18 @@ def test_two_worker_run_leaves_no_process_behind():
     pid, code, _, err = run_script(SCRIPT_SPEC + "harness.run_trials(spec, threads=2)\n")
     assert (code, err) == (0, "")
     # the script led its own session: nothing of its group outlives it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pid, 0)
+
+
+def test_replacing_a_three_worker_pool_leaves_no_process_behind():
+    # each child holds copies of the parent pipe ends of the children forked
+    # before it, so only an explicit stop message ends the replaced pool
+    pid, code, _, err = run_script(
+        SCRIPT_SPEC + "harness.run_trials(spec, threads=3)\n"
+        "harness.run_trials(spec, threads=3, ctx=harness.RunContext.build(spec))\n"
+    )
+    assert (code, err) == (0, "")
     with pytest.raises(ProcessLookupError):
         os.killpg(pid, 0)
 

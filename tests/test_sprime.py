@@ -18,15 +18,14 @@ THETA = 133.0 / 416.0
 
 
 def test_epsilon_from_delta():
-    assert epsilon_from_delta(THETA, 0.10) == pytest.approx(0.0401442307692, abs=1e-10)
-    assert epsilon_from_delta(0.25, 0.15) == pytest.approx(0.05)
+    assert epsilon_from_delta(0.10) == pytest.approx(0.0401442307692, abs=1e-10)
     with pytest.raises(ValidationError):
-        epsilon_from_delta(THETA, 0.5 - THETA)
+        epsilon_from_delta(0.5 - THETA)
 
 
 def test_params_defaults_and_flags():
     p = SPrimeParams(delta=0.1)
-    assert p.eps == pytest.approx(epsilon_from_delta(THETA, 0.1))
+    assert p.eps == pytest.approx(epsilon_from_delta(0.1))
     assert p.eps_prime == p.eps
     assert not p.delta_in_paper_range  # 0.1 < theta/2
     assert SPrimeParams(delta=0.17).delta_in_paper_range
