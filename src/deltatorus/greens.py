@@ -34,11 +34,20 @@ def one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     """out = a @ b for 2-D arrays, in row blocks of a whose product stays
     within ONE_THREAD_GEMM, so that no BLAS worker thread wakes and
     concurrent trials do not contend for cores.  The blocks depend on the
-    shapes alone, so equal inputs give equal bits."""
-    step = max(1, ONE_THREAD_GEMM // (b.shape[0] * b.shape[1]))
+    shapes alone, so equal inputs give equal bits; an empty b is one block."""
+    step = max(1, ONE_THREAD_GEMM // max(1, b.shape[0] * b.shape[1]))
     for r in range(0, a.shape[0], step):
         np.matmul(a[r : r + step], b, out=out[r : r + step])
     return out
+
+
+@lru_cache(maxsize=16)
+def pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), read-only: column t of the pair weights of N = n
+    points holds the unordered pair (rows[t], cols[t])."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -88,13 +97,14 @@ class ShellSums:
     shell makes repeated evaluations at many spectral parameters cheap.
     ``weights`` evaluates them directly from cosines over the whole ball at
     one difference vector; ``weights_many`` gets every unordered pair of a
-    configuration from the nonnegative orthant of the ball and 1-D cosine
-    tables.
+    configuration, or fixed linear functionals of the pairs' shell sums,
+    from the nonnegative orthant of the ball and 1-D cosine tables.
 
     Fourier fields live on the coordinate box |xi_c| <= half = isqrt(R),
     flat in C order with xi at index xi + half.  The
     ball keeps what every field on it shares: ``physical_box``, the
-    lambda-free data ``memo`` stores for ``measure``, and a pool of
+    lambda-free data ``memo`` stores for ``measure`` and for the secular
+    workspace, and a pool of
     box-sized arrays (``take``/``give``) so that trials reuse memory
     instead of faulting in fresh pages.
     """
@@ -133,13 +143,15 @@ class ShellSums:
         np.cos(t, out=t)
         return np.add.reduceat(t, self.starts)
 
-    def weights_many(self, positions) -> np.ndarray:
-        """E_m(x_k - x_j) for every unordered pair of a configuration.
+    def weights_many(self, positions, rows=None) -> np.ndarray:
+        """E_m(x_k - x_j) for every unordered pair of a configuration, or
+        fixed linear functionals of them.
 
-        Returns W of shape (S, N*(N+1)/2) whose column t holds the pair
-        (k, j) = (np.triu_indices(N)[0][t], np.triu_indices(N)[1][t]).  A
-        shell is invariant under flipping the sign of any coordinate, and the
-        2^d flips of xi sum to prod_c 2*cos(2*pi*xi_c*z_c), so with z = x_k - x_j
+        With rows None, returns W of shape (S, N*(N+1)/2) whose column t
+        holds the pair (k, j) = (pair_columns(N)[0][t], pair_columns(N)[1][t]).
+        A shell is invariant under flipping the sign of any coordinate, and
+        the 2^d flips of xi sum to prod_c 2*cos(2*pi*xi_c*z_c), so with
+        z = x_k - x_j
 
             E_m(z) = sum over xi in shell m with every xi_c >= 0 of
                      2^{#nonzero xi_c} * prod_c cos(2*pi*xi_c*z_c),
@@ -147,11 +159,41 @@ class ShellSums:
         read from one 1-D cosine table per axis over the orthant points of
         the ball (``_orthant``) and reduced into the shells by one bincount
         per pair.  The diagonal columns are the exact shell multiplicities.
+
+        With rows = (key, build), build() returns the row blocks of an
+        (r, S) matrix F of per-shell functionals, each (r_b, S) or (S,), and
+        the call returns F @ W, of shape (r, N*(N+1)/2); key names F in
+        ``memo``.  In d = 2, W is never formed.  The box projection
+        G[r, a, b] = F[r, shell(a, b)] * 2^{#nonzero of a, b} over the
+        orthant box 0 <= a, b <= isqrt(R), zero outside the ball, is built
+        once per key, and an off-diagonal pair t with T_c[a, t] =
+        cos(2*pi*a*z_c) is sum_{a, b} G[r, a, b] T_0[a, t] T_1[b, t]: one
+        blocked product of G with T_1 and one reduction against T_0 for all
+        pairs.  The diagonal columns are F @ mult.  A d = 2 shell holds
+        about 3 orthant points, so G is a few times the size of F.  A d = 3
+        shell holds about 80, and G has (isqrt(R) + 1)^3 entries per row:
+        73 MB at R = 4000 and about 0.5 GB at R = 16000, per process.  So
+        d = 3 forms W and multiplies it by each block of F on its own, which
+        also keeps a block's bits independent of the blocks stacked with it.
         """
         positions = self._positions(positions)
+        if rows is None:
+            return self._pair_weights(positions)
+        key, build = rows
+        if self.dim == 2:
+            box, diag = self.memo(("box", key), lambda: self._box_rows(np.vstack(build())))
+            return self._box_product(positions, box, diag)
+        w = self._pair_weights(positions)
+        return np.vstack([
+            one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1]))) if f.ndim == 2 else f @ w
+            for f in self.memo(key, build)
+        ])
+
+    def _pair_weights(self, positions: np.ndarray) -> np.ndarray:
+        """W for checked positions: one gather and bincount per pair."""
         coords, weight, shell = self._orthant()
         s = self.shell_ms.size
-        rows, cols = np.triu_indices(positions.shape[0])
+        rows, cols = pair_columns(positions.shape[0])
         w = np.empty((rows.size, s), dtype=np.float64)
         steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
         product = np.empty(weight.size, dtype=np.float64)
@@ -170,6 +212,28 @@ class ShellSums:
             product *= weight
             w[t] = np.bincount(shell, weights=product, minlength=s)
         return w.T
+
+    def _box_rows(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G, F @ mult) for an (r, S) F in d = 2: the box projection of
+        ``weights_many`` as r * (isqrt(R) + 1) rows of isqrt(R) + 1."""
+        coords, weight, shell = self._orthant()
+        side = self.half + 1
+        box = np.zeros((f.shape[0], side * side))
+        box[:, coords[0] * side + coords[1]] = f[:, shell] * weight
+        return box.reshape(-1, side), f @ self.mult.astype(np.float64)
+
+    def _box_product(self, positions: np.ndarray, box: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """F @ W in d = 2 from the box projection of F and F @ mult."""
+        rows, cols = pair_columns(positions.shape[0])
+        off = rows != cols
+        z = (positions[rows[off]] - positions[cols[off]]).T
+        steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
+        tables = np.cos(z[:, None, :] * steps[:, None])  # (d, isqrt(R) + 1, pairs)
+        y = one_thread_matmul(box, tables[1], np.empty((box.shape[0], z.shape[1])))
+        out = np.empty((diag.size, rows.size))
+        out[:, off] = np.einsum("rat,at->rt", y.reshape(diag.size, steps.size, z.shape[1]), tables[0])
+        out[:, ~off] = diag[:, None]
+        return out
 
     def coeffs(self, lam_physical: float) -> np.ndarray:
         """c_lambda on each shell: (4*pi^2*m - lambda)^{-1}."""

@@ -14,15 +14,17 @@ New eigenvalues are the parameters lambda strictly between consecutive
 unperturbed eigenvalues where H is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
-depend only on the positions and are symmetric in the pair, so they are
-computed once per unordered pair (ShellSums.weights_many) as an
-(S, N*(N+1)/2) weight array W.  Inside one gap only the shells at and
-next to its ends are singular.  SecularWorkspace keeps those few as exact
-terms and sums every other shell through a power series in lambda about
-the midpoint of the gap, whose moments are fitted from W once per gap
-(``_far_table``).  H at one more lambda is then one small product over
-the near rows and the moments, whatever the size S of the ball, unpacked
-to N x N.
+depend only on the positions and are symmetric in the pair, an
+(S, N*(N+1)/2) array W over the unordered pairs.  Inside one gap only the
+shells at and next to its ends are singular.  SecularWorkspace keeps those
+few as exact terms and sums every other shell through a power series in
+lambda about the midpoint of the gap (``_gap_split``).  H then reads W only
+through about 30 fixed per-shell functionals of the gap (``_gap_rows``):
+the near shells, the series' moments and the two rows of G_{+i}.  One
+ShellSums.weights_many call per gap gives their values on the pairs; in
+d = 2 it never forms W.  H at one more lambda is then one small product
+over the near rows and the moments, whatever the size S of the ball,
+unpacked to N x N.
 
 The derivative c_lambda^2 @ W of H is positive semidefinite, so every
 ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
@@ -52,7 +54,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .greens import ShellSums, SpectralParameter, check_radius, one_thread_matmul
+from .greens import ShellSums, SpectralParameter, check_radius, pair_columns
 from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 
 COMMON_PHASE_TOL = 1e-10
@@ -172,9 +174,9 @@ class ScattererConfig:
             return cls.from_json(json.load(f))
 
 
-def _far_table(shells: ShellSums, i: int) -> tuple:
-    """(x0, h, a, b, table): the lambda-free part of H's split form on the
-    gap (n_i, n_{i+1}) of the ball's shells, built once per ball and gap.
+def _gap_split(shells: ShellSums, i: int) -> tuple:
+    """(x0, h, a, b, p): the lambda-free layout of H's split form on the gap
+    (n_i, n_{i+1}) of the ball's shells, built once per ball and gap.
 
     With x0 the midpoint of the gap and h its half width, a shell is near
     when |n_s - x0| <= h / NEAR_RATIO; the near shells are [a, b) and H
@@ -188,12 +190,9 @@ def _far_table(shells: ShellSums, i: int) -> tuple:
 
         sum_far mult_s / |n_s - x0| * NEAR_RATIO^P / (1 - NEAR_RATIO)
 
-    for any positions, and P is the least count that puts this below
+    for any positions, and P = p is the least count that puts this below
     2^-53 / n_{i+1}: shell 0 (E_0 = 1 for every pair) alone gives each
-    entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.  Row p of the
-    (P + 1, S) table is h^p / (n_s - x0)^{p+1} on the far shells and 0 on
-    the near ones; row P keeps the slope's series, one term shorter than
-    the value's, to the same order.
+    entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.
     """
 
     def build():
@@ -208,63 +207,83 @@ def _far_table(shells: ShellSums, i: int) -> tuple:
         while bound > 2.0**-53 / ns[i + 1]:
             bound *= NEAR_RATIO
             p += 1
-        table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
-        return x0, h, a, b, table
+        return x0, h, a, b, p
 
-    return shells.memo(("far_table", i), build)
+    return shells.memo(("gap_split", i), build)
+
+
+def _gap_rows(shells: ShellSums, i: int) -> tuple:
+    """The per-shell functionals H reads on the gap of ``_gap_split``, as
+    the row blocks of ``ShellSums.weights_many``: one unit row per near
+    shell; the (P + 1, S) moment table, whose row p is h^p / (n_s -
+    x0)^{p+1} on the far shells and 0 on the near ones (row P keeps the
+    slope's series, one term shorter than the value's, to the same order);
+    and the rows n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re and Im G_{+i},
+    as G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1).
+    """
+    x0, h, a, b, p = _gap_split(shells, i)
+    ns = shells.ns_physical
+    near = np.zeros((b - a, ns.size))
+    near[np.arange(b - a), np.arange(a, b)] = 1.0
+    inv = 1.0 / (ns - x0)
+    inv[a:b] = 0.0
+    table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
+    return near, table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)
+
+
+@lru_cache(maxsize=16)
+def _unpack(n: int) -> np.ndarray:
+    """(2, N, N) positions of the H and slope entries in the flat (2, pairs)
+    product of ``SecularWorkspace.symmetric``: [0, k, j] = [0, j, k] is the
+    column of the pair {k, j} in the pair weights, [1] the same plus the
+    pair count.  Read-only."""
+    rows, cols = pair_columns(n)
+    unpack = np.empty((n, n), dtype=np.intp)
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+    both = np.stack((unpack, unpack + rows.size))
+    both.flags.writeable = False
+    return both
 
 
 class SecularWorkspace:
     """Shell data bound to one configuration for fast evaluation of H.
 
-    W[s, t] = E_{m_s}(x_k - x_j) for the unordered pair (k, j) in column t
-    of np.triu_indices(N) (ShellSums.weights_many), and the deficiency sum
-    G_{+i}(x_k, x_j) is lambda-independent.  H is evaluated in the split
-    form of ``_far_table``: the few shells near the gap that holds lambda
-    exactly, every other shell through moments of W fitted once per gap.
-    H and its slope at one more lambda are then one small product over
-    those near rows and moments, whatever the size of the ball, unpacked
-    to N x N through a fixed index map.
+    H reads the pair weights W[s, t] = E_{m_s}(x_k - x_j), for the
+    unordered pair (k, j) in column t of pair_columns(N), only through the
+    per-shell functionals of ``_gap_rows``: the few shells near the gap
+    that holds lambda exactly, every other shell through P + 1 moments, and
+    the lambda-independent deficiency sum G_{+i}(x_k, x_j).  Their values
+    on the pairs come from one ``ShellSums.weights_many`` call per gap,
+    which in d = 2 never forms W.  H and its slope at one more lambda are
+    then one small product over those near rows and moments, whatever the
+    size of the ball, unpacked to N x N through a fixed index map.
     """
 
     def __init__(self, config: ScattererConfig, radius_sq: int):
         self.config = config
         self.shells = ShellSums.get(config.dim, radius_sq)
-        n = config.n_scatterers
-        self._w = self.shells.weights_many(config.positions)
-        # unpack[k, j] = unpack[j, k] is the column of the pair {k, j} in W
-        rows, cols = np.triu_indices(n)
-        self._unpack = np.empty((n, n), dtype=np.intp)
-        self._unpack[rows, cols] = self._unpack[cols, rows] = np.arange(rows.size)
-        # G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1)
-        ns = self.shells.ns_physical
-        self._re_g = ((ns / (ns * ns + 1.0)) @ self._w)[self._unpack]
-        im_g = ((1.0 / (ns * ns + 1.0)) @ self._w)[self._unpack]
-        self._tan_im_g = math.tan(config.theta / 2.0) * im_g
-        # (2, N, N) positions of the H and slope entries in the flat (2, pairs)
-        # product of ``symmetric``
-        self._unpack2 = np.stack((self._unpack, self._unpack + rows.size))
+        self._unpack2 = _unpack(config.n_scatterers)
         self._gap = None
 
     def _fit(self, x: float) -> tuple:
-        """(n_i, n_{i+1}, x0, h, near shells, [W_near; moments], p / h) for
-        the gap (n_i, n_{i+1}) of the ball's shells that holds x.
-
-        The moments M = table @ W go through ``one_thread_matmul``, so the
-        fit wakes no BLAS worker thread.
-        """
+        """(n_i, n_{i+1}, x0, h, near shells, [W_near; moments], p / h,
+        Re G_{+i}, tan(theta/2) Im G_{+i}) for the gap (n_i, n_{i+1}) of the
+        ball's shells that holds x."""
         ns = self.shells.ns_physical
         i = int(np.searchsorted(ns, x)) - 1  # ns[i] < x <= ns[i + 1]
         if not (0 <= i < ns.size - 1 and x < ns[i + 1]):
             raise ValidationError(
                 f"lambda {x!r} does not lie strictly between two shells of the ball"
             )
-        x0, h, a, b, table = _far_table(self.shells, i)
-        stacked = np.empty((b - a + table.shape[0], self._w.shape[1]))
-        stacked[: b - a] = self._w[a:b]
-        one_thread_matmul(table, self._w, out=stacked[b - a :])
-        dscale = np.arange(1, table.shape[0]) / h
-        return float(ns[i]), float(ns[i + 1]), x0, h, ns[a:b], stacked, dscale
+        x0, h, a, b, p = _gap_split(self.shells, i)
+        values = self.shells.weights_many(
+            self.config.positions, rows=(("gap_rows", i), lambda: _gap_rows(self.shells, i))
+        )
+        unpack = self._unpack2[0]
+        re_g = values[-2][unpack]
+        tan_im_g = math.tan(self.config.theta / 2.0) * values[-1][unpack]
+        dscale = np.arange(1, p + 1) / h
+        return float(ns[i]), float(ns[i + 1]), x0, h, ns[a:b], values[:-2], dscale, re_g, tan_im_g
 
     def symmetric(self, lam_physical: float) -> tuple[np.ndarray, np.ndarray]:
         """H and dH/dlambda at one parameter strictly inside a gap of the ball.
@@ -273,13 +292,13 @@ class SecularWorkspace:
         width h, H = sum_near W_s / (n_s - lambda) + sum_p M_p tau^p
         - Re G_{+i} + tan(theta/2) Im G_{+i}, and dH/dlambda =
         sum_near W_s / (n_s - lambda)^2 + sum_p p M_p tau^{p-1} / h.
-        The moments are fitted on the first call in a gap and kept until
-        a call in another gap.
+        The near rows, the moments M and G_{+i} are read on the first call
+        in a gap and kept until a call in another gap.
         """
         gap = self._gap
         if gap is None or not gap[0] < lam_physical < gap[1]:
             gap = self._gap = self._fit(lam_physical)
-        _, _, x0, h, near, stacked, dscale = gap
+        _, _, x0, h, near, stacked, dscale, re_g, tan_im_g = gap
         k = near.size
         # row 0: c_near then tau^p; row 1: c_near^2 then p tau^{p-1} / h
         coef = np.empty((2, stacked.shape[0]))
@@ -292,7 +311,7 @@ class SecularWorkspace:
         coef[1, k] = 0.0
         np.multiply(dscale, powers[:-1], out=coef[1, k + 1 :])
         h_mat, slope = (coef @ stacked).take(self._unpack2)
-        return h_mat - self._re_g + self._tan_im_g, slope
+        return h_mat - re_g + tan_im_g, slope
 
 
 def secular_value(

@@ -10,6 +10,7 @@ from deltatorus.greens import (
     SpectralParameter,
     TruncationPolicy,
     check_radius,
+    one_thread_matmul,
     regularized_pair,
 )
 from deltatorus.lattice import FOUR_PI_SQ, shell_vectors
@@ -201,6 +202,34 @@ def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
             assert np.array_equal(w[:, t], mult)
         else:
             assert np.all(np.abs(w[:, t] - shells.weights(x[k] - x[j])) <= 1e-12 * mult)
+
+
+@pytest.mark.parametrize("dim,radius_sq", [(2, 16058), (2, 4000), (3, 400)])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_weights_many_rows_match_rows_times_weights(dim, radius_sq, n):
+    # weights_many(x, rows) is F @ weights_many(x) for the stacked row blocks
+    # F, to rounding in |F| @ |W|, whether or not W is formed
+    shells = ShellSums.get(dim, radius_sq)
+    s = shells.shell_ms.size
+    rng = np.random.default_rng(90 + dim)
+    blocks = (np.eye(s)[s // 2 : s // 2 + 3], rng.standard_normal((4, s)), 1.0 / (shells.ns_physical + 1.0))
+    x = rng.uniform(size=(n, dim))
+    if n == 5:
+        x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
+        x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
+    got = shells.weights_many(x, rows=(("test_rows", dim), lambda: blocks))
+    w = shells.weights_many(x)
+    f = np.vstack(blocks)
+    assert got.shape == (f.shape[0], n * (n + 1) // 2)
+    assert np.all(np.abs(got - f @ w) <= 1e-13 * (np.abs(f) @ np.abs(w)))
+
+
+def test_one_thread_matmul_of_an_empty_product():
+    # N = 1 has no off-diagonal pair: zero columns, and zero inner length
+    a = np.ones((3, 4))
+    assert one_thread_matmul(a, np.ones((4, 0)), np.empty((3, 0))).shape == (3, 0)
+    out = np.full((3, 2), np.nan)
+    assert np.array_equal(one_thread_matmul(a[:, :0], np.ones((0, 2)), out), np.zeros((3, 2)))
 
 
 def test_d3_shell_enumeration_matches_brute_force():

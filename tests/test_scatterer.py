@@ -238,6 +238,54 @@ def test_split_form_against_the_plain_shell_sum(dim, radius_sq, m_center):
         assert np.abs(diff - slope).max() <= 1e-6 * np.abs(slope).max()
 
 
+@pytest.mark.parametrize("dim,radius_sq,m_center", [(2, 4000, 100), (3, 400, 101)])
+def test_workspace_with_one_scatterer(dim, radius_sq, m_center):
+    # N = 1 has no off-diagonal pair: H and its slope are the closed forms,
+    # and the gap holds one root, the closed form's
+    theta = 0.7
+    cfg = ScattererConfig(dim, np.full((1, dim), 0.3), phases=[theta])
+    shells = ShellSums.get(dim, radius_sq)
+    tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
+    ws = SecularWorkspace(cfg, radius_sq)
+    ns = shells.ns_physical
+    for frac in (0.1, 0.5, 0.9):
+        x = tri.n_center + frac * (tri.n_next - tri.n_center)
+        h, slope = ws.symmetric(x)
+        assert h.shape == slope.shape == (1, 1)
+        assert h[0, 0] == pytest.approx(closed_form(shells, theta, x), rel=1e-12)
+        assert slope[0, 0] == pytest.approx(math.fsum(shells.mult / (ns - x) ** 2), rel=1e-12)
+    roots = find_new_eigenvalues(cfg, tri, radius_sq, workspace=ws)
+    assert len(roots) == 1
+    assert roots[0].lambda_physical == pytest.approx(closed_form_root(shells, theta, tri), rel=1e-10)
+
+
+def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
+    # in d = 2 the box projection of a gap's rows is built by the first
+    # workspace that reads the gap and kept in the ball's memo in place of
+    # the S-wide rows; d = 3 keeps the rows themselves
+    rows = scatterer._gap_rows
+    for dim, radius_sq, m_center in ((2, 4000, 100), (3, 400, 101)):
+        fresh = ShellSums(dim, radius_sq)
+        monkeypatch.setattr(ShellSums, "get", classmethod(lambda cls, d, r: fresh))
+        builds = []
+        monkeypatch.setattr(scatterer, "_gap_rows", lambda sh, i: builds.append(i) or rows(sh, i))
+        tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
+        below = fresh.ns_physical[int(np.searchsorted(fresh.ns_physical, tri.n_center)) - 1]
+        lams = (tri.n_center + 0.3 * (tri.n_next - tri.n_center), 0.5 * (below + tri.n_center))
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            ws = SecularWorkspace(ScattererConfig(dim, rng.uniform(size=(4, dim)), np.zeros(4)), radius_sq)
+            for x in lams:
+                ws.symmetric(x)
+        gaps = [int(np.searchsorted(fresh.ns_physical, x)) - 1 for x in lams]
+        assert builds == gaps
+        kept = {k for k in fresh._memo if isinstance(k, tuple) and k[0] in ("box", "gap_rows")}
+        if dim == 2:
+            assert kept == {("box", ("gap_rows", i)) for i in gaps}
+        else:
+            assert kept == {("gap_rows", i) for i in gaps}
+
+
 def test_split_form_needs_a_shell_on_either_side():
     cfg = one_scatterer(0.4)
     ws = SecularWorkspace(cfg, R)
