@@ -160,34 +160,48 @@ class ShellSums:
         the ball (``_orthant``) and reduced into the shells by one bincount
         per pair.  The diagonal columns are the exact shell multiplicities.
 
-        With rows = (key, build), build() returns the row blocks of an
-        (r, S) matrix F of per-shell functionals, each (r_b, S) or (S,), and
-        the call returns F @ W, of shape (r, N*(N+1)/2); key names F in
-        ``memo``.  In d = 2, W is never formed.  The box projection
-        G[r, a, b] = F[r, shell(a, b)] * 2^{#nonzero of a, b} over the
-        orthant box 0 <= a, b <= isqrt(R), zero outside the ball, is built
-        once per key, and an off-diagonal pair t with T_c[a, t] =
-        cos(2*pi*a*z_c) is sum_{a, b} G[r, a, b] T_0[a, t] T_1[b, t]: one
-        blocked product of G with T_1 and one reduction against T_0 for all
-        pairs.  The diagonal columns are F @ mult.  A d = 2 shell holds
-        about 3 orthant points, so G is a few times the size of F.  A d = 3
-        shell holds about 80, and G has (isqrt(R) + 1)^3 entries per row:
-        73 MB at R = 4000 and about 0.5 GB at R = 16000, per process.  So
-        d = 3 forms W and multiplies it by each block of F on its own, which
-        also keeps a block's bits independent of the blocks stacked with it.
+        With rows = ``project(blocks)`` for the row blocks of an (r, S)
+        matrix F of per-shell functionals, returns F @ W, of shape
+        (r, N*(N+1)/2); in d = 2 without forming W.
         """
         positions = self._positions(positions)
         if rows is None:
             return self._pair_weights(positions)
-        key, build = rows
         if self.dim == 2:
-            box, diag = self.memo(("box", key), lambda: self._box_rows(np.vstack(build())))
-            return self._box_product(positions, box, diag)
+            return self._box_product(positions, *rows)
         w = self._pair_weights(positions)
         return np.vstack([
             one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1]))) if f.ndim == 2 else f @ w
-            for f in self.memo(key, build)
+            for f in rows
         ])
+
+    def project(self, blocks) -> tuple:
+        """The lambda-free form in which ``weights_many`` reads the row
+        blocks of an (r, S) matrix F, each (r_b, S) or (S,).
+
+        In d = 2 it is (G, F @ mult), with the box projection G[r, a, b] =
+        F[r, shell(a, b)] * 2^{#nonzero of a, b} over the orthant box
+        0 <= a, b <= isqrt(R), zero outside the ball, as r * (isqrt(R) + 1)
+        rows of isqrt(R) + 1.  An off-diagonal pair t with T_c[a, t] =
+        cos(2*pi*a*z_c) is then sum_{a, b} G[r, a, b] T_0[a, t] T_1[b, t],
+        one blocked product of G with T_1 and one reduction against T_0 for
+        all pairs, and the diagonal columns are F @ mult.  A
+        d = 2 shell holds about 3 orthant points, so G is a few times the
+        size of F.  A d = 3 shell holds about 80, and G would have
+        (isqrt(R) + 1)^3 entries per row: 73 MB at R = 4000 and about 0.5 GB
+        at R = 16000, per process.  So in d = 3 the form is the blocks
+        themselves: W is formed and multiplied by each block on its own,
+        which also keeps a block's bits independent of the blocks stacked
+        with it.
+        """
+        if self.dim == 3:
+            return tuple(blocks)
+        f = np.vstack(blocks)
+        coords, weight, shell = self._orthant()
+        side = self.half + 1
+        box = np.zeros((f.shape[0], side * side))
+        box[:, coords[0] * side + coords[1]] = f[:, shell] * weight
+        return box.reshape(-1, side), f @ self.mult.astype(np.float64)
 
     def _pair_weights(self, positions: np.ndarray) -> np.ndarray:
         """W for checked positions: one gather and bincount per pair."""
@@ -212,15 +226,6 @@ class ShellSums:
             product *= weight
             w[t] = np.bincount(shell, weights=product, minlength=s)
         return w.T
-
-    def _box_rows(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G, F @ mult) for an (r, S) F in d = 2: the box projection of
-        ``weights_many`` as r * (isqrt(R) + 1) rows of isqrt(R) + 1."""
-        coords, weight, shell = self._orthant()
-        side = self.half + 1
-        box = np.zeros((f.shape[0], side * side))
-        box[:, coords[0] * side + coords[1]] = f[:, shell] * weight
-        return box.reshape(-1, side), f @ self.mult.astype(np.float64)
 
     def _box_product(self, positions: np.ndarray, box: np.ndarray, diag: np.ndarray) -> np.ndarray:
         """F @ W in d = 2 from the box projection of F and F @ mult."""
@@ -258,14 +263,6 @@ class ShellSums:
             return coords, weight, shell
 
         return self.memo("orthant", build)
-
-    def index_of(self, xi) -> int:
-        """Flat position of a lattice vector in the coordinate box, or -1
-        outside the ball."""
-        xi = np.asarray(xi, dtype=np.int64)
-        if xi.shape != (self.dim,) or int((xi * xi).sum()) > self.radius_sq:
-            return -1
-        return int(np.ravel_multi_index(tuple(xi + self.half), self.box_shape))
 
     def ball_order(self) -> np.ndarray:
         """Flat box positions of the ball points, in point order."""

@@ -42,6 +42,7 @@ from .measure import (
 from .scatterer import (
     ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, pair_distances
 )
+from .sprime import _n_power
 
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
 
@@ -75,7 +76,12 @@ def truncation_radius(radius_factor: float, m_center: int) -> int:
     _check_real("radius_factor", radius_factor)
     if not (math.isfinite(radius_factor) and radius_factor > 0):
         raise ValidationError(f"radius_factor must be finite and > 0, got {radius_factor!r}")
-    return int(math.ceil(radius_factor * m_center))
+    try:
+        return int(math.ceil(radius_factor * m_center))
+    except OverflowError:
+        raise ValidationError(
+            f"radius_factor * m_k overflows float64 at m_k = {m_center}, radius_factor = {radius_factor}"
+        ) from None
 
 
 def gap_fraction_lambda(interval: GapTriple, frac: float) -> SpectralParameter:
@@ -139,8 +145,9 @@ class TrialSpec:
                 _check_finite(name, value)
         if not self.solver_tol > 0:
             raise ValidationError(f"solver_tol must be > 0, got {self.solver_tol!r}")
-        if self.l0_override is not None and not self.l0_override > 0:
-            raise ValidationError(f"l0_override must be > 0, got {self.l0_override!r}")
+        if self.m_center < 1:
+            raise ValidationError(f"m_center must be >= 1, got {self.m_center}")
+        self.annulus_width()
         _check_gap_fraction(self.synthetic_lambda_frac)
         if self.coefficient_mode not in ("solver", "synthetic"):
             raise ValidationError(f"unknown coefficient mode {self.coefficient_mode!r}")
@@ -178,6 +185,17 @@ class TrialSpec:
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"synthetic_coeffs must be normalized, got sum {total}")
         return d
+
+    def annulus_width(self) -> float:
+        """L_0: l0_override, else (4 pi^2 m_k)^delta; ValidationError unless
+        L_0 > 0 with a finite nonzero square, which sigma_sum divides by."""
+        if self.l0_override is None:
+            width = _n_power(self.m_center, self.delta, "delta")
+        else:
+            width = float(self.l0_override)
+        if not (width > 0.0 and 0.0 < width * width < math.inf):
+            raise ValidationError(f"L_0 must be > 0 with a finite nonzero square, got {width!r}")
+        return width
 
     def config_for(self, positions: np.ndarray) -> ScattererConfig:
         return ScattererConfig(self.dim, positions, phases=np.asarray(self.phases))
@@ -224,11 +242,7 @@ class RunContext:
         radius_sq = truncation_radius(spec.radius_factor, spec.m_center)
         table = enumerate_spectrum(spec.dim, radius_sq)
         interval = table.gap_triple(spec.m_center)
-        width = (
-            float(spec.l0_override)
-            if spec.l0_override is not None
-            else (FOUR_PI_SQ * spec.m_center) ** spec.delta
-        )
+        width = spec.annulus_width()
         shells = ShellSums.get(spec.dim, radius_sq)
         zetas = spec.observable.nonzero_shifts()
         sigma, bound = {}, {}
@@ -304,7 +318,7 @@ def measure_config(
     interval = ctx.interval
 
     if spec.coefficient_mode == "solver":
-        ws = SecularWorkspace(config, ctx.radius_sq)
+        ws = SecularWorkspace(config, ctx.radius_sq, interval.center)
         roots = find_new_eigenvalues(
             config, interval, ctx.radius_sq, solver_tol=spec.solver_tol, workspace=ws
         )

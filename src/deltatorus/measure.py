@@ -47,7 +47,6 @@ from .lattice import (
     GapTriple,
     annulus_half_width,
     annulus_range,
-    shell_vectors,
 )
 
 
@@ -123,7 +122,7 @@ class Observable:
 class FourierField:
     """Fourier data of one superposition on the coordinate box of its ball.
 
-    The box arrays are flat in the order of ``ShellSums.index_of``; D is
+    The box arrays are flat in the C order of ``ShellSums.box_shape``; D is
     exactly 0 outside the ball.  They come from the ball's array pool, and
     the field owns them: only ``harness.measure_config``, after its last
     read, hands them back with ``shells.give``.  ``weights`` and ``values``
@@ -364,21 +363,19 @@ def functional_A(
     return float(np.sum(w * field.box_weights_sq[index]))
 
 
-def lex_first_shell_vector(dim: int, m: int) -> tuple:
-    vecs = shell_vectors(dim, m)
-    if vecs.shape[0] == 0:
-        raise ValidationError(f"{m} is not representable in dimension {dim}")
-    return tuple(int(c) for c in vecs[0])
-
-
 def functional_B(field: FourierField, interval: GapTriple) -> float:
     """|w(xi_0)|^2 / (n_{k+1} - n_{k-1})^2 with xi_0 the lexicographically
-    first vector on the center shell."""
+    first vector on the center shell, the shell's first point in the ball's
+    (norm, lexicographic) order."""
     shells = field.shells
-    i = shells.memo(
-        ("xi0", interval.center),
-        lambda: shells.index_of(lex_first_shell_vector(shells.dim, interval.center)),
-    )
+
+    def build():
+        s = int(np.searchsorted(shells.shell_ms, interval.center))
+        if s == shells.shell_ms.size or shells.shell_ms[s] != interval.center:
+            return -1
+        return int(shells.ball_order()[shells.starts[s]])
+
+    i = shells.memo(("xi0", interval.center), build)
     if i < 0:
         raise ValidationError(f"center shell {interval.center} outside the truncation set")
     return float(field.box_weights_sq[i]) / interval.outer_gap**2

@@ -16,15 +16,16 @@ unperturbed eigenvalues where H is singular.
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and are symmetric in the pair, an
 (S, N*(N+1)/2) array W over the unordered pairs.  Inside one gap only the
-shells at and next to its ends are singular.  SecularWorkspace keeps those
-few as exact terms and sums every other shell through a power series in
-lambda about the midpoint of the gap (``_gap_split``).  H then reads W only
-through about 30 fixed per-shell functionals of the gap (``_gap_rows``):
-the near shells, the series' moments and the two rows of G_{+i}.  One
-ShellSums.weights_many call per gap gives their values on the pairs; in
-d = 2 it never forms W.  H at one more lambda is then one small product
-over the near rows and the moments, whatever the size S of the ball,
-unpacked to N x N.
+shells at and next to its ends are singular.  A SecularWorkspace is one
+configuration's H on one gap: it keeps those few shells as exact terms and
+sums every other shell through a power series in lambda about the midpoint
+of the gap, so H reads W only through about 30 fixed per-shell
+functionals of the gap: the near shells, the series' moments and the two
+rows of G_{+i}.  The ball keeps them once per gap (``_gap_record``), and
+one ShellSums.weights_many call in the workspace's constructor gives
+their values on the pairs; in d = 2 it never forms W.  H at each lambda
+in the gap is then one small product over the near rows and the moments,
+whatever the size S of the ball, unpacked to N x N.
 
 The derivative c_lambda^2 @ W of H is positive semidefinite, so every
 ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
@@ -174,14 +175,14 @@ class ScattererConfig:
             return cls.from_json(json.load(f))
 
 
-def _gap_split(shells: ShellSums, i: int) -> tuple:
-    """(x0, h, a, b, p): the lambda-free layout of H's split form on the gap
-    (n_i, n_{i+1}) of the ball's shells, built once per ball and gap.
+def _gap_record(shells: ShellSums, i: int) -> tuple:
+    """(x0, h, near norms, (1..P) / h, projected rows): H's split form on
+    the gap (n_i, n_{i+1}) of the ball's shells, built once per ball and
+    gap and kept in its ``memo``.
 
     With x0 the midpoint of the gap and h its half width, a shell is near
-    when |n_s - x0| <= h / NEAR_RATIO; the near shells are [a, b) and H
-    keeps them as exact terms.  For a far shell and tau = (x - x0) / h in
-    (-1, 1),
+    when |n_s - x0| <= h / NEAR_RATIO; H keeps the near shells as exact
+    terms.  For a far shell and tau = (x - x0) / h in (-1, 1),
 
         1 / (n_s - x) = sum_{p >= 0} tau^p h^p / (n_s - x0)^{p+1},
 
@@ -193,6 +194,14 @@ def _gap_split(shells: ShellSums, i: int) -> tuple:
     for any positions, and P = p is the least count that puts this below
     2^-53 / n_{i+1}: shell 0 (E_0 = 1 for every pair) alone gives each
     entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.
+
+    The rows are the per-shell functionals H reads, as
+    ``ShellSums.project`` forms them: one unit row per near shell; the
+    (P + 1, S) moment table, whose row p is h^p / (n_s - x0)^{p+1} on the
+    far shells and 0 on the near ones (row P keeps the slope's series, one
+    term shorter than the value's, to the same order); and the rows
+    n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re and Im G_{+i}, as
+    G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1).
     """
 
     def build():
@@ -207,28 +216,13 @@ def _gap_split(shells: ShellSums, i: int) -> tuple:
         while bound > 2.0**-53 / ns[i + 1]:
             bound *= NEAR_RATIO
             p += 1
-        return x0, h, a, b, p
+        near = np.zeros((b - a, ns.size))
+        near[np.arange(b - a), np.arange(a, b)] = 1.0
+        table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
+        rows = shells.project((near, table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)))
+        return x0, h, ns[a:b], np.arange(1, p + 1) / h, rows
 
-    return shells.memo(("gap_split", i), build)
-
-
-def _gap_rows(shells: ShellSums, i: int) -> tuple:
-    """The per-shell functionals H reads on the gap of ``_gap_split``, as
-    the row blocks of ``ShellSums.weights_many``: one unit row per near
-    shell; the (P + 1, S) moment table, whose row p is h^p / (n_s -
-    x0)^{p+1} on the far shells and 0 on the near ones (row P keeps the
-    slope's series, one term shorter than the value's, to the same order);
-    and the rows n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re and Im G_{+i},
-    as G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1).
-    """
-    x0, h, a, b, p = _gap_split(shells, i)
-    ns = shells.ns_physical
-    near = np.zeros((b - a, ns.size))
-    near[np.arange(b - a), np.arange(a, b)] = 1.0
-    inv = 1.0 / (ns - x0)
-    inv[a:b] = 0.0
-    table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
-    return near, table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)
+    return shells.memo(("secular", i), build)
 
 
 @lru_cache(maxsize=16)
@@ -246,59 +240,48 @@ def _unpack(n: int) -> np.ndarray:
 
 
 class SecularWorkspace:
-    """Shell data bound to one configuration for fast evaluation of H.
+    """One configuration's split form of H on one gap, for fast evaluation.
 
-    H reads the pair weights W[s, t] = E_{m_s}(x_k - x_j), for the
-    unordered pair (k, j) in column t of pair_columns(N), only through the
-    per-shell functionals of ``_gap_rows``: the few shells near the gap
-    that holds lambda exactly, every other shell through P + 1 moments, and
-    the lambda-independent deficiency sum G_{+i}(x_k, x_j).  Their values
-    on the pairs come from one ``ShellSums.weights_many`` call per gap,
-    which in d = 2 never forms W.  H and its slope at one more lambda are
-    then one small product over those near rows and moments, whatever the
-    size of the ball, unpacked to N x N through a fixed index map.
+    The gap is (n_k, n_{k+1}) of the ball |xi|^2 <= radius_sq, with m_k,
+    the lower shell's norm, given.  H reads the pair weights W[s, t] =
+    E_{m_s}(x_k - x_j), for the unordered pair (k, j) in column t of
+    pair_columns(N), only through the per-shell functionals of
+    ``_gap_record``: the few shells near the gap exactly, every other shell
+    through P + 1 moments, and the lambda-independent deficiency sum
+    G_{+i}(x_k, x_j).  The constructor reads their values on the pairs with
+    one ``ShellSums.weights_many`` call, which in d = 2 never forms W.  H
+    and its slope at each lambda in the gap are then one small product over
+    those near rows and moments, whatever the size of the ball, unpacked to
+    N x N through a fixed index map.
     """
 
-    def __init__(self, config: ScattererConfig, radius_sq: int):
+    def __init__(self, config: ScattererConfig, radius_sq: int, m_k: int):
         self.config = config
         self.shells = ShellSums.get(config.dim, radius_sq)
+        ms, ns = self.shells.shell_ms, self.shells.ns_physical
+        i = int(np.searchsorted(ms, m_k))
+        if not (i + 1 < ms.size and ms[i] == m_k):
+            raise ValidationError(f"{m_k!r} is not a shell of the ball below its last one")
+        self.gap = (float(ns[i]), float(ns[i + 1]))
+        self._x0, self._h, self._near, self._dscale, rows = _gap_record(self.shells, i)
         self._unpack2 = _unpack(config.n_scatterers)
-        self._gap = None
-
-    def _fit(self, x: float) -> tuple:
-        """(n_i, n_{i+1}, x0, h, near shells, [W_near; moments], p / h,
-        Re G_{+i}, tan(theta/2) Im G_{+i}) for the gap (n_i, n_{i+1}) of the
-        ball's shells that holds x."""
-        ns = self.shells.ns_physical
-        i = int(np.searchsorted(ns, x)) - 1  # ns[i] < x <= ns[i + 1]
-        if not (0 <= i < ns.size - 1 and x < ns[i + 1]):
-            raise ValidationError(
-                f"lambda {x!r} does not lie strictly between two shells of the ball"
-            )
-        x0, h, a, b, p = _gap_split(self.shells, i)
-        values = self.shells.weights_many(
-            self.config.positions, rows=(("gap_rows", i), lambda: _gap_rows(self.shells, i))
-        )
+        values = self.shells.weights_many(config.positions, rows)
         unpack = self._unpack2[0]
-        re_g = values[-2][unpack]
-        tan_im_g = math.tan(self.config.theta / 2.0) * values[-1][unpack]
-        dscale = np.arange(1, p + 1) / h
-        return float(ns[i]), float(ns[i + 1]), x0, h, ns[a:b], values[:-2], dscale, re_g, tan_im_g
+        self._stacked = values[:-2]
+        self._re_g = values[-2][unpack]
+        self._tan_im_g = math.tan(config.theta / 2.0) * values[-1][unpack]
 
     def symmetric(self, lam_physical: float) -> tuple[np.ndarray, np.ndarray]:
-        """H and dH/dlambda at one parameter strictly inside a gap of the ball.
+        """H and dH/dlambda at one parameter strictly inside the gap.
 
         With tau = (lambda - x0) / h on the gap of midpoint x0 and half
         width h, H = sum_near W_s / (n_s - lambda) + sum_p M_p tau^p
         - Re G_{+i} + tan(theta/2) Im G_{+i}, and dH/dlambda =
         sum_near W_s / (n_s - lambda)^2 + sum_p p M_p tau^{p-1} / h.
-        The near rows, the moments M and G_{+i} are read on the first call
-        in a gap and kept until a call in another gap.
         """
-        gap = self._gap
-        if gap is None or not gap[0] < lam_physical < gap[1]:
-            gap = self._gap = self._fit(lam_physical)
-        _, _, x0, h, near, stacked, dscale, re_g, tan_im_g = gap
+        if not self.gap[0] < lam_physical < self.gap[1]:
+            raise ValidationError(f"lambda {lam_physical!r} is not strictly inside the gap {self.gap}")
+        near, stacked = self._near, self._stacked
         k = near.size
         # row 0: c_near then tau^p; row 1: c_near^2 then p tau^{p-1} / h
         coef = np.empty((2, stacked.shape[0]))
@@ -306,12 +289,12 @@ class SecularWorkspace:
         np.subtract(near, lam_physical, out=c)
         np.reciprocal(c, out=c)
         np.square(c, out=coef[1, :k])
-        powers[0], powers[1:] = 1.0, (lam_physical - x0) / h
+        powers[0], powers[1:] = 1.0, (lam_physical - self._x0) / self._h
         np.cumprod(powers, out=powers)
         coef[1, k] = 0.0
-        np.multiply(dscale, powers[:-1], out=coef[1, k + 1 :])
+        np.multiply(self._dscale, powers[:-1], out=coef[1, k + 1 :])
         h_mat, slope = (coef @ stacked).take(self._unpack2)
-        return h_mat - re_g + tan_im_g, slope
+        return h_mat - self._re_g + self._tan_im_g, slope
 
 
 def secular_value(
@@ -322,8 +305,12 @@ def secular_value(
     Both come from the eigenvalues mu of H: det M = (1 + e^{-i theta})^N det H
     and sigma_min(M) = |1 + e^{-i theta}| min |mu|.
     """
-    ws = SecularWorkspace(config, check_radius(radius_sq, lam))
-    ws.shells.pole_check(lam)
+    radius_sq = check_radius(radius_sq, lam)
+    shells = ShellSums.get(config.dim, radius_sq)
+    shells.pole_check(lam)
+    # the shell below lambda, or shell 0 when lambda lies below every shell
+    i = max(int(np.searchsorted(shells.ns_physical, lam.physical)) - 1, 0)
+    ws = SecularWorkspace(config, radius_sq, shells.shell_ms[i])
     mu = np.linalg.eigvalsh(ws.symmetric(lam.physical)[0])
     factor = 1.0 + np.exp(-1j * config.theta)
     return complex(factor ** mu.size * np.prod(mu)), float(abs(factor) * np.abs(mu).min())
@@ -415,20 +402,22 @@ def find_new_eigenvalues(
     cannot reach the residual, and reports the residual it measured.  A
     branch that takes MAX_BRANCH_STEPS steps raises NumericError: for the
     lowest root in this call, for a later one when it is first read.  A
-    prebuilt workspace must be the one for this config and radius_sq; the
-    sequence keeps using it for the roots it solves later.
+    prebuilt workspace must be the one for this config, radius_sq and gap;
+    the sequence keeps using it for the roots it solves later.
     """
     if not (solver_tol > 0 and math.isfinite(solver_tol)):
         raise ValidationError(f"solver_tol must be finite and > 0, got {solver_tol!r}")
     radius_sq = check_radius(radius_sq, SpectralParameter(float(interval.next)))
+    a, b = interval.n_center, interval.n_next
     if workspace is not None and (
-        workspace.config is not config or workspace.shells.radius_sq != radius_sq
+        workspace.config is not config
+        or workspace.shells.radius_sq != radius_sq
+        or workspace.gap != (a, b)
     ):
-        raise ValidationError("the workspace was built for another config or radius_sq")
+        raise ValidationError("the workspace was built for another config, radius_sq or gap")
     scale = 2.0 * abs(math.cos(config.theta / 2.0))  # |1 + e^{-i theta}|
     n = config.n_scatterers
-    ws = workspace if workspace is not None else SecularWorkspace(config, radius_sq)
-    a, b = interval.n_center, interval.n_next
+    ws = workspace if workspace is not None else SecularWorkspace(config, radius_sq, interval.center)
     floor = 4.0 * float(np.spacing(b))
     width = max(solver_tol * (b - a), floor)
     x_lo, x_hi = a + floor, b - floor

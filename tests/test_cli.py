@@ -105,13 +105,17 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
      ({"phases": [0.0, 0.4]}, []), ({"phases": [0.0]}, []),
      ({"phases": [0.0, 0.4], "coefficient_mode": "synthetic",
        "synthetic_coeffs": [[1.0, 0.0], [0.0, 0.0]]}, []),
-     ({"u_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, [])],
+     ({"u_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, []),
+     ({"delta": 1000, "l0_override": None}, []), ({"radius_factor": 1e308}, []),
+     ({"l0_override": 1e308}, []), ({"delta": -1000, "l0_override": None}, []),
+     ({"m_center": -5, "l0_override": None}, [])],
     ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
          "trials_fraction", "scatterers_fraction", "dim_float", "radius_factor_inf",
          "radius_factor_str", "radius_factor_bool", "delta_str", "solver_tol_str",
          "solver_tol_negative", "delta_nan", "gamma_eps_none", "lambda_frac_above",
          "synthetic_no_coeffs", "synthetic_unnormalized", "phases_distinct", "phases_short",
-         "phases_distinct_synthetic", "u_matrix"],
+         "phases_distinct_synthetic", "u_matrix", "delta_overflow", "radius_factor_overflow",
+         "L0_square_overflow", "L0_square_underflow", "m_center_negative"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)
@@ -268,6 +272,14 @@ REJECTED_INPUTS = {
     "solver_lambda_frac_above": (MEASURE + ["--lambda-frac", "1.5"], None),
     "delta_inf": (MEASURE + ["--delta", "inf"], None),
     "L0_inf": (MEASURE + ["--L0", "inf"], None),
+    # (4 pi^2 m)^delta, radius_factor * m or L_0^2 overflows float64, or L_0^2 underflows
+    "measure_delta_overflow": (MEASURE + ["--delta", "1000"], None),
+    "measure_L0_square_overflow": (MEASURE + ["--L0", "1e308"], None),
+    "measure_L0_square_underflow": (MEASURE + ["--delta", "-1000"], None),
+    "measure_radius_factor_overflow": (MEASURE + ["--radius-factor", "1e308"], None),
+    "solve_radius_factor_overflow": (
+        ["solve", "--config", "CFG", "--mk", "25", "--radius-factor", "1e308", "--out", "OUT"], None
+    ),
     "scale_gamma_div_zero": (["scale", "--gamma", "1/0"], None),
     "scale_eps_div_zero": (["scale", "--gamma", "17/832", "--eps", "1/0"], None),
     "scale_gamma_inf": (["scale", "--gamma", "1e400"], None),

@@ -207,8 +207,8 @@ def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
 @pytest.mark.parametrize("dim,radius_sq", [(2, 16058), (2, 4000), (3, 400)])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_weights_many_rows_match_rows_times_weights(dim, radius_sq, n):
-    # weights_many(x, rows) is F @ weights_many(x) for the stacked row blocks
-    # F, to rounding in |F| @ |W|, whether or not W is formed
+    # weights_many(x, project(blocks)) is F @ weights_many(x) for the
+    # stacked row blocks F, to rounding in |F| @ |W|, whether or not W is formed
     shells = ShellSums.get(dim, radius_sq)
     s = shells.shell_ms.size
     rng = np.random.default_rng(90 + dim)
@@ -217,7 +217,7 @@ def test_weights_many_rows_match_rows_times_weights(dim, radius_sq, n):
     if n == 5:
         x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
         x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
-    got = shells.weights_many(x, rows=(("test_rows", dim), lambda: blocks))
+    got = shells.weights_many(x, shells.project(blocks))
     w = shells.weights_many(x)
     f = np.vstack(blocks)
     assert got.shape == (f.shape[0], n * (n + 1) // 2)

@@ -20,7 +20,6 @@ from deltatorus.measure import (
     functional_A,
     functional_B,
     functional_C,
-    lex_first_shell_vector,
     pair_with_observable,
     sigma_sum,
     split_annulus,
@@ -332,7 +331,14 @@ def test_functional_B():
     table = enumerate_spectrum(2, 200)
     tri = table.gap_triple(25)
     assert (tri.prev, tri.center, tri.next) == (20, 25, 26)
-    assert lex_first_shell_vector(2, 25) == (-5, 0)
+    assert shell_vectors(2, 25)[0].tolist() == [-5, 0]
+    # xi_0 is a shell's first ball point: the ball lists each shell in the
+    # lexicographic order of shell_vectors
+    for dim, radius_sq, ms in ((2, 200, (0, 25, 50, 200)), (3, 400, (0, 5, 101, 400))):
+        shells = ShellSums.get(dim, radius_sq)
+        for m in ms:
+            s = int(np.searchsorted(shells.shell_ms, m))
+            assert shells.pts[shells.starts[s]].tolist() == shell_vectors(dim, m)[0].tolist()
     rng = np.random.default_rng(8)
     d = rng.normal(size=4) + 1j * rng.normal(size=4)
     d /= np.linalg.norm(d)

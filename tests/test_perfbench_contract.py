@@ -74,6 +74,9 @@ def test_benchmark_package_contract():
         results, _ = harness.run_trials(spec, threads=1, ctx=ctx)
     check_results(results, spec, ctx.interval)
     assert tracing.nesting_errors(tracer.spans) == []
+    # the workspace span covers the pair-weight stage, which its constructor runs
+    parents = [tracer.spans[s[3]][0] for s in tracer.spans if s[0] == "greens.weights_many"]
+    assert parents and set(parents) == {"scatterer.workspace"}
     # the names the tracer wraps but the package no longer has; a rename
     # that empties one more benchmark span shows here
     assert tracer.absent == {

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from deltatorus import harness, scatterer
-from deltatorus.errors import DegenerateExtensionError, NumericError, ValidationError
+from deltatorus.errors import (
+    DegenerateExtensionError,
+    NumericError,
+    OnSpectrumError,
+    ValidationError,
+)
 from deltatorus.greens import ShellSums, SpectralParameter, regularized_pair
 from deltatorus.harness import RunContext, TrialSpec, measure_config, sample_positions
 from deltatorus.lattice import FOUR_PI_SQ, enumerate_spectrum
@@ -32,9 +37,16 @@ def matrix_at(cfg, lam, radius_sq=R):
     return r_plus + np.exp(-1j * cfg.theta) * r_minus
 
 
+def workspace_at(cfg, x, radius_sq=R):
+    """The workspace of cfg on the gap of the ball that holds the physical x."""
+    shells = ShellSums.get(cfg.dim, radius_sq)
+    m_k = shells.shell_ms[int(np.searchsorted(shells.ns_physical, x)) - 1]
+    return SecularWorkspace(cfg, radius_sq, m_k)
+
+
 def h_at(cfg, lam, radius_sq=R):
     """The real symmetric H of the workspace at one off-spectrum parameter."""
-    return SecularWorkspace(cfg, radius_sq).symmetric(lam.physical)[0]
+    return workspace_at(cfg, lam.physical, radius_sq).symmetric(lam.physical)[0]
 
 
 def closed_form(shells: ShellSums, theta: float, lam_physical: float) -> float:
@@ -190,8 +202,8 @@ def test_workspace_matrix_against_regularized_pair_oracle(dim, radius_sq):
     theta = 0.9
     rng = np.random.default_rng(40 + dim)
     cfg = ScattererConfig(dim, rng.uniform(size=(3, dim)), phases=np.full(3, theta))
-    ws = SecularWorkspace(cfg, radius_sq)
     lam = SpectralParameter(9.4)
+    ws = workspace_at(cfg, lam.physical, radius_sq)
     h, slope = ws.symmetric(lam.physical)
     assert np.array_equal(h, h.T) and np.array_equal(slope, slope.T)
     got = (1.0 + np.exp(-1j * theta)) * h
@@ -216,7 +228,7 @@ def test_split_form_against_the_plain_shell_sum(dim, radius_sq, m_center):
     tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
     rng = np.random.default_rng(m_center)
     cfg = ScattererConfig(dim, rng.uniform(size=(5, dim)), phases=np.full(5, theta))
-    ws = SecularWorkspace(cfg, radius_sq)
+    ws = SecularWorkspace(cfg, radius_sq, m_center)
     ns = ws.shells.ns_physical
     w = ws.shells.weights_many(cfg.positions)
     rows, cols = np.triu_indices(5)
@@ -246,7 +258,7 @@ def test_workspace_with_one_scatterer(dim, radius_sq, m_center):
     cfg = ScattererConfig(dim, np.full((1, dim), 0.3), phases=[theta])
     shells = ShellSums.get(dim, radius_sq)
     tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
-    ws = SecularWorkspace(cfg, radius_sq)
+    ws = SecularWorkspace(cfg, radius_sq, m_center)
     ns = shells.ns_physical
     for frac in (0.1, 0.5, 0.9):
         x = tri.n_center + frac * (tri.n_next - tri.n_center)
@@ -260,56 +272,67 @@ def test_workspace_with_one_scatterer(dim, radius_sq, m_center):
 
 
 def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
-    # in d = 2 the box projection of a gap's rows is built by the first
-    # workspace that reads the gap and kept in the ball's memo in place of
-    # the S-wide rows; d = 3 keeps the rows themselves
-    rows = scatterer._gap_rows
+    # the first workspace on a gap builds the gap's record and projects its
+    # rows; the ball's memo keeps one record per gap, with the box
+    # projection in place of the S-wide rows in d = 2 and the rows in d = 3
     for dim, radius_sq, m_center in ((2, 4000, 100), (3, 400, 101)):
         fresh = ShellSums(dim, radius_sq)
         monkeypatch.setattr(ShellSums, "get", classmethod(lambda cls, d, r: fresh))
-        builds = []
-        monkeypatch.setattr(scatterer, "_gap_rows", lambda sh, i: builds.append(i) or rows(sh, i))
-        tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
-        below = fresh.ns_physical[int(np.searchsorted(fresh.ns_physical, tri.n_center)) - 1]
-        lams = (tri.n_center + 0.3 * (tri.n_next - tri.n_center), 0.5 * (below + tri.n_center))
+        project, builds = fresh.project, []
+        monkeypatch.setattr(fresh, "project", lambda blocks: builds.append(1) or project(blocks))
+        i = int(np.searchsorted(fresh.shell_ms, m_center))
         rng = np.random.default_rng(dim)
         for _ in range(3):
-            ws = SecularWorkspace(ScattererConfig(dim, rng.uniform(size=(4, dim)), np.zeros(4)), radius_sq)
-            for x in lams:
-                ws.symmetric(x)
-        gaps = [int(np.searchsorted(fresh.ns_physical, x)) - 1 for x in lams]
-        assert builds == gaps
-        kept = {k for k in fresh._memo if isinstance(k, tuple) and k[0] in ("box", "gap_rows")}
-        if dim == 2:
-            assert kept == {("box", ("gap_rows", i)) for i in gaps}
-        else:
-            assert kept == {("gap_rows", i) for i in gaps}
+            cfg = ScattererConfig(dim, rng.uniform(size=(4, dim)), np.zeros(4))
+            for m_k in (m_center, fresh.shell_ms[i - 1]):
+                SecularWorkspace(cfg, radius_sq, m_k)
+        assert len(builds) == 2
+        kept = {k: v for k, v in fresh._memo.items() if isinstance(k, tuple) and k[0] == "secular"}
+        assert set(kept) == {("secular", i), ("secular", i - 1)}
+        side, s = fresh.half + 1, fresh.shell_ms.size
+        for x0, h, near, dscale, rows in kept.values():
+            r = near.size + dscale.size + 3  # near rows, P + 1 moments, Re and Im G_{+i}
+            if dim == 2:
+                box, diag = rows
+                assert box.shape == (r * side, side) and diag.shape == (r,)
+            else:
+                assert [f.shape for f in rows] == [(near.size, s), (dscale.size + 1, s), (s,), (s,)]
 
 
 def test_split_form_needs_a_shell_on_either_side():
+    # a workspace is built on a gap of the ball and read strictly inside it;
+    # a parameter on a shell is on the spectrum before it is outside a gap
     cfg = one_scatterer(0.4)
-    ws = SecularWorkspace(cfg, R)
+    ws = SecularWorkspace(cfg, R, 0)
     top = ws.shells.ns_physical[-1]
-    for x in (-1.0, 0.0, top, top + 1.0, math.nan):
+    assert ws.gap == (0.0, FOUR_PI_SQ)
+    for x in (-1.0, 0.0, FOUR_PI_SQ, 1.5 * FOUR_PI_SQ, top, top + 1.0, math.nan):
         with pytest.raises(ValidationError):
             ws.symmetric(x)
+    for m_k in (ws.shells.shell_ms[-1], 3, -1, R + 1):  # the last shell, no shell
+        with pytest.raises(ValidationError):
+            SecularWorkspace(cfg, R, m_k)
     with pytest.raises(ValidationError):
         secular_value(cfg, SpectralParameter(-0.5), R)
+    for m in (0, 100, 101):
+        with pytest.raises(OnSpectrumError):
+            secular_value(cfg, SpectralParameter(float(m)), R)
 
 
 def test_solver_rejects_a_foreign_workspace():
-    # a workspace holds one configuration's pair weights on one ball; any
-    # other configuration or radius would get that configuration's roots
+    # a workspace holds one configuration's pair weights on one gap of one
+    # ball; any other configuration, radius or gap would get other roots
     tri = enumerate_spectrum(2, 400).gap_triple(100)
     a = ScattererConfig(2, np.array([[0.13, 0.71], [0.42, 0.09]]), phases=np.zeros(2))
     b = ScattererConfig(2, np.array([[0.31, 0.17], [0.24, 0.9]]), phases=np.zeros(2))
     twin = ScattererConfig(2, a.positions, phases=np.zeros(2))
-    ws = SecularWorkspace(a, 400)
+    ws = SecularWorkspace(a, 400, 100)
     x = np.array([[0.1, 0.2, 0.3], [0.6, 0.5, 0.4]])
-    ws3 = SecularWorkspace(ScattererConfig(3, x, phases=np.zeros(2)), 400)
+    ws3 = SecularWorkspace(ScattererConfig(3, x, phases=np.zeros(2)), 400, 100)
     for cfg, radius_sq, workspace in (
-        (b, 400, ws), (twin, 400, ws), (a, 401, ws), (a, 400, SecularWorkspace(a, 401)),
+        (b, 400, ws), (twin, 400, ws), (a, 401, ws), (a, 400, SecularWorkspace(a, 401, 100)),
         (ScattererConfig(2, x[:, :2], phases=np.zeros(2)), 400, ws3),
+        (a, 400, SecularWorkspace(a, 400, 101)), (a, 400, SecularWorkspace(a, 400, 98)),
     ):
         with pytest.raises(ValidationError):
             find_new_eigenvalues(cfg, tri, radius_sq, workspace=workspace)
@@ -327,7 +350,7 @@ def test_solver_radius_must_pass_the_upper_pole():
     with pytest.raises(ValidationError):
         find_new_eigenvalues(cfg, tri, 101)
     with pytest.raises(ValidationError):
-        find_new_eigenvalues(cfg, tri, 101, workspace=SecularWorkspace(cfg, 101))
+        find_new_eigenvalues(cfg, tri, 101, workspace=SecularWorkspace(cfg, 101, 100))
     assert len(find_new_eigenvalues(cfg, tri, 102)) == 1
 
 
@@ -335,7 +358,7 @@ def test_determinant_continuity_under_refinement():
     cfg = one_scatterer(0.5)
     table = enumerate_spectrum(2, 4000)
     tri = table.gap_triple(100)
-    ws = SecularWorkspace(cfg, 4000)
+    ws = SecularWorkspace(cfg, 4000, 100)
     lams = np.linspace(tri.n_center + 2.0, tri.n_next - 2.0, 9)
     coarse = [ws.symmetric(x)[0][0, 0] for x in lams]
     for i, x in enumerate(lams):
@@ -421,7 +444,7 @@ def test_default_roots_lie_within_tolerance_of_tight_roots(n):
     length = tri.next - tri.center
     for trial in range(4):
         cfg = ScattererConfig(2, sample_positions(11, trial, n, 2), phases=np.zeros(n))
-        ws = SecularWorkspace(cfg, radius)
+        ws = SecularWorkspace(cfg, radius, tri.center)
         loose = find_new_eigenvalues(cfg, tri, radius, workspace=ws)
         tight = find_new_eigenvalues(cfg, tri, radius, solver_tol=1e-12, workspace=ws)
         assert loose and len(loose) == len(tight)
@@ -493,7 +516,7 @@ def test_roots_have_the_same_bits_in_any_read_order(n, monkeypatch):
         cfg = spec.config_for(sample_positions(spec.seed, trial, n, 2))
         want = [_bits(r) for r in find_new_eigenvalues(cfg, tri, radius)]
         tight = [_bits(r) for r in find_new_eigenvalues(cfg, tri, radius, solver_tol=1e-12)]
-        ws = SecularWorkspace(cfg, radius)
+        ws = SecularWorkspace(cfg, radius, tri.center)
         assert len(want) == len(tight) == _inertia_drop(ws, tri)
 
         roots = find_new_eigenvalues(cfg, tri, radius)
