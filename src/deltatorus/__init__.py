@@ -1,6 +1,13 @@
 """Point scatterers on flat tori: spectra, Green's sums, secular roots,
 eigenfunction functionals and reproducible Monte Carlo."""
 
+import os
+
+# OpenBLAS reads this once, when numpy first loads it.  Every product runs
+# single-threaded anyway (greens.one_thread_matmul), and with one thread
+# the trial pool's os.fork never copies a process that has a BLAS worker.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ArtifactConflictError,
     DegenerateExtensionError,

@@ -348,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="tabulate the unperturbed spectrum")
+    sp = sub.add_parser("spectrum", help="export the unperturbed spectrum as a table")
     sp.add_argument("--dim", type=int, required=True, choices=(2, 3))
     sp.add_argument("--mmax", type=int, required=True)
-    sp.add_argument("--out", help=f"cache dir (default ${CACHE_ENV} or ./cache)")
+    sp.add_argument("--out", help=f"export dir, not read back (default ${CACHE_ENV} or ./cache)")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("sprime", help="build an acceptance window")

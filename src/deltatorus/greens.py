@@ -31,13 +31,19 @@ ONE_THREAD_GEMM = 10**6
 
 
 def one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b for 2-D arrays, in row blocks of a whose product stays
-    within ONE_THREAD_GEMM, so that no BLAS worker thread wakes and
-    concurrent trials do not contend for cores.  The blocks depend on the
-    shapes alone, so equal inputs give equal bits; an empty b is one block."""
-    step = max(1, ONE_THREAD_GEMM // max(1, b.shape[0] * b.shape[1]))
-    for r in range(0, a.shape[0], step):
-        np.matmul(a[r : r + step], b, out=out[r : r + step])
+    """out = a @ b for 2-D arrays, in blocks whose product stays within
+    ONE_THREAD_GEMM, so that no BLAS worker thread wakes and concurrent
+    trials do not contend for cores.  b is split into blocks of
+    ONE_THREAD_GEMM // (64 * b.shape[0]) columns, so that a row block of a
+    has about 64 rows or more, and a into row blocks sized to each column
+    block.  The blocks depend on the shapes alone, so equal inputs give
+    equal bits."""
+    width = max(1, ONE_THREAD_GEMM // max(1, 64 * b.shape[0]))
+    for c in range(0, b.shape[1], width):
+        block = b[:, c : c + width]
+        step = max(1, ONE_THREAD_GEMM // max(1, block.shape[0] * block.shape[1]))
+        for r in range(0, a.shape[0], step):
+            np.matmul(a[r : r + step], block, out=out[r : r + step, c : c + width])
     return out
 
 
@@ -97,8 +103,9 @@ class ShellSums:
     shell makes repeated evaluations at many spectral parameters cheap.
     ``weights`` evaluates them directly from cosines over the whole ball at
     one difference vector; ``weights_many`` gets every unordered pair of a
-    configuration, or fixed linear functionals of the pairs' shell sums,
-    from the nonnegative orthant of the ball and 1-D cosine tables.
+    configuration, or a few shells of them and fixed linear functionals of
+    the pairs' shell sums, from the nonnegative orthant of the ball and 1-D
+    cosine tables.
 
     Fourier fields live on the coordinate box |xi_c| <= half = isqrt(R),
     flat in C order with xi at index xi + half.  The
@@ -145,7 +152,7 @@ class ShellSums:
 
     def weights_many(self, positions, rows=None) -> np.ndarray:
         """E_m(x_k - x_j) for every unordered pair of a configuration, or
-        fixed linear functionals of them.
+        a few shells' rows of them and fixed linear functionals of them.
 
         With rows None, returns W of shape (S, N*(N+1)/2) whose column t
         holds the pair (k, j) = (pair_columns(N)[0][t], pair_columns(N)[1][t]).
@@ -160,48 +167,62 @@ class ShellSums:
         the ball (``_orthant``) and reduced into the shells by one bincount
         per pair.  The diagonal columns are the exact shell multiplicities.
 
-        With rows = ``project(blocks)`` for the row blocks of an (r, S)
-        matrix F of per-shell functionals, returns F @ W, of shape
-        (r, N*(N+1)/2); in d = 2 without forming W.
+        With rows = ``project(near, blocks)`` for a slice near of the shells
+        and the row blocks of an (r, S) matrix F of per-shell functionals,
+        returns W[near] stacked on F @ W, of shape
+        (near size + r, N*(N+1)/2); in d = 2 without forming W.
         """
         positions = self._positions(positions)
         if rows is None:
             return self._pair_weights(positions)
         if self.dim == 2:
             return self._box_product(positions, *rows)
+        near, blocks = rows
         w = self._pair_weights(positions)
         return np.vstack([
-            one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1]))) if f.ndim == 2 else f @ w
-            for f in rows
+            w[near],
+            *(one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1]))) if f.ndim == 2 else f @ w
+              for f in blocks),
         ])
 
-    def project(self, blocks) -> tuple:
-        """The lambda-free form in which ``weights_many`` reads the row
-        blocks of an (r, S) matrix F, each (r_b, S) or (S,).
+    def project(self, near: slice, blocks) -> tuple:
+        """The lambda-free form in which ``weights_many`` reads the shells
+        near = slice(a, b), 0 <= a < b <= S, and the row blocks of an (r, S)
+        matrix F, each (r_b, S) or (S,).
 
-        In d = 2 it is (G, F @ mult), with the box projection G[r, a, b] =
+        In d = 2 it is (near orthant points, box, diagonal).  The near
+        shells' orthant points are a run of ``_orthant`` in shell order:
+        their coordinates (a, b), their weights 2^{#nonzero of a, b} and the
+        offset of each shell's first point in the run.  An off-diagonal
+        pair t with T_c[a, t] = cos(2*pi*a*z_c) reads a near shell as the
+        sum over its points of weight * T_0[a, t] * T_1[b, t], one gather
+        for every pair.  The box projection of F, box[r, a, b] =
         F[r, shell(a, b)] * 2^{#nonzero of a, b} over the orthant box
-        0 <= a, b <= isqrt(R), zero outside the ball, as r * (isqrt(R) + 1)
-        rows of isqrt(R) + 1.  An off-diagonal pair t with T_c[a, t] =
-        cos(2*pi*a*z_c) is then sum_{a, b} G[r, a, b] T_0[a, t] T_1[b, t],
-        one blocked product of G with T_1 and one reduction against T_0 for
-        all pairs, and the diagonal columns are F @ mult.  A
-        d = 2 shell holds about 3 orthant points, so G is a few times the
-        size of F.  A d = 3 shell holds about 80, and G would have
-        (isqrt(R) + 1)^3 entries per row: 73 MB at R = 4000 and about 0.5 GB
-        at R = 16000, per process.  So in d = 3 the form is the blocks
-        themselves: W is formed and multiplied by each block on its own,
-        which also keeps a block's bits independent of the blocks stacked
-        with it.
+        0 <= a, b <= isqrt(R), zero outside the ball, is kept as
+        r * (isqrt(R) + 1) rows of isqrt(R) + 1; a pair then reads F @ W as
+        sum_{a, b} box[r, a, b] T_0[a, t] T_1[b, t], one blocked product
+        of the box with T_1 and one reduction against T_0 for all pairs.
+        The diagonal columns are mult[near] stacked on F @ mult.  A d = 2
+        shell holds about 3 orthant points, so the box is a few times the
+        size of F.  A d = 3 shell holds about 80, and the box would have
+        (isqrt(R) + 1)^3 entries per row: 73 MB at R = 4000 and about
+        0.5 GB at R = 16000, per process.  So in d = 3 the form is
+        (near, blocks): W is formed, its near rows are the slice W[near],
+        and each block multiplies W on its own, which also keeps a block's
+        bits independent of the blocks stacked with it.
         """
         if self.dim == 3:
-            return tuple(blocks)
+            return near, tuple(blocks)
         f = np.vstack(blocks)
         coords, weight, shell = self._orthant()
+        lo, hi = np.searchsorted(shell, (near.start, near.stop))
+        starts = np.searchsorted(shell[lo:hi], np.arange(near.start, near.stop))
+        mult = self.mult.astype(np.float64)
         side = self.half + 1
         box = np.zeros((f.shape[0], side * side))
         box[:, coords[0] * side + coords[1]] = f[:, shell] * weight
-        return box.reshape(-1, side), f @ self.mult.astype(np.float64)
+        points = (coords[:, lo:hi], weight[lo:hi], starts)
+        return points, box.reshape(-1, side), np.r_[mult[near], f @ mult]
 
     def _pair_weights(self, positions: np.ndarray) -> np.ndarray:
         """W for checked positions: one gather and bincount per pair."""
@@ -227,16 +248,23 @@ class ShellSums:
             w[t] = np.bincount(shell, weights=product, minlength=s)
         return w.T
 
-    def _box_product(self, positions: np.ndarray, box: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """F @ W in d = 2 from the box projection of F and F @ mult."""
+    def _box_product(self, positions: np.ndarray, points: tuple, box: np.ndarray,
+                     diag: np.ndarray) -> np.ndarray:
+        """W[near] stacked on F @ W in d = 2 from the near shells' orthant
+        points, the box projection of F and the diagonal columns."""
+        coords, weight, starts = points
         rows, cols = pair_columns(positions.shape[0])
         off = rows != cols
         z = (positions[rows[off]] - positions[cols[off]]).T
         steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
         tables = np.cos(z[:, None, :] * steps[:, None])  # (d, isqrt(R) + 1, pairs)
-        y = one_thread_matmul(box, tables[1], np.empty((box.shape[0], z.shape[1])))
+        k = starts.size
         out = np.empty((diag.size, rows.size))
-        out[:, off] = np.einsum("rat,at->rt", y.reshape(diag.size, steps.size, z.shape[1]), tables[0])
+        near = tables[0][coords[0]] * tables[1][coords[1]]
+        near *= weight[:, None]
+        out[:k, off] = np.add.reduceat(near, starts, axis=0)
+        y = one_thread_matmul(box, tables[1], np.empty((box.shape[0], z.shape[1])))
+        out[k:, off] = np.einsum("rat,at->rt", y.reshape(diag.size - k, steps.size, z.shape[1]), tables[0])
         out[:, ~off] = diag[:, None]
         return out
 

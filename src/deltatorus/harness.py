@@ -40,7 +40,12 @@ from .measure import (
     split_annulus,
 )
 from .scatterer import (
-    ScattererConfig, SecularWorkspace, common_phase, find_new_eigenvalues, pair_distances
+    ScattererConfig,
+    SecularWorkspace,
+    check_solver_tol,
+    common_phase,
+    find_new_eigenvalues,
+    pair_distances,
 )
 from .sprime import _n_power
 
@@ -143,8 +148,7 @@ class TrialSpec:
             value = getattr(self, name)
             if value is not None or name != "l0_override":
                 _check_finite(name, value)
-        if not self.solver_tol > 0:
-            raise ValidationError(f"solver_tol must be > 0, got {self.solver_tol!r}")
+        check_solver_tol(self.solver_tol)
         if self.m_center < 1:
             raise ValidationError(f"m_center must be >= 1, got {self.m_center}")
         self.annulus_width()

@@ -17,15 +17,16 @@ Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and are symmetric in the pair, an
 (S, N*(N+1)/2) array W over the unordered pairs.  Inside one gap only the
 shells at and next to its ends are singular.  A SecularWorkspace is one
-configuration's H on one gap: it keeps those few shells as exact terms and
-sums every other shell through a power series in lambda about the midpoint
-of the gap, so H reads W only through about 30 fixed per-shell
-functionals of the gap: the near shells, the series' moments and the two
-rows of G_{+i}.  The ball keeps them once per gap (``_gap_record``), and
-one ShellSums.weights_many call in the workspace's constructor gives
-their values on the pairs; in d = 2 it never forms W.  H at each lambda
-in the gap is then one small product over the near rows and the moments,
-whatever the size S of the ball, unpacked to N x N.
+configuration's H on one gap: it keeps the shells near the gap as exact
+terms and sums every other shell through a power series in lambda about
+the midpoint of the gap, so H reads W only through the near shells' rows
+and a few fixed per-shell functionals of the gap: the series' moments
+and the two rows of G_{+i}.  The ball keeps them once per gap
+(``_gap_record``), and one ShellSums.weights_many call in the
+workspace's constructor gives their values on the pairs; in d = 2 it
+never forms W.  H at each lambda in the gap is then one small product
+over the near rows and the moments, whatever the size S of the ball,
+unpacked to N x N.
 
 The derivative c_lambda^2 @ W of H is positive semidefinite, so every
 ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
@@ -66,7 +67,20 @@ MAX_BRANCH_STEPS = 200
 
 #: a shell within h / NEAR_RATIO of the midpoint of a gap of half width h
 #: enters H exactly; every farther one through a series in NEAR_RATIO
-NEAR_RATIO = 0.1
+NEAR_RATIO = 0.01
+
+#: largest solver_tol.  At 1/2 the first midpoint passes the step test
+#: whatever the root; and a root accepted with a residual near solver_tol
+#: reads ``near_degenerate`` (second |mu| below 1e3 times the residual)
+#: whenever that second value is below 1e3 * solver_tol, while it is of
+#: order 0.1 to 1 at well separated roots.  1e-4 keeps that at 0.1.
+MAX_SOLVER_TOL = 1e-4
+
+
+def check_solver_tol(solver_tol: float) -> None:
+    """Reject a root-search tolerance outside (0, MAX_SOLVER_TOL]."""
+    if not 0 < solver_tol <= MAX_SOLVER_TOL:
+        raise ValidationError(f"solver_tol must be in (0, {MAX_SOLVER_TOL}], got {solver_tol!r}")
 
 
 @lru_cache(maxsize=16)
@@ -195,13 +209,16 @@ def _gap_record(shells: ShellSums, i: int) -> tuple:
     2^-53 / n_{i+1}: shell 0 (E_0 = 1 for every pair) alone gives each
     entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.
 
-    The rows are the per-shell functionals H reads, as
-    ``ShellSums.project`` forms them: one unit row per near shell; the
-    (P + 1, S) moment table, whose row p is h^p / (n_s - x0)^{p+1} on the
-    far shells and 0 on the near ones (row P keeps the slope's series, one
-    term shorter than the value's, to the same order); and the rows
-    n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re and Im G_{+i}, as
+    The rows are what H reads, as ``ShellSums.project`` forms them: the
+    near shells' rows W[a:b], read in d = 2 by a gather over their orthant
+    points; the (P + 1, S) moment table, whose row p is
+    h^p / (n_s - x0)^{p+1} on the far shells and 0 on the near ones (row P
+    keeps the slope's series, one term shorter than the value's, to the
+    same order); and the rows n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re
+    and Im G_{+i}, as
     G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1).
+    At NEAR_RATIO = 0.01 the acceptance gap (m_k = 10036, R = 16058) has
+    26 near shells and P = 11, so its d = 2 box holds 14 rows.
     """
 
     def build():
@@ -216,10 +233,8 @@ def _gap_record(shells: ShellSums, i: int) -> tuple:
         while bound > 2.0**-53 / ns[i + 1]:
             bound *= NEAR_RATIO
             p += 1
-        near = np.zeros((b - a, ns.size))
-        near[np.arange(b - a), np.arange(a, b)] = 1.0
         table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
-        rows = shells.project((near, table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)))
+        rows = shells.project(slice(a, b), (table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)))
         return x0, h, ns[a:b], np.arange(1, p + 1) / h, rows
 
     return shells.memo(("secular", i), build)
@@ -245,9 +260,9 @@ class SecularWorkspace:
     The gap is (n_k, n_{k+1}) of the ball |xi|^2 <= radius_sq, with m_k,
     the lower shell's norm, given.  H reads the pair weights W[s, t] =
     E_{m_s}(x_k - x_j), for the unordered pair (k, j) in column t of
-    pair_columns(N), only through the per-shell functionals of
-    ``_gap_record``: the few shells near the gap exactly, every other shell
-    through P + 1 moments, and the lambda-independent deficiency sum
+    pair_columns(N), only through the rows of ``_gap_record``: the
+    shells near the gap exactly, every other shell through P + 1 moments,
+    and the lambda-independent deficiency sum
     G_{+i}(x_k, x_j).  The constructor reads their values on the pairs with
     one ``ShellSums.weights_many`` call, which in d = 2 never forms W.  H
     and its slope at each lambda in the gap are then one small product over
@@ -399,14 +414,14 @@ def find_new_eigenvalues(
     times the gap length and the residual |1 + e^{-i theta}| |mu| is at
     most solver_tol, or once its bracket reaches the floating-point floor;
     the latter keeps a root that sits so close to a pole that float64
-    cannot reach the residual, and reports the residual it measured.  A
-    branch that takes MAX_BRANCH_STEPS steps raises NumericError: for the
-    lowest root in this call, for a later one when it is first read.  A
+    cannot reach the residual, and reports the residual it measured.
+    solver_tol must lie in (0, MAX_SOLVER_TOL].  A branch that takes
+    MAX_BRANCH_STEPS steps raises NumericError: for the lowest root in
+    this call, for a later one when it is first read.  A
     prebuilt workspace must be the one for this config, radius_sq and gap;
     the sequence keeps using it for the roots it solves later.
     """
-    if not (solver_tol > 0 and math.isfinite(solver_tol)):
-        raise ValidationError(f"solver_tol must be finite and > 0, got {solver_tol!r}")
+    check_solver_tol(solver_tol)
     radius_sq = check_radius(radius_sq, SpectralParameter(float(interval.next)))
     a, b = interval.n_center, interval.n_next
     if workspace is not None and (

@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import deltatorus
 from deltatorus import cli, harness, scatterer
 from deltatorus.cli import main
 from deltatorus.errors import NumericError, ValidationError
@@ -108,14 +111,15 @@ def test_unknown_spec_key_exit_code(tmp_path, capsys):
      ({"u_matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, []),
      ({"delta": 1000, "l0_override": None}, []), ({"radius_factor": 1e308}, []),
      ({"l0_override": 1e308}, []), ({"delta": -1000, "l0_override": None}, []),
-     ({"m_center": -5, "l0_override": None}, [])],
+     ({"m_center": -5, "l0_override": None}, []), ({"solver_tol": 0.5}, [])],
     ids=["seed_negative", "seed_2_64", "dim4", "no_scatterers", "seed_fraction", "seed_bool",
          "trials_fraction", "scatterers_fraction", "dim_float", "radius_factor_inf",
          "radius_factor_str", "radius_factor_bool", "delta_str", "solver_tol_str",
          "solver_tol_negative", "delta_nan", "gamma_eps_none", "lambda_frac_above",
          "synthetic_no_coeffs", "synthetic_unnormalized", "phases_distinct", "phases_short",
          "phases_distinct_synthetic", "u_matrix", "delta_overflow", "radius_factor_overflow",
-         "L0_square_overflow", "L0_square_underflow", "m_center_negative"],
+         "L0_square_overflow", "L0_square_underflow", "m_center_negative",
+         "solver_tol_too_large"],
 )
 def test_out_of_range_spec_exit_code(tmp_path, capsys, spec_overrides, extra_args):
     spec = write_spec(tmp_path, **spec_overrides)
@@ -233,9 +237,9 @@ def test_solve_and_measure(tmp_path):
     "extra_args",
     [["--coeffs", "COEFFS", "--lambda-frac", "1.5"], ["--coeffs", "COEFFS", "--lambda-frac", "0"],
      ["--radius-factor", "inf"], ["--radius-factor", "0"], ["--tol", "inf"], ["--tol", "nan"],
-     ["--coeffs", "NAN_COEFFS"]],
+     ["--tol", "0.5"], ["--coeffs", "NAN_COEFFS"]],
     ids=["lambda_frac_above", "lambda_frac_zero", "radius_factor_inf", "radius_factor_zero",
-         "tol_inf", "tol_nan", "coeffs_nan"],
+         "tol_inf", "tol_nan", "tol_too_large", "coeffs_nan"],
 )
 def test_measure_rejects_out_of_range_parameters(tmp_path, capsys, extra_args):
     cfg = write_config(tmp_path, n=1)
@@ -277,6 +281,10 @@ REJECTED_INPUTS = {
     "measure_L0_square_overflow": (MEASURE + ["--L0", "1e308"], None),
     "measure_L0_square_underflow": (MEASURE + ["--delta", "-1000"], None),
     "measure_radius_factor_overflow": (MEASURE + ["--radius-factor", "1e308"], None),
+    # at 1/2 the gap's first midpoint passes the step test whatever the root
+    "solve_tol_too_large": (
+        ["solve", "--config", "CFG", "--mk", "25", "--tol", "0.5", "--out", "OUT"], None
+    ),
     "solve_radius_factor_overflow": (
         ["solve", "--config", "CFG", "--mk", "25", "--radius-factor", "1e308", "--out", "OUT"], None
     ),
@@ -368,6 +376,40 @@ def test_mc_reproducible_across_threads(tmp_path):
     assert (out1 / "aggregate.json").read_bytes() == (out2 / "aggregate.json").read_bytes()
     # rerun into the same directory: identical content, no conflict
     assert main(["mc", "--spec", str(spec), "--out", str(out1), "--threads", "2"]) == 0
+
+
+#: runs the CLI with os.fork wrapped to record the OS threads of the
+#: process at each fork, and prints them with the exit code
+FORK_PROBE = """
+import json, os, sys
+fork, threads = os.fork, []
+
+def counted_fork():
+    with open("/proc/self/status") as f:
+        threads.append(int(next(line for line in f if line.startswith("Threads:")).split()[1]))
+    return fork()
+
+os.fork = counted_fork
+from deltatorus.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "threads": threads}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_mc_forks_a_single_threaded_process(tmp_path):
+    # importing the package pins OpenBLAS to one thread before numpy loads
+    # it, so no fork of the trial pool copies a BLAS worker thread
+    spec = write_spec(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(deltatorus.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["mc", "--spec", str(spec), "--out", str(tmp_path / "r"), "--threads", "3"]
+    done = subprocess.run([sys.executable, "-c", FORK_PROBE, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe == {"code": 0, "threads": [1, 1]}
 
 
 def test_mc_auto_workers_follow_the_affinity_mask(monkeypatch):

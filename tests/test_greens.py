@@ -6,6 +6,7 @@ import pytest
 
 from deltatorus.errors import OnSpectrumError, ValidationError
 from deltatorus.greens import (
+    ONE_THREAD_GEMM,
     ShellSums,
     SpectralParameter,
     TruncationPolicy,
@@ -207,21 +208,32 @@ def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
 @pytest.mark.parametrize("dim,radius_sq", [(2, 16058), (2, 4000), (3, 400)])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_weights_many_rows_match_rows_times_weights(dim, radius_sq, n):
-    # weights_many(x, project(blocks)) is F @ weights_many(x) for the
-    # stacked row blocks F, to rounding in |F| @ |W|, whether or not W is formed
+    # weights_many(x, project(near, blocks)) is W[near] stacked on F @ W for
+    # the stacked row blocks F, whether or not W is formed: the near rows to
+    # 1e-15 of the multiplicity in d = 2 and bit for bit in d = 3, with the
+    # multiplicities as their diagonal columns, and F @ W to rounding in |F| @ |W|
     shells = ShellSums.get(dim, radius_sq)
     s = shells.shell_ms.size
     rng = np.random.default_rng(90 + dim)
-    blocks = (np.eye(s)[s // 2 : s // 2 + 3], rng.standard_normal((4, s)), 1.0 / (shells.ns_physical + 1.0))
+    near = slice(s // 2 - 10, s // 2 + 16)
+    blocks = (rng.standard_normal((4, s)), 1.0 / (shells.ns_physical + 1.0))
     x = rng.uniform(size=(n, dim))
     if n == 5:
         x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
         x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
-    got = shells.weights_many(x, shells.project(blocks))
+    got = shells.weights_many(x, shells.project(near, blocks))
     w = shells.weights_many(x)
     f = np.vstack(blocks)
-    assert got.shape == (f.shape[0], n * (n + 1) // 2)
-    assert np.all(np.abs(got - f @ w) <= 1e-13 * (np.abs(f) @ np.abs(w)))
+    k = near.stop - near.start
+    assert got.shape == (k + f.shape[0], n * (n + 1) // 2)
+    mult = shells.mult[near].astype(np.float64)
+    if dim == 2:
+        assert np.all(np.abs(got[:k] - w[near]) <= 1e-15 * mult[:, None])
+    else:
+        assert np.array_equal(got[:k], w[near])
+    rows, cols = np.triu_indices(n)
+    assert np.array_equal(got[:k, rows == cols], np.repeat(mult[:, None], n, axis=1))
+    assert np.all(np.abs(got[k:] - f @ w) <= 1e-13 * (np.abs(f) @ np.abs(w)))
 
 
 def test_one_thread_matmul_of_an_empty_product():
@@ -230,6 +242,50 @@ def test_one_thread_matmul_of_an_empty_product():
     assert one_thread_matmul(a, np.ones((4, 0)), np.empty((3, 0))).shape == (3, 0)
     out = np.full((3, 2), np.nan)
     assert np.array_equal(one_thread_matmul(a[:, :0], np.ones((0, 2)), out), np.zeros((3, 2)))
+
+
+def _matmul_calls(monkeypatch, a, b):
+    """one_thread_matmul(a, b) and the (rows, columns) of each of its products."""
+    matmul, calls = np.matmul, []
+
+    def counted(x, y, out):
+        calls.append(out.shape)
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    got = one_thread_matmul(a, b, np.empty((a.shape[0], b.shape[1])))
+    monkeypatch.setattr(np, "matmul", matmul)
+    return got, calls
+
+
+@pytest.mark.parametrize("m,k,n", [
+    (14 * 127, 127, 120),  # d = 2 workspace box at the acceptance gap, N = 16
+    (253, 30, 506),  # d = 2 field at the acceptance ball, N = 15
+    (12, 336, 36),  # d = 3 workspace moments at R = 400, m_k = 101, N = 8
+    (61 * 61, 16, 122),  # d = 3 field at R = 900, N = 8
+])
+def test_one_thread_matmul_keeps_one_column_block_on_artifact_shapes(monkeypatch, m, k, n):
+    # every product an artifact runs fits one column block, so its row
+    # blocks, and with them its bits, are those of rows alone
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    got, calls = _matmul_calls(monkeypatch, a, b)
+    assert {cols for _, cols in calls} == {n}
+    step = max(1, ONE_THREAD_GEMM // (k * n))
+    want = np.vstack([a[r : r + step] @ b for r in range(0, m, step)])
+    assert np.array_equal(got, want)
+
+
+def test_one_thread_matmul_blocks_wide_products_by_columns(monkeypatch):
+    # the N = 64 workspace box product: column blocks of 123 pairs, each
+    # with row blocks of 64 rows, where rows alone gave blocks of 3
+    rng = np.random.default_rng(64)
+    a, b = rng.standard_normal((300, 127)), rng.standard_normal((127, 2016))
+    got, calls = _matmul_calls(monkeypatch, a, b)
+    assert {cols for _, cols in calls} == {123, 2016 % 123}
+    assert max(r for r, c in calls if c == 123) == 64 and min(r for r, _ in calls) == 300 % 64
+    assert all(r * c * 127 <= ONE_THREAD_GEMM for r, c in calls)
+    assert np.allclose(got, a @ b, rtol=0, atol=1e-12 * np.abs(a) @ np.abs(b))
 
 
 def test_d3_shell_enumeration_matches_brute_force():

@@ -15,8 +15,10 @@ from deltatorus.greens import ShellSums, SpectralParameter, regularized_pair
 from deltatorus.harness import RunContext, TrialSpec, measure_config, sample_positions
 from deltatorus.lattice import FOUR_PI_SQ, enumerate_spectrum
 from deltatorus.scatterer import (
+    NEAR_RATIO,
     ScattererConfig,
     SecularWorkspace,
+    _gap_record,
     find_new_eigenvalues,
     secular_value,
 )
@@ -273,13 +275,14 @@ def test_workspace_with_one_scatterer(dim, radius_sq, m_center):
 
 def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
     # the first workspace on a gap builds the gap's record and projects its
-    # rows; the ball's memo keeps one record per gap, with the box
-    # projection in place of the S-wide rows in d = 2 and the rows in d = 3
+    # rows; the ball's memo keeps one record per gap, with the near shells'
+    # orthant points and the box projection of the moments and G_{+i} in
+    # d = 2, and the near slice and the rows in d = 3
     for dim, radius_sq, m_center in ((2, 4000, 100), (3, 400, 101)):
         fresh = ShellSums(dim, radius_sq)
         monkeypatch.setattr(ShellSums, "get", classmethod(lambda cls, d, r: fresh))
         project, builds = fresh.project, []
-        monkeypatch.setattr(fresh, "project", lambda blocks: builds.append(1) or project(blocks))
+        monkeypatch.setattr(fresh, "project", lambda near, blocks: builds.append(1) or project(near, blocks))
         i = int(np.searchsorted(fresh.shell_ms, m_center))
         rng = np.random.default_rng(dim)
         for _ in range(3):
@@ -291,12 +294,29 @@ def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
         assert set(kept) == {("secular", i), ("secular", i - 1)}
         side, s = fresh.half + 1, fresh.shell_ms.size
         for x0, h, near, dscale, rows in kept.values():
-            r = near.size + dscale.size + 3  # near rows, P + 1 moments, Re and Im G_{+i}
+            a = int(np.searchsorted(fresh.ns_physical, near[0]))
+            assert np.array_equal(fresh.ns_physical[a : a + near.size], near)
+            r = dscale.size + 3  # P + 1 moments, Re and Im G_{+i}
             if dim == 2:
-                box, diag = rows
-                assert box.shape == (r * side, side) and diag.shape == (r,)
+                (coords, weight, starts), box, diag = rows
+                assert box.shape == (r * side, side) and diag.shape == (near.size + r,)
+                mult = fresh.mult[a : a + near.size]
+                assert np.array_equal(diag[: near.size], mult)
+                assert starts.size == near.size and np.array_equal(np.add.reduceat(weight, starts), mult)
             else:
-                assert [f.shape for f in rows] == [(near.size, s), (dscale.size + 1, s), (s,), (s,)]
+                assert rows[0] == slice(a, a + near.size)
+                assert [f.shape for f in rows[1]] == [(dscale.size + 1, s), (s,), (s,)]
+
+
+def test_acceptance_gap_record():
+    # NEAR_RATIO sets the split: at m_k = 10036, R = 16058 the gap keeps 26
+    # near shells on 81 orthant points and P = 11, so its box is 14 x 127 x 127
+    shells = ShellSums.get(2, 16058)
+    x0, h, near, dscale, rows = _gap_record(shells, int(np.searchsorted(shells.shell_ms, 10036)))
+    (coords, weight, starts), box, diag = rows
+    assert near.size == 26 and weight.size == 81 and dscale.size == 11
+    assert box.shape == (14 * 127, 127) and diag.shape == (26 + 14,)
+    assert np.all(np.abs(near - x0) <= h / NEAR_RATIO)
 
 
 def test_split_form_needs_a_shell_on_either_side():
