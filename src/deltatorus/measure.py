@@ -5,7 +5,10 @@ D(xi) = c_lambda(xi) * w(xi), where w(xi) = sum_j d_j e_xi(-x_j) is the
 position-dependent phase sum.  Everything here is a finite sum over a fixed
 truncation ball.  A field is stored once, on the ball's coordinate box
 (ShellSums): w factors over the coordinates, so it is one real matrix product
-written into the box, in row blocks that keep OpenBLAS on one core.  The
+written into the box, in row blocks that keep OpenBLAS on one core.  Real
+coefficients, as every solver root has, make the field Hermitian: only
+the box rows xi_0 >= 0 are computed and the rows xi_0 < 0 are their
+conjugate mirror, while complex coefficients build the whole box.  The
 field is then queried read-only; the norm, the correlations and the
 complement functional are each one row-wise dot along the last box axis
 summed over the rows, the rest are gathers at fixed box positions:
@@ -191,7 +194,13 @@ def assemble_field(
     re/im.  It runs in row blocks through ``one_thread_matmul``, so OpenBLAS
     stays on one core.  |w|^2 is kept and w is scaled in place into D;
     c_lambda is 1/(n - lambda) on ``physical_box``, exactly 0 outside the
-    ball, and norm_sq is the row-wise dot of D with itself.
+    ball, and norm_sq is the row-wise dot of D with itself over the box.
+
+    Real coefficients (every solver root) make the field Hermitian,
+    w(-xi) = conj w(xi), and c_lambda is even.  Then only the box rows
+    xi_0 >= 0 are computed, first table included, and the rows xi_0 < 0
+    are their mirror: the conjugate of D and a copy of |w|^2 with every
+    coordinate negated.  Complex coefficients build the whole box.
     """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -206,8 +215,14 @@ def assemble_field(
         raise ValidationError(f"coefficients must be normalized, got sum {total}")
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
     shells.pole_check(lam)
-    coords = np.arange(-shells.half, shells.half + 1, dtype=np.float64)
-    tables = [np.exp((-2j * math.pi) * np.outer(positions[:, c], coords)) for c in range(dim)]
+    half, side = shells.half, shells.box_shape[0]
+    # the first computed row of the box: xi_0 = 0 for real d, else -half
+    first = half if not d_coeffs.imag.any() else 0
+    coords = np.arange(-half, half + 1, dtype=np.float64)
+    tables = [
+        np.exp((-2j * math.pi) * np.outer(positions[:, c], coords[first:] if c == 0 else coords))
+        for c in range(dim)
+    ]
     head = tables[0] * d_coeffs[:, None]
     for table in tables[1:-1]:
         head = (head[:, :, None] * table[:, None, :]).reshape(d_coeffs.size, -1)
@@ -215,17 +230,23 @@ def assemble_field(
     # [last; i * last] read as interleaved (re, im) pairs
     left = np.ascontiguousarray(np.concatenate((head.real, head.imag)).T)
     right = np.concatenate((tables[-1], 1j * tables[-1])).view(np.float64)
-    values = shells.take(np.complex128)
-    rows = values.view(np.float64).reshape(left.shape[0], right.shape[1])
-    one_thread_matmul(left, right, out=rows)
-    w_sq, c = shells.take(np.float64), shells.take(np.float64)
-    np.multiply(values.real, values.real, out=w_sq)
-    np.multiply(values.imag, values.imag, out=c)
-    w_sq += c
-    np.subtract(shells.physical_box(), lam.physical, out=c)
-    np.divide(1.0, c, out=c)
-    values *= c
+    values, w_sq, c = shells.take(np.complex128), shells.take(np.float64), shells.take(np.float64)
+    lo = first * side ** (dim - 1)
+    part, part_sq, part_c = values[lo:], w_sq[lo:], c[lo:]
+    one_thread_matmul(left, right, out=part.view(np.float64).reshape(left.shape[0], -1))
+    np.multiply(part.real, part.real, out=part_sq)
+    np.multiply(part.imag, part.imag, out=part_c)
+    part_sq += part_c
+    np.subtract(shells.physical_box()[lo:], lam.physical, out=part_c)
+    np.divide(1.0, part_c, out=part_c)
+    part *= part_c
     shells.give(c)
+    if first:
+        # row -a is row a reversed along every trailing axis as well
+        box, box_sq = values.reshape(side, -1), w_sq.reshape(side, -1)
+        np.conjugate(box[first + 1 :][::-1, ::-1], out=box[:first])
+        np.copyto(box_sq[:first], box_sq[first + 1 :][::-1, ::-1])
+    rows = values.view(np.float64).reshape(-1, 2 * side)
     return FourierField(
         lam=lam, shells=shells, box_values=values, box_weights_sq=w_sq,
         norm_sq=float(_box_dot(rows, rows)),

@@ -189,6 +189,31 @@ class ScattererConfig:
             return cls.from_json(json.load(f))
 
 
+def _count_factor(shells: ShellSums, i: int, terms: int) -> float:
+    """The least count margin that certifies a root count on the gap
+    (n_i, n_{i+1}) whose H sums ``terms`` rows: see ``find_new_eigenvalues``.
+
+    At a count point, 4 ulp from the pole n_* (mult_*, m_* <= m_{i+1}),
+    H is its pole term c_* W_* up to a part below 1e-6 of it (1e-10 at
+    the acceptance gap, while |tan(theta/2)| stays below 1e4).  The
+    computed eigenvalues of the computed H then lie within N u ||H||_2
+    times the sum of these terms of those of H, u = 2^-53:
+      * 6 pi sqrt(d m_*) + 3 d: a weight E_{m_*} sums products of d
+        cosines cos(2 pi xi_c z_c), and the three roundings of each phase
+        (z_c, 2 pi xi_c and their product) move a product by at most
+        6 pi u sum_c xi_c |z_c| <= 6 pi u sqrt(d m_*), as |z_c| < 1; the
+        cosines and the products round 3 d times more;
+      * mult_*: the weight sums at most mult_* products one by one;
+      * terms + 4: c_*, its product with W_*, the sum over the rows and
+        the two G_{+i} terms;
+      * 8: eigh's backward error, taken as at most 8 N u ||H||_2;
+      * 1: the rest of H, the series' truncation of 2^-53 / n_{i+1} per
+        entry included, with like relative errors on a part below 1e-6.
+    """
+    m, mult = int(shells.shell_ms[i + 1]), int(shells.mult[i : i + 2].max())
+    return 6.0 * math.pi * math.sqrt(shells.dim * m) + 3 * shells.dim + mult + terms + 13
+
+
 def _gap_record(shells: ShellSums, i: int) -> tuple:
     """(x0, h, near norms, (1..P) / h, projected rows): H's split form on
     the gap (n_i, n_{i+1}) of the ball's shells, built once per ball and
@@ -279,6 +304,8 @@ class SecularWorkspace:
             raise ValidationError(f"{m_k!r} is not a shell of the ball below its last one")
         self.gap = (float(ns[i]), float(ns[i + 1]))
         self._x0, self._h, self._near, self._dscale, rows = _gap_record(self.shells, i)
+        # H sums the near rows and the P + 1 moments
+        self.count_factor = _count_factor(self.shells, i, self._near.size + self._dscale.size + 1)
         self._unpack2 = _unpack(config.n_scatterers)
         values = self.shells.weights_many(config.positions, rows)
         unpack = self._unpack2[0]
@@ -349,7 +376,8 @@ class NewEigenvalue:
 class Roots(Sequence):
     """The roots of one gap, ascending, each solved the first time it is read.
 
-    len() is the certified root count.  ``find_new_eigenvalues`` solves the
+    len() is the certified root count, and ``margin`` the count margin
+    that certifies it.  ``find_new_eigenvalues`` solves the
     lowest root before it returns; reading root i > 0, by index or by
     iteration, solves every root up to i that is not solved yet, in
     ascending order, so a root's bits do not depend on when or in what order
@@ -357,8 +385,9 @@ class Roots(Sequence):
     that runs it, and again at every read of it or of a later root.
     """
 
-    def __init__(self, count: int, branches: Iterator[NewEigenvalue]):
+    def __init__(self, count: int, branches: Iterator[NewEigenvalue], margin: float):
         self._count = count
+        self.margin = margin
         self._branches = branches
         self._solved: list[NewEigenvalue] = []
         self._error: str | None = None
@@ -394,9 +423,14 @@ def find_new_eigenvalues(
 
     M = (1 + e^{-i theta}) H with H real symmetric and every ordered
     eigenvalue of H nondecreasing in lambda.  The root count is the number
-    of negative eigenvalues of H a few ulps above n_k minus the number a
-    few ulps below n_{k+1}; it is the returned sequence's len(), and only
-    the lowest root is solved in this call (``Roots``).  Root i, counted
+    of negative eigenvalues of H 4 ulp above n_k minus the number 4 ulp
+    below n_{k+1}; it is the returned sequence's len(), and only
+    the lowest root is solved in this call (``Roots``).  The count is
+    certified when no eigenvalue at either point can have its sign
+    flipped by H's evaluation error or eigh's rounding: its margin, the
+    least min|mu| / (N u max|mu|) over the two points (u = 2^-53), must be
+    at least the workspace's ``count_factor`` (``_count_factor``), else
+    NumericError.  Root i, counted
     from the left, is the zero of eigenvalue branch n_lo - 1 - i.  Each
     step on that branch goes to the root of the one-pole model
     c + r / (p - lambda) matched to mu and its slope mu' = v^T H' v at the
@@ -499,9 +533,19 @@ def find_new_eigenvalues(
                 near_degenerate=bool(s2 < 1e3 * residual),
             )
 
-    n_lo = int(np.count_nonzero(eigen(x_lo)[0] < 0.0))
-    n_hi = int(np.count_nonzero(eigen(x_hi)[0] < 0.0))
-    roots = Roots(max(n_lo - n_hi, 0), branches())
+    counts, margin = [], math.inf
+    for x in (x_lo, x_hi):
+        mu = eigen(x)[0]
+        counts.append(int(np.count_nonzero(mu < 0.0)))
+        size = np.abs(mu)
+        margin = min(margin, float(size.min()) / (n * 2.0**-53 * float(size.max())))
+    if not margin >= ws.count_factor:
+        raise NumericError(
+            f"root count not certified: count margin {margin:.3g} is below "
+            f"{ws.count_factor:.4g} on the gap ({interval.center}, {interval.next})"
+        )
+    n_lo, n_hi = counts
+    roots = Roots(max(n_lo - n_hi, 0), branches(), margin)
     if roots:
         roots[0]  # the lowest root is solved in this call
     return roots

@@ -475,6 +475,18 @@ def test_solve_exits_3_when_a_later_root_search_fails(tmp_path, monkeypatch):
     assert not (out / "roots_m40.csv").exists()
 
 
+def test_solve_exits_3_on_an_uncertified_root_count(tmp_path, capsys):
+    # five scatterers on the gap (1, 2), whose poles have multiplicity 4
+    cfg = tmp_path / "cfg.json"
+    positions = [[0.12, 0.57], [0.81, 0.33], [0.45, 0.91], [0.66, 0.05], [0.27, 0.24]]
+    cfg.write_text(json.dumps({"dim": 2, "positions": positions, "u": {"phases": [0.0] * 5}}))
+    out = tmp_path / "solve"
+    args = ["solve", "--config", str(cfg), "--mk", "1", "--radius-factor", "10", "--out", str(out)]
+    assert main(args) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "NumericError" and "not certified" in record["message"]
+    assert not out.exists()
+
 def test_mc_two_pass_reference_means(tmp_path):
     # means pass on one seed, event counting against it on a fresh seed
     spec = write_spec(tmp_path, trials=520)

@@ -263,6 +263,8 @@ def _matmul_calls(monkeypatch, a, b):
     (253, 30, 506),  # d = 2 field at the acceptance ball, N = 15
     (12, 336, 36),  # d = 3 workspace moments at R = 400, m_k = 101, N = 8
     (61 * 61, 16, 122),  # d = 3 field at R = 900, N = 8
+    (127, 30, 506),  # d = 2 field of real coefficients (half box), N = 15
+    (31 * 61, 16, 122),  # d = 3 field of real coefficients (half box), R = 900, N = 8
 ])
 def test_one_thread_matmul_keeps_one_column_block_on_artifact_shapes(monkeypatch, m, k, n):
     # every product an artifact runs fits one column block, so its row

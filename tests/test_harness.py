@@ -570,3 +570,34 @@ def test_run_trials_reuses_a_context_across_the_per_trial_fields():
     )
     results, same = run_trials(spec, ctx=ctx)
     assert same is ctx and len(results) == 3
+
+
+def test_solver_trials_build_half_the_field(monkeypatch):
+    # a solver root's d is an eigenvector of the real symmetric H, so its
+    # field is Hermitian and assemble_field computes only the box rows
+    # xi_0 >= 0: one product of isqrt(R) + 1 rows
+    from deltatorus import measure
+
+    roots_seen, products = [], []
+    find, matmul = harness.find_new_eigenvalues, measure.one_thread_matmul
+
+    def recording_find(*args, **kwargs):
+        roots = find(*args, **kwargs)
+        roots_seen.append(roots)
+        return roots
+
+    def recording_matmul(a, b, out):
+        products.append(out.shape)
+        return matmul(a, b, out)
+
+    monkeypatch.setattr(harness, "find_new_eigenvalues", recording_find)
+    monkeypatch.setattr(measure, "one_thread_matmul", recording_matmul)
+    spec = small_spec(n_scatterers=4, phases=[0.7] * 4)
+    ctx = RunContext.build(spec)
+    results = [run_trial(spec, t, ctx) for t in range(4)]
+    fields = [r for r in results if not r.no_root]
+    assert fields and len(products) == len(fields) == len(roots_seen)
+    for roots in roots_seen:
+        assert all(not r.d.imag.any() for r in roots)
+    side = 2 * math.isqrt(ctx.radius_sq) + 1
+    assert set(products) == {(math.isqrt(ctx.radius_sq) + 1, 2 * side)}

@@ -157,33 +157,51 @@ def test_split_annulus():
     assert split_annulus(f27, 25, 2.5 * FOUR_PI_SQ) == split_annulus(f27, 25, 2 * FOUR_PI_SQ)
 
 
+def _check_against_direct_exponentials(d, x, lam, radius_sq):
+    shells = ShellSums.get(x.shape[1], radius_sq)
+    f = assemble_field(d, x, lam, radius_sq)
+    assert f.shells is shells
+    direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
+    assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
+    c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(float) - lam.physical)
+    assert np.max(np.abs(f.values - c * direct)) <= 1e-12 * np.max(np.abs(c * direct))
+    w_sq = f.box_weights_sq[shells.ball_order()]
+    assert np.max(np.abs(w_sq - np.abs(direct) ** 2)) <= 1e-12 * np.max(np.abs(direct) ** 2)
+    # the box holds D = 0 outside the ball
+    outside = np.ones(shells.box_size, dtype=bool)
+    outside[shells.ball_order()] = False
+    assert not np.any(f.box_values[outside])
+    assert f.norm_sq == pytest.approx(float(np.sum(np.abs(f.values) ** 2)), rel=1e-13)
+    return f
+
+
 def test_field_matches_direct_exponentials():
-    # the box assembly against e_xi(-x_j) summed point by point; the last
-    # d = 3 ball's box takes several row blocks of one_thread_matmul
+    # the box assembly against e_xi(-x_j) summed point by point, for complex
+    # and real coefficients; the d = 3 ball at R = 900 takes several row
+    # blocks of one_thread_matmul
     rng = np.random.default_rng(8)
     for dim, radius_sq, n in ((2, 400, 1), (2, 400, 2), (2, 400, 3), (2, 400, 8), (3, 400, 3),
-                              (3, 900, 8)):
+                              (3, 900, 8), (2, 16058, 8)):
         d = rng.normal(size=n) + 1j * rng.normal(size=n)
         d /= np.linalg.norm(d)
         x = rng.uniform(size=(n, dim))
-        lam = SpectralParameter(9.4)
-        shells = ShellSums.get(dim, radius_sq)
         if radius_sq == 900:
-            side = shells.box_shape[-1]
+            side = ShellSums.get(dim, radius_sq).box_shape[-1]
             assert side ** (dim - 1) * 2 * side * 2 * n > 4 * ONE_THREAD_GEMM
-        f = assemble_field(d, x, lam, radius_sq)
-        assert f.shells is shells
-        direct = np.exp(-2j * math.pi * (shells.pts @ x.T)) @ d
-        assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
-        c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(float) - lam.physical)
-        assert np.max(np.abs(f.values - c * direct)) <= 1e-12 * np.max(np.abs(c * direct))
-        w_sq = f.box_weights_sq[shells.ball_order()]
-        assert np.max(np.abs(w_sq - np.abs(direct) ** 2)) <= 1e-12 * np.max(np.abs(direct) ** 2)
-        # the box holds D = 0 outside the ball
-        outside = np.ones(shells.box_size, dtype=bool)
-        outside[shells.ball_order()] = False
-        assert not np.any(f.box_values[outside])
-        assert f.norm_sq == pytest.approx(float(np.sum(np.abs(f.values) ** 2)), rel=1e-13)
+        _check_against_direct_exponentials(d, x, SpectralParameter(9.4), radius_sq)
+        # real coefficients, as every solver root has, make the field
+        # Hermitian: the rows xi_0 < 0 are the conjugate mirror of the rows
+        # xi_0 > 0, bit for bit, while the computed row xi_0 = 0 is its own
+        # mirror only to rounding
+        real = d.real / np.linalg.norm(d.real)
+        f = _check_against_direct_exponentials(real, x, SpectralParameter(9.4), radius_sq)
+        half = f.shells.half
+        values = f.box_values.reshape(2 * half + 1, -1)
+        weights_sq = f.box_weights_sq.reshape(2 * half + 1, -1)
+        assert np.array_equal(values[:half], np.conj(values[half + 1 :][::-1, ::-1]))
+        assert np.array_equal(weights_sq[:half], weights_sq[half + 1 :][::-1, ::-1])
+        row = values[half]
+        assert np.max(np.abs(row - np.conj(row[::-1]))) <= 1e-15 * np.max(np.abs(row))
 
 
 def test_a_field_owns_its_box_arrays():
@@ -205,8 +223,9 @@ def test_field_bits_do_not_depend_on_the_pool_buffer():
     # offset by 8 bytes from the allocator's alignment; every number a trial
     # reads from it must be the same bits (thread-count reproducibility)
     rng = np.random.default_rng(31)
-    for dim, radius_sq, n in ((2, 16058, 8), (3, 900, 8)):
-        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for dim, radius_sq, n, real in ((2, 16058, 8, False), (3, 900, 8, False), (2, 16058, 8, True),
+                                    (3, 900, 8, True)):
+        d = rng.normal(size=n) + (0.0 if real else 1j * rng.normal(size=n))
         d /= np.linalg.norm(d)
         x = rng.uniform(size=(n, dim))
         tri = enumerate_spectrum(dim, radius_sq).gap_triple(100)

@@ -650,3 +650,60 @@ def test_reported_residual_holds_at_the_reported_lambda(seed, trial, theta):
             assert smin <= 1e-8
         # the same quantity, up to eigen-solver rounding next to the pole
         assert smin == pytest.approx(root.residual, rel=1e-4, abs=1e-13)
+
+
+def _count_margin(ws, interval):
+    # min |mu| / (N u max |mu|) over the two count points, u = 2^-53
+    a, b = interval.n_center, interval.n_next
+    floor = 4.0 * float(np.spacing(b))
+    n = ws.config.n_scatterers
+    margins = []
+    for x in (a + floor, b - floor):
+        mu = np.abs(np.linalg.eigvalsh(ws.symmetric(x)[0]))
+        margins.append(mu.min() / (n * 2.0**-53 * mu.max()))
+    return min(margins)
+
+
+def test_count_factor_at_the_acceptance_gap():
+    # 6 pi sqrt(2 * 10037) + 3 * 2 + 16 + (26 near + 12 moments) + 13
+    cfg = ScattererConfig(2, sample_positions(11, 0, 2, 2), phases=np.zeros(2))
+    ws = SecularWorkspace(cfg, 16058, 10036)
+    assert ws.count_factor == pytest.approx(6 * math.pi * math.sqrt(2 * 10037) + 73)
+
+
+def test_uncertified_root_count_raises():
+    # the gap (1, 2): both poles have multiplicity 4, so at N = 5 an
+    # eigenvalue of H at each count point is of order 1 while the pole term
+    # is of order 1e13, below eigh's own rounding
+    tri = enumerate_spectrum(2, 10).gap_triple(1)
+    pos = np.array([[0.12, 0.57], [0.81, 0.33], [0.45, 0.91], [0.66, 0.05], [0.27, 0.24]])
+    cfg = ScattererConfig(2, pos, phases=np.zeros(5))
+    ws = SecularWorkspace(cfg, 10, 1)
+    assert _count_margin(ws, tri) < 1.0 < ws.count_factor
+    with pytest.raises(NumericError, match="not certified"):
+        find_new_eigenvalues(cfg, tri, 10, workspace=ws)
+    # four scatterers on the same gap keep a certified count
+    cfg4 = ScattererConfig(2, pos[:4], phases=np.zeros(4))
+    roots = find_new_eigenvalues(cfg4, tri, 10)
+    assert roots.margin >= SecularWorkspace(cfg4, 10, 1).count_factor
+
+
+def test_n32_count_on_a_small_ball():
+    # d = 3, R = 150: the gap (17, 18) has pole multiplicities 48 and 36,
+    # both above N = 32, so the count is certified with a wide margin
+    rng = np.random.default_rng(32)
+    cfg = ScattererConfig(3, rng.uniform(size=(32, 3)), phases=np.zeros(32))
+    tri = enumerate_spectrum(3, 150).gap_triple(17)
+    ws = SecularWorkspace(cfg, 150, 17)
+    roots = find_new_eigenvalues(cfg, tri, 150, workspace=ws)
+    assert len(roots) == _inertia_drop(ws, tri) == 32
+    # eigh and eigvalsh round the smallest |mu| apart
+    assert roots.margin == pytest.approx(_count_margin(ws, tri), rel=1e-6)
+    assert roots.margin >= ws.count_factor
+    lams = [r.lambda_norm for r in roots]
+    assert lams == sorted(lams) and tri.center < lams[0] and lams[-1] < tri.next
+    assert max(r.residual for r in roots) <= 1e-8
+    # the same count is refused once the factor exceeds its margin
+    ws.count_factor = 2.0 * roots.margin
+    with pytest.raises(NumericError, match="not certified"):
+        find_new_eigenvalues(cfg, tri, 150, workspace=ws)
