@@ -24,15 +24,6 @@ import numpy as np
 from . import harness, lattice, measure, reporting, scatterer, sprime
 from .errors import NonSPrimeError, NumericError, ValidationError
 
-CACHE_ENV = "DELTATORUS_CACHE"
-
-
-def _cache_dir(arg_out: str | None) -> Path:
-    if arg_out:
-        return Path(arg_out)
-    return Path(os.environ.get(CACHE_ENV, "cache"))
-
-
 def _write(path: Path, text: str, written: dict) -> None:
     reporting.write_atomic(path, text)
     written[path.name] = reporting.params_digest({"content": text})
@@ -68,10 +59,10 @@ def _parse_fraction(name: str, text: str):
 
 
 def cmd_spectrum(args) -> int:
-    out = _cache_dir(args.out)
+    out = Path(args.out)
     table = lattice.enumerate_spectrum(args.dim, args.mmax)
     written: dict = {}
-    path = out / lattice.cache_filename(args.dim, args.mmax)
+    path = out / f"spectrum_d{args.dim}_m{args.mmax}.csv"
     _write(path, reporting.csv_text(["m", "r"], zip(table.ms.tolist(), table.rs.tolist())), written)
     params = {"dim": args.dim, "m_max": args.mmax}
     _emit_manifest(out, path.name.replace(".csv", ".manifest.json"), "spectrum", params, written)
@@ -102,8 +93,7 @@ def cmd_sprime(args) -> int:
         edges = np.linspace(args.mlo, args.mhi, args.density_bins + 1)
         series = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = sprime.build_window(table, int(lo), int(hi), params)
-            series.append({"X": int(lo), "density": sub.density})
+            series.append({"X": int(lo), "density": window.sub_window(int(lo), int(hi)).density})
         _write(
             out / f"{stem}_density.csv",
             reporting.plotdata_text("density_vs_window", series),
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="export the unperturbed spectrum as a table")
     sp.add_argument("--dim", type=int, required=True, choices=(2, 3))
     sp.add_argument("--mmax", type=int, required=True)
-    sp.add_argument("--out", help=f"export dir, not read back (default ${CACHE_ENV} or ./cache)")
+    sp.add_argument("--out", required=True, help="export dir, not read back")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("sprime", help="build an acceptance window")

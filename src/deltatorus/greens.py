@@ -49,9 +49,9 @@ def one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
 
 @lru_cache(maxsize=16)
 def pair_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), read-only: column t of the pair weights of N = n
-    points holds the unordered pair (rows[t], cols[t])."""
-    rows, cols = np.triu_indices(n)
+    """np.triu_indices(n, 1), read-only: column t of the pair weights of
+    N = n points holds the pair (rows[t], cols[t]), rows[t] < cols[t]."""
+    rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
@@ -102,7 +102,7 @@ class ShellSums:
     are the lambda-independent part of every Green's evaluation; grouping by
     shell makes repeated evaluations at many spectral parameters cheap.
     ``weights`` evaluates them directly from cosines over the whole ball at
-    one difference vector; ``weights_many`` gets every unordered pair of a
+    one difference vector; ``weights_many`` gets every pair k < j of a
     configuration, or a few shells of them and fixed linear functionals of
     the pairs' shell sums, from the nonnegative orthant of the ball and 1-D
     cosine tables.
@@ -151,10 +151,10 @@ class ShellSums:
         return np.add.reduceat(t, self.starts)
 
     def weights_many(self, positions, rows=None) -> np.ndarray:
-        """E_m(x_k - x_j) for every unordered pair of a configuration, or
-        a few shells' rows of them and fixed linear functionals of them.
+        """E_m(x_k - x_j) for every pair k < j of a configuration, or a few
+        shells' rows of them and fixed linear functionals of them.
 
-        With rows None, returns W of shape (S, N*(N+1)/2) whose column t
+        With rows None, returns W of shape (S, N*(N-1)/2) whose column t
         holds the pair (k, j) = (pair_columns(N)[0][t], pair_columns(N)[1][t]).
         A shell is invariant under flipping the sign of any coordinate, and
         the 2^d flips of xi sum to prod_c 2*cos(2*pi*xi_c*z_c), so with
@@ -163,110 +163,98 @@ class ShellSums:
             E_m(z) = sum over xi in shell m with every xi_c >= 0 of
                      2^{#nonzero xi_c} * prod_c cos(2*pi*xi_c*z_c),
 
-        read from one 1-D cosine table per axis over the orthant points of
-        the ball (``_orthant``) and reduced into the shells by one bincount
-        per pair.  The diagonal columns are the exact shell multiplicities.
+        read from the pairs' 1-D cosine tables (``_cosine_tables``) over the
+        orthant points of the ball (``_orthant``) and reduced into the
+        shells by one bincount per pair.  A pair k = j would read E_m(0) =
+        mult_m for any positions, so W has no column for it.
 
-        With rows = ``project(near, blocks)`` for a slice near of the shells
-        and the row blocks of an (r, S) matrix F of per-shell functionals,
-        returns W[near] stacked on F @ W, of shape
-        (near size + r, N*(N+1)/2); in d = 2 without forming W.
+        With rows = ``project(near, f)`` for a slice near of the shells and
+        an (r, S) matrix F of per-shell functionals, returns W[near] stacked
+        on F @ W, of shape (near size + r, N*(N-1)/2); in d = 2 without
+        forming W.
         """
         positions = self._positions(positions)
+        tables = self._cosine_tables(positions)
         if rows is None:
-            return self._pair_weights(positions)
+            return self._pair_weights(tables)
         if self.dim == 2:
-            return self._box_product(positions, *rows)
-        near, blocks = rows
-        w = self._pair_weights(positions)
-        return np.vstack([
-            w[near],
-            *(one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1]))) if f.ndim == 2 else f @ w
-              for f in blocks),
-        ])
+            return self._box_product(tables, *rows)
+        near, f = rows
+        w = self._pair_weights(tables)
+        return np.vstack((w[near], one_thread_matmul(f, w, np.empty((f.shape[0], w.shape[1])))))
 
-    def project(self, near: slice, blocks) -> tuple:
+    def project(self, near: slice, f: np.ndarray) -> tuple:
         """The lambda-free form in which ``weights_many`` reads the shells
-        near = slice(a, b), 0 <= a < b <= S, and the row blocks of an (r, S)
-        matrix F, each (r_b, S) or (S,).
+        near = slice(a, b), 0 <= a < b <= S, and the rows of an (r, S)
+        matrix F.
 
-        In d = 2 it is (near orthant points, box, diagonal).  The near
-        shells' orthant points are a run of ``_orthant`` in shell order:
-        their coordinates (a, b), their weights 2^{#nonzero of a, b} and the
-        offset of each shell's first point in the run.  An off-diagonal
-        pair t with T_c[a, t] = cos(2*pi*a*z_c) reads a near shell as the
-        sum over its points of weight * T_0[a, t] * T_1[b, t], one gather
-        for every pair.  The box projection of F, box[r, a, b] =
-        F[r, shell(a, b)] * 2^{#nonzero of a, b} over the orthant box
-        0 <= a, b <= isqrt(R), zero outside the ball, is kept as
-        r * (isqrt(R) + 1) rows of isqrt(R) + 1; a pair then reads F @ W as
-        sum_{a, b} box[r, a, b] T_0[a, t] T_1[b, t], one blocked product
-        of the box with T_1 and one reduction against T_0 for all pairs.
-        The diagonal columns are mult[near] stacked on F @ mult.  A d = 2
-        shell holds about 3 orthant points, so the box is a few times the
-        size of F.  A d = 3 shell holds about 80, and the box would have
+        In d = 2 it is (near orthant points, box).  The near shells'
+        orthant points are a run of ``_orthant`` in shell order: their
+        coordinates (a, b), their weights 2^{#nonzero of a, b} and the
+        offset of each shell's first point in the run.  A pair t with
+        T_c[a, t] = cos(2*pi*a*z_c) reads a near shell as the sum over its
+        points of weight * T_0[a, t] * T_1[b, t], one gather for every
+        pair.  The box projection of F, box[r, a, b] = F[r, shell(a, b)] *
+        2^{#nonzero of a, b} over the orthant box 0 <= a, b <= isqrt(R),
+        zero outside the ball, is kept as r * (isqrt(R) + 1) rows of
+        isqrt(R) + 1; a pair then reads F @ W as
+        sum_{a, b} box[r, a, b] T_0[a, t] T_1[b, t], one blocked product of
+        the box with T_1 and one reduction against T_0 for all pairs.  A
+        d = 2 shell holds about 3 orthant points, so the box is a few times
+        the size of F.  A d = 3 shell holds about 80, and the box would have
         (isqrt(R) + 1)^3 entries per row: 73 MB at R = 4000 and about
         0.5 GB at R = 16000, per process.  So in d = 3 the form is
-        (near, blocks): W is formed, its near rows are the slice W[near],
-        and each block multiplies W on its own, which also keeps a block's
-        bits independent of the blocks stacked with it.
+        (near, F): W is formed, its near rows are the slice W[near], and
+        F @ W is one blocked product.
         """
         if self.dim == 3:
-            return near, tuple(blocks)
-        f = np.vstack(blocks)
+            return near, f
         coords, weight, shell = self._orthant()
         lo, hi = np.searchsorted(shell, (near.start, near.stop))
         starts = np.searchsorted(shell[lo:hi], np.arange(near.start, near.stop))
-        mult = self.mult.astype(np.float64)
         side = self.half + 1
         box = np.zeros((f.shape[0], side * side))
         box[:, coords[0] * side + coords[1]] = f[:, shell] * weight
-        points = (coords[:, lo:hi], weight[lo:hi], starts)
-        return points, box.reshape(-1, side), np.r_[mult[near], f @ mult]
+        return (coords[:, lo:hi], weight[lo:hi], starts), box.reshape(-1, side)
 
-    def _pair_weights(self, positions: np.ndarray) -> np.ndarray:
-        """W for checked positions: one gather and bincount per pair."""
+    def _cosine_tables(self, positions: np.ndarray) -> np.ndarray:
+        """T[c, a, t] = cos(2*pi*a*z_c) for 0 <= a <= isqrt(R) and the pair
+        t of pair_columns(N), z = x_k - x_j: shape (d, isqrt(R) + 1, pairs)."""
+        rows, cols = pair_columns(positions.shape[0])
+        z = (positions[rows] - positions[cols]).T
+        steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
+        return np.cos(z[:, None, :] * steps[:, None])
+
+    def _pair_weights(self, tables: np.ndarray) -> np.ndarray:
+        """W from the pairs' cosine tables: one gather and bincount per pair."""
         coords, weight, shell = self._orthant()
         s = self.shell_ms.size
-        rows, cols = pair_columns(positions.shape[0])
-        w = np.empty((rows.size, s), dtype=np.float64)
-        steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
+        w = np.empty((tables.shape[2], s), dtype=np.float64)
         product = np.empty(weight.size, dtype=np.float64)
         factor = np.empty(weight.size, dtype=np.float64)
-        for t, (k, j) in enumerate(zip(rows, cols)):
-            if k == j:
-                w[t] = self.mult
-                continue
-            tables = np.cos(np.outer(positions[k] - positions[j], steps))
+        for t in range(w.shape[0]):
             # every index lies in [0, sqrt(R)], so mode="clip" only skips the
             # buffered copy that the default bounds-checking mode makes of ``out``
-            np.take(tables[0], coords[0], out=product, mode="clip")
+            np.take(tables[0, :, t], coords[0], out=product, mode="clip")
             for c in range(1, self.dim):
-                np.take(tables[c], coords[c], out=factor, mode="clip")
+                np.take(tables[c, :, t], coords[c], out=factor, mode="clip")
                 product *= factor
             product *= weight
             w[t] = np.bincount(shell, weights=product, minlength=s)
         return w.T
 
-    def _box_product(self, positions: np.ndarray, points: tuple, box: np.ndarray,
-                     diag: np.ndarray) -> np.ndarray:
-        """W[near] stacked on F @ W in d = 2 from the near shells' orthant
-        points, the box projection of F and the diagonal columns."""
+    def _box_product(self, tables: np.ndarray, points: tuple, box: np.ndarray) -> np.ndarray:
+        """W[near] stacked on F @ W in d = 2 from the pairs' cosine tables,
+        the near shells' orthant points and the box projection of F."""
         coords, weight, starts = points
-        rows, cols = pair_columns(positions.shape[0])
-        off = rows != cols
-        z = (positions[rows[off]] - positions[cols[off]]).T
-        steps = (2.0 * math.pi) * np.arange(self.half + 1, dtype=np.float64)
-        tables = np.cos(z[:, None, :] * steps[:, None])  # (d, isqrt(R) + 1, pairs)
-        k = starts.size
-        out = np.empty((diag.size, rows.size))
+        side, pairs = tables.shape[1:]
         near = tables[0][coords[0]] * tables[1][coords[1]]
         near *= weight[:, None]
-        out[:k, off] = np.add.reduceat(near, starts, axis=0)
-        y = one_thread_matmul(box, tables[1], np.empty((box.shape[0], z.shape[1])))
-        out[k:, off] = np.einsum("rat,at->rt", y.reshape(diag.size - k, steps.size, z.shape[1]), tables[0])
-        out[:, ~off] = diag[:, None]
-        return out
+        y = one_thread_matmul(box, tables[1], np.empty((box.shape[0], pairs)))
+        return np.vstack((
+            np.add.reduceat(near, starts, axis=0),
+            np.einsum("rat,at->rt", y.reshape(box.shape[0] // side, side, pairs), tables[0]),
+        ))
 
     def coeffs(self, lam_physical: float) -> np.ndarray:
         """c_lambda on each shell: (4*pi^2*m - lambda)^{-1}."""

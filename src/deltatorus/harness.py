@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonSPrimeError, ValidationError
+from .errors import NonSPrimeError, NumericError, ValidationError
 from .greens import ShellSums, SpectralParameter
 from .lattice import FOUR_PI_SQ, GapTriple, _check_dim, enumerate_spectrum
 from .measure import (
@@ -303,9 +303,15 @@ class TrialResult:
 
 
 def run_trial(spec: TrialSpec, trial_index: int, ctx: RunContext) -> TrialResult:
-    """Trial trial_index of the run: sample its positions and measure them."""
+    """Trial trial_index of the run: sample its positions and measure them.
+    A NumericError, which stops the run, is raised again with the trial's
+    index in front of its message."""
     positions = sample_positions(spec.seed, trial_index, spec.n_scatterers, spec.dim)
-    return measure_config(spec, spec.config_for(positions), ctx, trial_index)
+    config = spec.config_for(positions)
+    try:
+        return measure_config(spec, config, ctx, trial_index)
+    except NumericError as exc:
+        raise NumericError(f"trial {trial_index}: {exc}") from exc
 
 
 def measure_config(

@@ -165,10 +165,6 @@ class SpectrumTable:
         return self.ms[lo:hi].copy()
 
 
-def cache_filename(dim: int, m_max: int) -> str:
-    return f"spectrum_d{dim}_m{m_max}.csv"
-
-
 def enumerate_spectrum(dim: int, m_max: int) -> SpectrumTable:
     """Tabulate all representable norms <= m_max with exact multiplicities.
 

@@ -15,18 +15,19 @@ unperturbed eigenvalues where H is singular.
 
 Entries are assembled from shell sums: the pair weights E_m(x_k - x_j)
 depend only on the positions and are symmetric in the pair, an
-(S, N*(N+1)/2) array W over the unordered pairs.  Inside one gap only the
-shells at and next to its ends are singular.  A SecularWorkspace is one
-configuration's H on one gap: it keeps the shells near the gap as exact
-terms and sums every other shell through a power series in lambda about
-the midpoint of the gap, so H reads W only through the near shells' rows
-and a few fixed per-shell functionals of the gap: the series' moments
-and the two rows of G_{+i}.  The ball keeps them once per gap
-(``_gap_record``), and one ShellSums.weights_many call in the
-workspace's constructor gives their values on the pairs; in d = 2 it
-never forms W.  H at each lambda in the gap is then one small product
-over the near rows and the moments, whatever the size S of the ball,
-unpacked to N x N.
+(S, N*(N-1)/2) array W over the pairs k < j.  Every scatterer has the
+same self-interaction, E_m(0) = mult_m, so H's diagonal is one function
+of lambda per gap.  Inside one gap only the shells at and next to its ends
+are singular.  A SecularWorkspace is one configuration's H on one gap: it
+keeps the shells near the gap as exact terms and sums every other shell
+through a power series in lambda about the midpoint of the gap, so H
+reads W only through the near shells' rows and a few fixed per-shell
+functionals of the gap: the series' moments and the two rows of G_{+i}.
+The ball keeps them once per gap with their values on the diagonal
+(``_gap_record``), and one ShellSums.weights_many call in the workspace's
+constructor gives their values on the pairs; in d = 2 it never forms W.
+H at each lambda in the gap is then one small product over the near rows
+and the moments, whatever the size S of the ball, unpacked to N x N.
 
 The derivative c_lambda^2 @ W of H is positive semidefinite, so every
 ordered eigenvalue of H is nondecreasing across a gap.  The number of roots
@@ -83,18 +84,10 @@ def check_solver_tol(solver_tol: float) -> None:
         raise ValidationError(f"solver_tol must be in (0, {MAX_SOLVER_TOL}], got {solver_tol!r}")
 
 
-@lru_cache(maxsize=16)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), which costs more than the distances at n = 2."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def pair_distances(positions: np.ndarray) -> np.ndarray:
     """Torus distance of every pair a < b of the (N, d) positions, in
     np.triu_indices(N, 1) order."""
-    rows, cols = _pairs(positions.shape[0])
+    rows, cols = pair_columns(positions.shape[0])
     d = np.abs(positions[rows] - positions[cols])
     d = np.minimum(d, 1.0 - d)
     return np.sqrt((d * d).sum(axis=1))
@@ -155,7 +148,7 @@ class ScattererConfig:
         n = self.positions.shape[0]
         coincide = np.flatnonzero(pair_distances(self.positions) <= 0.0)
         if coincide.size:
-            rows, cols = _pairs(n)
+            rows, cols = pair_columns(n)
             a, b = rows[coincide[0]], cols[coincide[0]]
             raise ValidationError(f"positions {a} and {b} coincide")
         self.theta = common_phase(self.phases, n)
@@ -215,9 +208,9 @@ def _count_factor(shells: ShellSums, i: int, terms: int) -> float:
 
 
 def _gap_record(shells: ShellSums, i: int) -> tuple:
-    """(x0, h, near norms, (1..P) / h, projected rows): H's split form on
-    the gap (n_i, n_{i+1}) of the ball's shells, built once per ball and
-    gap and kept in its ``memo``.
+    """(x0, h, near norms, (1..P) / h, projected rows, diagonal): H's split
+    form on the gap (n_i, n_{i+1}) of the ball's shells, built once per
+    ball and gap and kept in its ``memo``.
 
     With x0 the midpoint of the gap and h its half width, a shell is near
     when |n_s - x0| <= h / NEAR_RATIO; H keeps the near shells as exact
@@ -234,16 +227,19 @@ def _gap_record(shells: ShellSums, i: int) -> tuple:
     2^-53 / n_{i+1}: shell 0 (E_0 = 1 for every pair) alone gives each
     entry an absolute sum |c_x| @ |W| above 1 / n_{i+1}.
 
-    The rows are what H reads, as ``ShellSums.project`` forms them: the
-    near shells' rows W[a:b], read in d = 2 by a gather over their orthant
-    points; the (P + 1, S) moment table, whose row p is
-    h^p / (n_s - x0)^{p+1} on the far shells and 0 on the near ones (row P
-    keeps the slope's series, one term shorter than the value's, to the
-    same order); and the rows n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of Re
-    and Im G_{+i}, as
+    The rows are what H reads off the diagonal, as
+    ``ShellSums.project(near, F)`` forms them: the near shells' rows
+    W[a:b], read in d = 2 by a gather over their orthant points, and F @ W
+    for the (P + 3, S) matrix F that stacks the P + 1 moments, whose row p
+    is h^p / (n_s - x0)^{p+1} on the far shells and 0 on the near ones
+    (row P keeps the slope's series, one term shorter than the value's, to
+    the same order), on the rows n_s / (n_s^2 + 1) and 1 / (n_s^2 + 1) of
+    Re and Im G_{+i}, as
     G_{+i} = sum_s W_s / (n_s - i) = sum_s W_s (n_s + i) / (n_s^2 + 1).
-    At NEAR_RATIO = 0.01 the acceptance gap (m_k = 10036, R = 16058) has
-    26 near shells and P = 11, so its d = 2 box holds 14 rows.
+    The diagonal is the same rows at E_m(0) = mult_m, for every
+    scatterer: mult[a:b] stacked on F @ mult.  At NEAR_RATIO = 0.01 the
+    acceptance gap (m_k = 10036, R = 16058) has 26 near shells and P = 11,
+    so its d = 2 box holds 14 rows.
     """
 
     def build():
@@ -259,24 +255,29 @@ def _gap_record(shells: ShellSums, i: int) -> tuple:
             bound *= NEAR_RATIO
             p += 1
         table = np.cumprod(np.vstack((inv, np.broadcast_to(h * inv, (p, ns.size)))), axis=0)
-        rows = shells.project(slice(a, b), (table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)))
-        return x0, h, ns[a:b], np.arange(1, p + 1) / h, rows
+        f = np.vstack((table, ns / (ns * ns + 1.0), 1.0 / (ns * ns + 1.0)))
+        mult = shells.mult.astype(np.float64)
+        diag = np.r_[mult[a:b], f @ mult]
+        return x0, h, ns[a:b], np.arange(1, p + 1) / h, shells.project(slice(a, b), f), diag
 
     return shells.memo(("secular", i), build)
 
 
 @lru_cache(maxsize=16)
-def _unpack(n: int) -> np.ndarray:
-    """(2, N, N) positions of the H and slope entries in the flat (2, pairs)
-    product of ``SecularWorkspace.symmetric``: [0, k, j] = [0, j, k] is the
-    column of the pair {k, j} in the pair weights, [1] the same plus the
-    pair count.  Read-only."""
-    rows, cols = pair_columns(n)
+def _unpack(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of ``SecularWorkspace``'s rows are the pairs k <= j of
+    np.triu_indices(N).  Returns the (2, N, N) positions of the H and slope
+    entries in the flat (2, columns) product of ``symmetric`` ([0, k, j] =
+    [0, j, k] is the column of {k, j}, [1] the same plus the column count),
+    the columns of the pairs k < j and those of the diagonal.  Read-only."""
+    rows, cols = np.triu_indices(n)
     unpack = np.empty((n, n), dtype=np.intp)
     unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
     both = np.stack((unpack, unpack + rows.size))
-    both.flags.writeable = False
-    return both
+    off, diag = np.flatnonzero(rows != cols), np.flatnonzero(rows == cols)
+    for a in (both, off, diag):
+        a.flags.writeable = False
+    return both, off, diag
 
 
 class SecularWorkspace:
@@ -284,14 +285,15 @@ class SecularWorkspace:
 
     The gap is (n_k, n_{k+1}) of the ball |xi|^2 <= radius_sq, with m_k,
     the lower shell's norm, given.  H reads the pair weights W[s, t] =
-    E_{m_s}(x_k - x_j), for the unordered pair (k, j) in column t of
-    pair_columns(N), only through the rows of ``_gap_record``: the
-    shells near the gap exactly, every other shell through P + 1 moments,
-    and the lambda-independent deficiency sum
-    G_{+i}(x_k, x_j).  The constructor reads their values on the pairs with
-    one ``ShellSums.weights_many`` call, which in d = 2 never forms W.  H
-    and its slope at each lambda in the gap are then one small product over
-    those near rows and moments, whatever the size of the ball, unpacked to
+    E_{m_s}(x_k - x_j), for the pair k < j in column t of pair_columns(N),
+    only through the rows of ``_gap_record``: the shells near the gap
+    exactly, every other shell through P + 1 moments, and the
+    lambda-independent deficiency sum G_{+i}(x_k, x_j).  The constructor
+    reads their values on the pairs with one ``ShellSums.weights_many``
+    call, which in d = 2 never forms W, and writes them with the record's
+    diagonal into the columns of the pairs k <= j (``_unpack``).  H and its
+    slope at each lambda in the gap are then one small product over those
+    near rows and moments, whatever the size of the ball, unpacked to
     N x N through a fixed index map.
     """
 
@@ -303,11 +305,13 @@ class SecularWorkspace:
         if not (i + 1 < ms.size and ms[i] == m_k):
             raise ValidationError(f"{m_k!r} is not a shell of the ball below its last one")
         self.gap = (float(ns[i]), float(ns[i + 1]))
-        self._x0, self._h, self._near, self._dscale, rows = _gap_record(self.shells, i)
+        self._x0, self._h, self._near, self._dscale, rows, diag = _gap_record(self.shells, i)
         # H sums the near rows and the P + 1 moments
         self.count_factor = _count_factor(self.shells, i, self._near.size + self._dscale.size + 1)
-        self._unpack2 = _unpack(config.n_scatterers)
-        values = self.shells.weights_many(config.positions, rows)
+        self._unpack2, off, on = _unpack(config.n_scatterers)
+        values = np.empty((diag.size, off.size + on.size))
+        values[:, off] = self.shells.weights_many(config.positions, rows)
+        values[:, on] = diag[:, None]
         unpack = self._unpack2[0]
         self._stacked = values[:-2]
         self._re_g = values[-2][unpack]
@@ -350,7 +354,8 @@ def secular_value(
     radius_sq = check_radius(radius_sq, lam)
     shells = ShellSums.get(config.dim, radius_sq)
     shells.pole_check(lam)
-    # the shell below lambda, or shell 0 when lambda lies below every shell
+    # the shell below lambda; a lambda below every shell takes shell 0, whose
+    # gap does not hold it, so ``symmetric`` raises ValidationError
     i = max(int(np.searchsorted(shells.ns_physical, lam.physical)) - 1, 0)
     ws = SecularWorkspace(config, radius_sq, shells.shell_ms[i])
     mu = np.linalg.eigvalsh(ws.symmetric(lam.physical)[0])

@@ -25,6 +25,7 @@ rather than enforced.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -194,6 +195,18 @@ class SPrimeWindow:
         if not self.members:
             return 0.0
         return len(self.accepted) / len(self.members)
+
+    def sub_window(self, m_lo: int, m_hi: int) -> "SPrimeWindow":
+        """``build_window`` over [m_lo, m_hi], a range inside this window's,
+        on the same table: its members and their verdicts, read from this
+        window instead of checked again.  Raises as build_window does."""
+        if not m_lo < m_hi:
+            raise ValidationError("need m_lo < m_hi")
+        a, b = bisect.bisect_left(self.members, m_lo), bisect.bisect_right(self.members, m_hi)
+        if a == b:
+            raise ValidationError(f"no checkable spectrum members in [{m_lo}, {m_hi}]")
+        return SPrimeWindow(self.params, self.dim, (m_lo, m_hi), self.members[a:b],
+                            self.gap_ok[a:b], self.coeff_ok[a:b])
 
     def rows(self):
         for m, g, c in zip(self.members, self.gap_ok, self.coeff_ok):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deltatorus
-from deltatorus import cli, harness, scatterer
+from deltatorus import cli, harness, lattice, scatterer, sprime
 from deltatorus.cli import main
 from deltatorus.errors import NumericError, ValidationError
 from deltatorus.harness import sample_positions
@@ -64,11 +64,14 @@ def test_spectrum_idempotent(tmp_path, capsys):
     assert (out / "spectrum_d2_m500.manifest.json").exists()
 
 
-def test_cache_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DELTATORUS_CACHE", str(tmp_path / "envcache"))
+def test_spectrum_needs_out(tmp_path, monkeypatch, capsys):
+    # --out is the only way to name the export directory
     monkeypatch.chdir(tmp_path)
-    assert main(["spectrum", "--dim", "2", "--mmax", "100"]) == 0
-    assert (tmp_path / "envcache" / "spectrum_d2_m100.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--dim", "2", "--mmax", "100"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_artifact_conflict_exit_code(tmp_path):
@@ -211,6 +214,31 @@ def test_sprime_outputs(tmp_path):
     density_rows = (out / "window_d2_200_400_density.csv").read_text().splitlines()
     assert density_rows[0] == "X,density"
     assert len(density_rows) == 3
+    # each bin's density is build_window's over the bin [int(lo), int(hi)]
+    table = lattice.enumerate_spectrum(2, 400 + 64)
+    params = sprime.SPrimeParams(delta=0.3, eps=0.05, eps_prime=0.2, c_gap=10.0, c_coeff=10.0)
+    for bins in (2, 7):
+        out = tmp_path / f"bins{bins}"
+        assert main(["sprime", "--dim", "2", "--mlo", "200", "--mhi", "400", "--delta", "0.3",
+                     "--eps", "0.05", "--eps-prime", "0.2", "--density-bins", str(bins),
+                     "--out", str(out)]) == 0
+        edges = np.linspace(200, 400, bins + 1)
+        series = [{"X": int(lo), "density": sprime.build_window(table, int(lo), int(hi), params).density}
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+        want = plotdata_text("density_vs_window", series)
+        assert (out / "window_d2_200_400_density.csv").read_text() == want
+
+
+@pytest.mark.parametrize("mlo,mhi,bins,message", [
+    (200, 203, 5, "need m_lo < m_hi"),  # the bin [200, 200]
+    (18, 24, 2, "no checkable spectrum members in [21, 24]"),
+], ids=["bin_200_200", "bin_21_24"])
+def test_sprime_rejects_an_empty_density_bin(tmp_path, capsys, mlo, mhi, bins, message):
+    args = ["sprime", "--dim", "2", "--mlo", str(mlo), "--mhi", str(mhi), "--density-bins", str(bins),
+            "--out", str(tmp_path / "win")]
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValidationError", "message": message}
 
 
 def test_solve_and_measure(tmp_path):
@@ -486,6 +514,81 @@ def test_solve_exits_3_on_an_uncertified_root_count(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "NumericError" and "not certified" in record["message"]
     assert not out.exists()
+
+#: the spec whose trial 0 has an uncertified root count on the gap (1, 2)
+UNCERTIFIED_SPEC = {"dim": 2, "n_scatterers": 5, "m_center": 1, "seed": 3, "trials": 4,
+                    "radius_factor": 10.0}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mc_names_the_trial_that_stops_it(tmp_path, capsys, threads):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(UNCERTIFIED_SPEC))
+    out = tmp_path / "r"
+    assert main(["mc", "--spec", str(spec), "--out", str(out), "--threads", threads]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "NumericError"
+    assert record["message"].startswith("trial 0: root count not certified: count margin")
+    assert not out.exists()
+
+
+def test_run_trial_chains_the_trial_error():
+    spec = harness.TrialSpec.from_json(UNCERTIFIED_SPEC)
+    with pytest.raises(NumericError, match="^trial 0: root count not certified") as exc:
+        harness.run_trials(spec)
+    assert isinstance(exc.value.__cause__, NumericError)
+    assert str(exc.value) == f"trial 0: {exc.value.__cause__}"
+
+
+def no_root(*args, **kwargs):
+    return scatterer.Roots(0, iter(()), math.inf)
+
+
+def test_mc_writes_no_root_trials(tmp_path, monkeypatch):
+    # --trials overrides the spec's count; a trial without a root is the
+    # row trial_index, 1, 0 and then blank cells
+    monkeypatch.setattr(harness, "find_new_eigenvalues", no_root)
+    spec = write_spec(tmp_path)
+    out = tmp_path / "r"
+    assert main(["mc", "--spec", str(spec), "--out", str(out), "--trials", "3"]) == 0
+    lines = (out / "trials.csv").read_text().splitlines()
+    assert lines[0].startswith("trial_index,no_root,root_count,")
+    blanks = "," * (lines[0].count(",") - 2)
+    assert lines[1:] == [f"{t},1,0{blanks}" for t in range(3)]
+    agg = json.loads((out / "aggregate.json").read_text())
+    assert (agg["trials"], agg["no_root"]) == (3, 3)
+
+
+def test_measure_exits_without_a_usable_root(tmp_path, monkeypatch, capsys):
+    # exit 2 when a shift lands on an endpoint shell: at m_k = 25 the shifts
+    # (1, 0) and (-1, 0) join the shells 25 and 26, (0, 5) and (1, 5), and
+    # the first shift of the run names the landing; exit 3 when the gap has
+    # no root
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"0,0": [1.0, 0.0], "1,0": [0.5, 0.0], "-1,0": [0.5, 0.0]}))
+    args = ["measure", "--config", str(write_config(tmp_path, n=2)), "--observable", str(obs),
+            "--L0", repr(SPEC["l0_override"]), "--radius-factor", "8"]
+    assert main([*args, "--mk", "25", "--out", str(tmp_path / "land")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "NonSPrimeError",
+                      "message": "shift (-1, 0) lands on an endpoint shell of the gap at m_k = 25"}
+    monkeypatch.setattr(harness, "find_new_eigenvalues", no_root)
+    assert main([*args, "--mk", "40", "--out", str(tmp_path / "none")]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "NumericError", "message": "no new eigenvalue in the gap at m_k = 40"}
+    assert not (tmp_path / "land").exists() and not (tmp_path / "none").exists()
+
+
+def test_solve_physical_prints_physical_roots(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=3)
+    printed = []
+    for flags in ([], ["--physical"]):
+        assert main(["solve", "--config", str(cfg), "--mk", "40", "--out", str(tmp_path / "s"),
+                     *flags]) == 0
+        printed.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1])["roots"])
+    norm, physical = printed
+    assert len(norm) >= 1 and physical == [4 * math.pi**2 * r for r in norm]
+
 
 def test_mc_two_pass_reference_means(tmp_path):
     # means pass on one seed, event counting against it on a fresh seed

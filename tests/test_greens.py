@@ -185,7 +185,7 @@ def test_shellsums_weights_zero_is_multiplicity():
 @pytest.mark.parametrize("dim,radius_sq", [(2, 4000), (3, 400)])
 @pytest.mark.parametrize("n", [1, 5])
 def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
-    # every unordered pair against the whole-ball cosine path at x_k - x_j
+    # every pair k < j against the whole-ball cosine path at x_k - x_j
     shells = ShellSums.get(dim, radius_sq)
     mult = shells.mult.astype(np.float64)
     coords, weight, shell = shells._orthant()
@@ -196,43 +196,36 @@ def test_weights_many_matches_cosine_weights(dim, radius_sq, n):
         x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
         x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
     w = shells.weights_many(x)
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.triu_indices(n, 1)
     assert w.shape == (mult.size, rows.size)
     for t, (k, j) in enumerate(zip(rows, cols)):
-        if k == j:
-            assert np.array_equal(w[:, t], mult)
-        else:
-            assert np.all(np.abs(w[:, t] - shells.weights(x[k] - x[j])) <= 1e-12 * mult)
+        assert np.all(np.abs(w[:, t] - shells.weights(x[k] - x[j])) <= 1e-12 * mult)
 
 
 @pytest.mark.parametrize("dim,radius_sq", [(2, 16058), (2, 4000), (3, 400)])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_weights_many_rows_match_rows_times_weights(dim, radius_sq, n):
-    # weights_many(x, project(near, blocks)) is W[near] stacked on F @ W for
-    # the stacked row blocks F, whether or not W is formed: the near rows to
-    # 1e-15 of the multiplicity in d = 2 and bit for bit in d = 3, with the
-    # multiplicities as their diagonal columns, and F @ W to rounding in |F| @ |W|
+    # weights_many(x, project(near, f)) is W[near] stacked on F @ W, whether
+    # or not W is formed: the near rows to 1e-15 of the multiplicity in
+    # d = 2 and bit for bit in d = 3, and F @ W to rounding in |F| @ |W|
     shells = ShellSums.get(dim, radius_sq)
     s = shells.shell_ms.size
     rng = np.random.default_rng(90 + dim)
     near = slice(s // 2 - 10, s // 2 + 16)
-    blocks = (rng.standard_normal((4, s)), 1.0 / (shells.ns_physical + 1.0))
+    f = np.vstack((rng.standard_normal((4, s)), 1.0 / (shells.ns_physical + 1.0)))
     x = rng.uniform(size=(n, dim))
     if n == 5:
         x[1, 0] = x[0, 0]  # the pair (0, 1) shares a coordinate
         x[0], x[2] = 0.1, 0.75  # the pair (0, 2) differs by 0.65 in every coordinate
-    got = shells.weights_many(x, shells.project(near, blocks))
+    got = shells.weights_many(x, shells.project(near, f))
     w = shells.weights_many(x)
-    f = np.vstack(blocks)
     k = near.stop - near.start
-    assert got.shape == (k + f.shape[0], n * (n + 1) // 2)
+    assert got.shape == (k + f.shape[0], n * (n - 1) // 2)
     mult = shells.mult[near].astype(np.float64)
     if dim == 2:
         assert np.all(np.abs(got[:k] - w[near]) <= 1e-15 * mult[:, None])
     else:
         assert np.array_equal(got[:k], w[near])
-    rows, cols = np.triu_indices(n)
-    assert np.array_equal(got[:k, rows == cols], np.repeat(mult[:, None], n, axis=1))
     assert np.all(np.abs(got[k:] - f @ w) <= 1e-13 * (np.abs(f) @ np.abs(w)))
 
 
@@ -261,7 +254,7 @@ def _matmul_calls(monkeypatch, a, b):
 @pytest.mark.parametrize("m,k,n", [
     (14 * 127, 127, 120),  # d = 2 workspace box at the acceptance gap, N = 16
     (253, 30, 506),  # d = 2 field at the acceptance ball, N = 15
-    (12, 336, 36),  # d = 3 workspace moments at R = 400, m_k = 101, N = 8
+    (14, 336, 28),  # d = 3 workspace rows at R = 400, m_k = 101, N = 8
     (61 * 61, 16, 122),  # d = 3 field at R = 900, N = 8
     (127, 30, 506),  # d = 2 field of real coefficients (half box), N = 15
     (31 * 61, 16, 122),  # d = 3 field of real coefficients (half box), R = 900, N = 8

@@ -232,8 +232,10 @@ def test_split_form_against_the_plain_shell_sum(dim, radius_sq, m_center):
     cfg = ScattererConfig(dim, rng.uniform(size=(5, dim)), phases=np.full(5, theta))
     ws = SecularWorkspace(cfg, radius_sq, m_center)
     ns = ws.shells.ns_physical
-    w = ws.shells.weights_many(cfg.positions)
     rows, cols = np.triu_indices(5)
+    w = np.empty((ns.size, rows.size))  # every pair k <= j: E_m(0) = mult_m on the diagonal
+    w[:, rows != cols] = ws.shells.weights_many(cfg.positions)
+    w[:, rows == cols] = ws.shells.mult[:, None]
     unpack = np.empty((5, 5), dtype=np.intp)
     unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
     g = (-ns / (ns * ns + 1.0)) @ w + math.tan(theta / 2.0) * ((1.0 / (ns * ns + 1.0)) @ w)
@@ -277,12 +279,13 @@ def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
     # the first workspace on a gap builds the gap's record and projects its
     # rows; the ball's memo keeps one record per gap, with the near shells'
     # orthant points and the box projection of the moments and G_{+i} in
-    # d = 2, and the near slice and the rows in d = 3
+    # d = 2, the near slice and the rows in d = 3, and the diagonal: the
+    # near multiplicities, then the rows at E_m(0) = mult_m
     for dim, radius_sq, m_center in ((2, 4000, 100), (3, 400, 101)):
         fresh = ShellSums(dim, radius_sq)
         monkeypatch.setattr(ShellSums, "get", classmethod(lambda cls, d, r: fresh))
         project, builds = fresh.project, []
-        monkeypatch.setattr(fresh, "project", lambda near, blocks: builds.append(1) or project(near, blocks))
+        monkeypatch.setattr(fresh, "project", lambda near, f: builds.append(1) or project(near, f))
         i = int(np.searchsorted(fresh.shell_ms, m_center))
         rng = np.random.default_rng(dim)
         for _ in range(3):
@@ -293,27 +296,31 @@ def test_gap_rows_are_projected_once_per_ball_and_gap(monkeypatch):
         kept = {k: v for k, v in fresh._memo.items() if isinstance(k, tuple) and k[0] == "secular"}
         assert set(kept) == {("secular", i), ("secular", i - 1)}
         side, s = fresh.half + 1, fresh.shell_ms.size
-        for x0, h, near, dscale, rows in kept.values():
-            a = int(np.searchsorted(fresh.ns_physical, near[0]))
-            assert np.array_equal(fresh.ns_physical[a : a + near.size], near)
+        ns, mult = fresh.ns_physical, fresh.mult.astype(np.float64)
+        for x0, h, near, dscale, rows, diag in kept.values():
+            a = int(np.searchsorted(ns, near[0]))
+            assert np.array_equal(ns[a : a + near.size], near)
             r = dscale.size + 3  # P + 1 moments, Re and Im G_{+i}
+            assert diag.shape == (near.size + r,)
+            assert np.array_equal(diag[: near.size], mult[a : a + near.size])
+            g = np.vstack((ns, np.ones(s))) / (ns * ns + 1.0)
+            assert np.allclose(diag[-2:], g @ mult, rtol=1e-13, atol=0)
             if dim == 2:
-                (coords, weight, starts), box, diag = rows
-                assert box.shape == (r * side, side) and diag.shape == (near.size + r,)
-                mult = fresh.mult[a : a + near.size]
-                assert np.array_equal(diag[: near.size], mult)
-                assert starts.size == near.size and np.array_equal(np.add.reduceat(weight, starts), mult)
+                (coords, weight, starts), box = rows
+                assert box.shape == (r * side, side)
+                assert starts.size == near.size
+                assert np.array_equal(np.add.reduceat(weight, starts), mult[a : a + near.size])
             else:
-                assert rows[0] == slice(a, a + near.size)
-                assert [f.shape for f in rows[1]] == [(dscale.size + 1, s), (s,), (s,)]
+                assert rows[0] == slice(a, a + near.size) and rows[1].shape == (r, s)
+                assert np.array_equal(diag[near.size :], rows[1] @ mult)
 
 
 def test_acceptance_gap_record():
     # NEAR_RATIO sets the split: at m_k = 10036, R = 16058 the gap keeps 26
     # near shells on 81 orthant points and P = 11, so its box is 14 x 127 x 127
     shells = ShellSums.get(2, 16058)
-    x0, h, near, dscale, rows = _gap_record(shells, int(np.searchsorted(shells.shell_ms, 10036)))
-    (coords, weight, starts), box, diag = rows
+    x0, h, near, dscale, rows, diag = _gap_record(shells, int(np.searchsorted(shells.shell_ms, 10036)))
+    (coords, weight, starts), box = rows
     assert near.size == 26 and weight.size == 81 and dscale.size == 11
     assert box.shape == (14 * 127, 127) and diag.shape == (26 + 14,)
     assert np.all(np.abs(near - x0) <= h / NEAR_RATIO)
