@@ -108,12 +108,12 @@ class ShellSums:
     cosine tables.
 
     Fourier fields live on the coordinate box |xi_c| <= half = isqrt(R),
-    flat in C order with xi at index xi + half.  The
-    ball keeps what every field on it shares: ``physical_box``, the
-    lambda-free data ``memo`` stores for ``measure`` and for the secular
-    workspace, and a pool of
-    box-sized arrays (``take``/``give``) so that trials reuse memory
-    instead of faulting in fresh pages.
+    flat in C order with xi at index xi + half; a Hermitian field stores
+    the rows xi_0 >= 0 alone.  The ball keeps what every field on it
+    shares: ``physical_box``, the lambda-free data ``memo`` stores for
+    ``measure`` and for the secular workspace, and a pool of field arrays
+    (``take``/``give``) so that trials reuse memory instead of faulting in
+    fresh pages.
     """
 
     def __init__(self, dim: int, radius_sq: int):
@@ -135,7 +135,7 @@ class ShellSums:
         self.box_shape = (2 * self.half + 1,) * dim
         self.box_size = math.prod(self.box_shape)
         self._memo: dict = {}
-        self._free = {np.dtype(np.float64): [], np.dtype(np.complex128): []}
+        self._free: dict = {}
 
     @classmethod
     @lru_cache(maxsize=6)
@@ -304,18 +304,17 @@ class ShellSums:
             value = self._memo[key] = build()
         return value
 
-    def take(self, dtype) -> np.ndarray:
-        """A flat box-sized array of dtype (contents undefined) from this
-        ball's pool; hand it back with ``give`` to reuse its memory.  Each
-        process has its own pool and runs one trial at a time."""
-        try:
-            return self._free[np.dtype(dtype)].pop()
-        except IndexError:
-            return np.empty(self.box_size, dtype=dtype)
+    def take(self, dtype, size: int) -> np.ndarray:
+        """A flat array of size entries of dtype (contents undefined) from
+        this ball's pool; hand it back with ``give`` to reuse its memory.
+        The pool keeps arrays by dtype and size.  Each process has its own
+        pool and runs one trial at a time."""
+        free = self._free.get((np.dtype(dtype), size))
+        return free.pop() if free else np.empty(size, dtype=dtype)
 
     def give(self, *arrays: np.ndarray) -> None:
         for arr in arrays:
-            self._free[arr.dtype].append(arr)
+            self._free.setdefault((arr.dtype, arr.size), []).append(arr)
 
     def pole_check(self, lam: SpectralParameter) -> None:
         ln = lam.lambda_norm

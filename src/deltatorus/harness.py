@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .sprime import _n_power
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
 
 MIN_PAIR_DISTANCE = 1e-9
+
+#: the observable 1 per dimension: pairing a field with it gives exactly 1
+ZERO_MODE = {dim: Observable({(0,) * dim: 1.0}) for dim in GAMMA_BY_DIM}
 
 #: usable trials a run needs before it reports expectations / event frequencies
 MIN_EXPECTATION_TRIALS = 30
@@ -156,7 +160,7 @@ class TrialSpec:
         if self.coefficient_mode not in ("solver", "synthetic"):
             raise ValidationError(f"unknown coefficient mode {self.coefficient_mode!r}")
         if self.coefficient_mode == "synthetic":
-            self.synthetic_d()
+            self.synthetic_d  # built and checked once, read by every trial
         if self.observable is None:
             zero = tuple([0] * self.dim)
             one = tuple([1] + [0] * (self.dim - 1))
@@ -171,9 +175,11 @@ class TrialSpec:
             self.phases = [0.0] * self.n_scatterers
         common_phase(self.phases, self.n_scatterers)
 
+    @cached_property
     def synthetic_d(self) -> np.ndarray:
         """The synthetic coefficient vector: one [re, im] pair of finite reals
-        per scatterer, normalized as assemble_field requires."""
+        per scatterer, normalized as assemble_field requires.  Built and
+        checked once, when the spec is, and read-only."""
         coeffs = self.synthetic_coeffs
         if coeffs is None:
             raise ValidationError("synthetic mode needs synthetic_coeffs")
@@ -188,6 +194,7 @@ class TrialSpec:
         total = float(np.sum(np.abs(d) ** 2))
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"synthetic_coeffs must be normalized, got sum {total}")
+        d.flags.writeable = False
         return d
 
     def annulus_width(self) -> float:
@@ -345,7 +352,7 @@ def measure_config(
             near_degenerate=root.near_degenerate,
         )
     else:
-        d = spec.synthetic_d()
+        d = spec.synthetic_d
         lam = gap_fraction_lambda(interval, spec.synthetic_lambda_frac)
         res = TrialResult(
             trial_index=trial_index, root_count=1, lambda_norm=lam.lambda_norm,
@@ -369,8 +376,7 @@ def measure_config(
     res.err, res.envelope = equidistribution_error(
         field_, spec.observable, float(GAMMA_BY_DIM[spec.dim]), spec.n_scatterers
     )
-    one = Observable({tuple([0] * spec.dim): 1.0})
-    res.pair_one_exact = pair_with_observable(field_, one) == 1.0
+    res.pair_one_exact = pair_with_observable(field_, ZERO_MODE[spec.dim]) == 1.0
     # the last read of the field: its box arrays go back to the ball's pool
     field_.shells.give(field_.box_values, field_.box_weights_sq)
     res.chain_c_ok = res.remainder_sq <= res.c_val

@@ -6,12 +6,15 @@ position-dependent phase sum.  Everything here is a finite sum over a fixed
 truncation ball.  A field is stored once, on the ball's coordinate box
 (ShellSums): w factors over the coordinates, so it is one real matrix product
 written into the box, in row blocks that keep OpenBLAS on one core.  Real
-coefficients, as every solver root has, make the field Hermitian: only
-the box rows xi_0 >= 0 are computed and the rows xi_0 < 0 are their
-conjugate mirror, while complex coefficients build the whole box.  The
-field is then queried read-only; the norm, the correlations and the
-complement functional are each one row-wise dot along the last box axis
-summed over the rows, the rest are gathers at fixed box positions:
+coefficients, as every solver root has, make the field Hermitian,
+D(-xi) = conj D(xi): only the box rows xi_0 >= 0 are computed and stored,
+while complex coefficients store the whole box.  Every reader goes through
+two per-ball tables: the stored position of each ball point (that of -xi
+where the row of xi is not stored) and the row weights (2 on a stored row
+whose mirror row is not stored, else 1).  The field is then queried
+read-only; the norm, the correlations and the complement functional are
+each one row-wise dot along the last box axis summed over the stored rows
+with their weights, the rest are gathers at fixed stored positions:
 
   * observable pairings  <e_zeta g, g> = sum_xi D(xi) conj(D(xi+zeta)),
   * the annulus split of the L^2 mass around the interval center,
@@ -23,10 +26,10 @@ summed over the rows, the rest are gathers at fixed box positions:
 The annulus is the one ``lattice`` defines, |m - m_k| <= K for the integer
 half-width K of L_0: on a field it is the contiguous range
 ``lattice.annulus_range`` of the norm-sorted ball points, read through their
-box positions.  The lambda-free weights of A (per shift) and C (on the box)
-are built once per ball, interval and width and kept on the ShellSums
-instance; the deterministic sum sigma_zeta is the exact sum of A's weights,
-and the closed-form C column that of C's.
+stored positions.  The lambda-free weights of A (per shift) and C (in ball
+order, and on the stored rows) are built once per ball, interval and width
+and kept on the ShellSums instance; the deterministic sum sigma_zeta is the
+exact sum of A's weights, and the closed-form C column that of C's.
 
 The two-branch sums freeze the coefficient at an interval endpoint, so
 they dominate or minorize the lambda-dependent quantities uniformly over
@@ -125,16 +128,24 @@ class Observable:
 class FourierField:
     """Fourier data of one superposition on the coordinate box of its ball.
 
-    The box arrays are flat in the C order of ``ShellSums.box_shape``; D is
-    exactly 0 outside the ball.  They come from the ball's array pool, and
-    the field owns them: only ``harness.measure_config``, after its last
-    read, hands them back with ``shells.give``.  ``weights`` and ``values``
-    are ball-order copies made when read, for callers off the trial path;
+    The box arrays are flat in C order and hold the box rows from ``first``
+    on, shape ``(side - first, side, ...)``: every row (first = 0) for
+    complex coefficients, the rows xi_0 >= 0 (first = half) for real ones,
+    whose field is Hermitian, D(-xi) = conj D(xi) and |w(-xi)| = |w(xi)|.
+    D is exactly 0 outside the ball.  ``positions`` maps the ball order to
+    stored positions, ``row_weights`` counts the box rows each stored row
+    stands for.  The arrays come from the ball's array pool, and the field
+    owns them: only ``harness.measure_config``, after its last read, hands
+    them back with ``shells.give``.  ``weights`` and ``values`` are
+    ball-order copies made when read, for callers off the trial path;
     ``weights`` is D / c_lambda.
     """
 
     lam: SpectralParameter
     shells: ShellSums
+    first: int  # box row of xi_0 = first - half, the first stored row
+    positions: np.ndarray  # ball order -> stored position, _stored_positions
+    row_weights: np.ndarray  # box rows per stored row, _row_weights
     box_values: np.ndarray  # complex, D(xi) = c_lambda(xi) * w(xi)
     box_weights_sq: np.ndarray  # real, |w(xi)|^2
     norm_sq: float
@@ -156,24 +167,64 @@ class FourierField:
         return self.shells.norms
 
     @property
+    def shape(self) -> tuple:
+        """Shape of the stored rows of the box."""
+        box = self.shells.box_shape
+        return (box[0] - self.first, *box[1:])
+
+    @property
     def weights(self) -> np.ndarray:
         order = self.shells.ball_order()
-        return self.box_values[order] * (self.shells.physical_box()[order] - self.lam.physical)
+        return self.values * (self.shells.physical_box()[order] - self.lam.physical)
 
     @property
     def values(self) -> np.ndarray:
-        return self.box_values[self.shells.ball_order()]
+        v = self.box_values[self.positions]
+        # a point whose row is not stored reads D(xi) = conj D(-xi)
+        np.conjugate(v, out=v, where=self.pts[:, 0] < self.first - self.shells.half)
+        return v
+
+
+def _stored_positions(shells: ShellSums, first: int) -> np.ndarray:
+    """Ball order -> flat position in the box rows from ``first`` on: that of
+    xi, or of -xi where the row of xi is not stored.  With first = 0 these
+    are the box positions of the ball points.  Built once per ball and
+    first row, from the ball's points."""
+
+    def build():
+        pts = shells.pts
+        q = np.where(pts[:, :1] < first - shells.half, -pts, pts) + shells.half
+        q[:, 0] -= first
+        box = shells.box_shape
+        return np.ravel_multi_index(tuple(q.T), (box[0] - first, *box[1:]))
+
+    return shells.memo(("positions", first), build)
+
+
+def _row_weights(shells: ShellSums, first: int) -> np.ndarray:
+    """Per stored row xi_0 (box rows from ``first`` on): 2 where the mirror
+    row -xi_0 is not stored, else 1.  Shaped (rows, 1, ...) to broadcast
+    against the row dots of a stored array; built once per ball and first
+    row."""
+
+    def build():
+        xi0 = np.arange(first, shells.box_shape[0]) - shells.half
+        w = np.where(-xi0 < first - shells.half, 2.0, 1.0)
+        return w.reshape((-1,) + (1,) * (shells.dim - 2))
+
+    return shells.memo(("row weights", first), build)
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _box_dot(x: np.ndarray, y: np.ndarray):
-    """sum of conj(x) * y over two box arrays of one shape: one vecdot along
-    the last axis, then a pairwise sum over the rows.  Each row is one dot
+def _box_dot(x: np.ndarray, y: np.ndarray, weights):
+    """sum of weights * conj(x) * y over two box arrays of one shape: one
+    vecdot along the last axis, each row dot times its row's weight (1 or
+    2, so exactly), then a pairwise sum over the rows.  Each row is one dot
     of fixed length, so the bits depend on the shape alone."""
-    return np.sum(np.vecdot(x, y))
+    return np.add.reduce(np.vecdot(x, y) * weights, axis=None)
 
 
 def assemble_field(
@@ -187,20 +238,20 @@ def assemble_field(
     The phase e_xi(-x_j) factors over the coordinates, so
     w = sum_j (d_j A_j) (x) B_j [(x) C_j] with the 1-D tables
     exp(-2*pi*i*a*x_{j,c}), a = -half..half.  That is one real matrix
-    product written straight into the float64 view of a pooled box array:
+    product written straight into the float64 view of a pooled array:
     rows are every box axis but the last (the per-scatterer product of the
     first tables in d = 3), the inner dimension is re and im of d_j times
     those rows (k = 2N), and the columns are the last table interleaved
     re/im.  It runs in row blocks through ``one_thread_matmul``, so OpenBLAS
     stays on one core.  |w|^2 is kept and w is scaled in place into D;
     c_lambda is 1/(n - lambda) on ``physical_box``, exactly 0 outside the
-    ball, and norm_sq is the row-wise dot of D with itself over the box.
+    ball, and norm_sq is the weighted sum of the row dots of D with itself.
 
     Real coefficients (every solver root) make the field Hermitian,
     w(-xi) = conj w(xi), and c_lambda is even.  Then only the box rows
-    xi_0 >= 0 are computed, first table included, and the rows xi_0 < 0
-    are their mirror: the conjugate of D and a copy of |w|^2 with every
-    coordinate negated.  Complex coefficients build the whole box.
+    xi_0 >= 0 are computed, first table included, and stored: the rows
+    xi_0 < 0 are read through ``positions`` and counted by
+    ``row_weights``.  Complex coefficients build the whole box.
     """
     d_coeffs = np.asarray(d_coeffs, dtype=np.complex128)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -216,7 +267,7 @@ def assemble_field(
     shells = ShellSums.get(dim, check_radius(radius_sq, lam))
     shells.pole_check(lam)
     half, side = shells.half, shells.box_shape[0]
-    # the first computed row of the box: xi_0 = 0 for real d, else -half
+    # the first stored row of the box: xi_0 = 0 for real d, else -half
     first = half if not d_coeffs.imag.any() else 0
     coords = np.arange(-half, half + 1, dtype=np.float64)
     tables = [
@@ -230,31 +281,27 @@ def assemble_field(
     # [last; i * last] read as interleaved (re, im) pairs
     left = np.ascontiguousarray(np.concatenate((head.real, head.imag)).T)
     right = np.concatenate((tables[-1], 1j * tables[-1])).view(np.float64)
-    values, w_sq, c = shells.take(np.complex128), shells.take(np.float64), shells.take(np.float64)
-    lo = first * side ** (dim - 1)
-    part, part_sq, part_c = values[lo:], w_sq[lo:], c[lo:]
-    one_thread_matmul(left, right, out=part.view(np.float64).reshape(left.shape[0], -1))
-    np.multiply(part.real, part.real, out=part_sq)
-    np.multiply(part.imag, part.imag, out=part_c)
-    part_sq += part_c
-    np.subtract(shells.physical_box()[lo:], lam.physical, out=part_c)
-    np.divide(1.0, part_c, out=part_c)
-    part *= part_c
+    size = left.shape[0] * side
+    values, w_sq, c = (shells.take(t, size) for t in (np.complex128, np.float64, np.float64))
+    one_thread_matmul(left, right, out=values.view(np.float64).reshape(left.shape[0], -1))
+    np.multiply(values.real, values.real, out=w_sq)
+    np.multiply(values.imag, values.imag, out=c)
+    w_sq += c
+    np.subtract(shells.physical_box()[shells.box_size - size :], lam.physical, out=c)
+    np.divide(1.0, c, out=c)
+    values *= c
     shells.give(c)
-    if first:
-        # row -a is row a reversed along every trailing axis as well
-        box, box_sq = values.reshape(side, -1), w_sq.reshape(side, -1)
-        np.conjugate(box[first + 1 :][::-1, ::-1], out=box[:first])
-        np.copyto(box_sq[:first], box_sq[first + 1 :][::-1, ::-1])
-    rows = values.view(np.float64).reshape(-1, 2 * side)
+    row_weights = _row_weights(shells, first)
+    rows = values.view(np.float64).reshape(side - first, *shells.box_shape[1:-1], 2 * side)
     return FourierField(
-        lam=lam, shells=shells, box_values=values, box_weights_sq=w_sq,
-        norm_sq=float(_box_dot(rows, rows)),
+        lam=lam, shells=shells, first=first, positions=_stored_positions(shells, first),
+        row_weights=row_weights, box_values=values, box_weights_sq=w_sq,
+        norm_sq=float(_box_dot(rows, rows, row_weights)),
     )
 
 
 def _shift(zeta, dim: int) -> tuple:
-    zeta = tuple(int(z) for z in zeta)
+    zeta = tuple(map(int, zeta))
     if len(zeta) != dim:
         raise ValidationError(f"shift {zeta} needs {dim} components")
     return zeta
@@ -263,23 +310,40 @@ def _shift(zeta, dim: int) -> tuple:
 def correlation_sum(field: FourierField, zeta) -> complex:
     """sum_xi D(xi) conj(D(xi + zeta)); missing xi + zeta contributes zero.
 
-    One row-wise dot of two overlapping slices of the box.  A shift whose first
-    nonzero component is negative is the conjugate of its opposite, so
-    S_{-zeta} == conj(S_zeta) holds exactly.
+    A shift whose first nonzero component is negative is the conjugate of
+    its opposite, so S_{-zeta} == conj(S_zeta) holds exactly, and S_0 is
+    norm_sq.  Otherwise zeta_0 >= 0, and the sum is one weighted row-wise
+    dot of two overlapping slices of the stored rows, weighted by the row
+    of xi + zeta, plus a band.  On the whole box the weights are 1 and the
+    band is empty.  On a Hermitian field the term at xi equals the term at
+    -xi - zeta, so
+
+        zeta_0 = 0:   S = 2 sum_{xi_0 > 0} + sum_{xi_0 = 0},
+        zeta_0 >= 1:  S = 2 sum_{xi_0 >= 0} + sum_{-zeta_0 < xi_0 < 0},
+
+    and the band rows -zeta_0 < xi_0 < 0 read D(xi) = conj D(-xi) as the
+    conjugate of the stored rows 1 .. zeta_0 - 1, reversed along every axis.
     """
     zeta = _shift(zeta, field.dim)
     if all(z == 0 for z in zeta):
         return complex(field.norm_sq, 0.0)
     if next(z for z in zeta if z != 0) < 0:
         return correlation_sum(field, tuple(-z for z in zeta)).conjugate()
-    shells = field.shells
-    side = shells.box_shape[0]
+    half, side = field.shells.half, field.shells.box_shape[0]
     if any(abs(z) >= side for z in zeta):
         return 0j
-    box = field.box_values.reshape(shells.box_shape)
-    src = tuple(slice(max(-z, 0), side - max(z, 0)) for z in zeta)
-    dst = tuple(slice(max(z, 0), side - max(-z, 0)) for z in zeta)
-    return complex(_box_dot(box[dst], box[src]))
+    box = field.box_values.reshape(field.shape)
+    z0, low, rows = zeta[0], field.first - half, box.shape[0]
+    src = (slice(None),) + tuple(slice(max(-z, 0), side - max(z, 0)) for z in zeta[1:])
+    dst = (slice(None),) + tuple(slice(max(z, 0), side - max(-z, 0)) for z in zeta[1:])
+    total = _box_dot(box[z0:][dst], box[: max(rows - z0, 0)][src], field.row_weights[z0:])
+    # the band: rows xi_0 = -eta, a <= eta <= b, below the first stored row,
+    # whose D(xi) is conj D(-xi) and whose xi + zeta lies in a stored row
+    a, b = max(1 - low, z0 - half), min(z0 - 1, half)
+    if a <= b:
+        band = np.conjugate(box[a - low : b - low + 1][(slice(None, None, -1),) * field.dim])
+        total += _box_dot(box[z0 - b - low : z0 - a - low + 1][dst], band[src], 1.0)
+    return complex(total)
 
 
 def pair_with_observable(field: FourierField, a: Observable) -> complex:
@@ -300,14 +364,11 @@ def pair_with_observable(field: FourierField, a: Observable) -> complex:
     return acc
 
 
-def _annulus_index(shells: ShellSums, m_center: int, width: float) -> np.ndarray:
-    """Flat box positions of the annulus points, in ball order."""
-
-    def build():
-        lo, hi = annulus_range(shells.norms, m_center, width)
-        return shells.ball_order()[lo:hi]
-
-    return shells.memo(("annulus", m_center, width), build)
+def _annulus_span(shells: ShellSums, m_center: int, width: float) -> tuple[int, int]:
+    """The annulus as the range lo:hi of the ball order, built once per ball,
+    center and width."""
+    return shells.memo(("annulus", m_center, width),
+                       lambda: annulus_range(shells.norms, m_center, width))
 
 
 def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[float, float]:
@@ -324,11 +385,11 @@ def split_annulus(field: FourierField, m_center: int, width: float) -> tuple[flo
         raise ValidationError(
             f"truncation ball |xi|^2 <= {field.radius_sq} does not cover the annulus"
         )
-    index = _annulus_index(field.shells, m_center, width)
-    if index.size == field.pts.shape[0]:
+    lo, hi = _annulus_span(field.shells, m_center, width)
+    if hi - lo == field.pts.shape[0]:
         # an empty complement has mass exactly 0, as functional_C is then 0
         return field.norm_sq, 0.0
-    annulus = float(np.sum(_abs_sq(field.box_values[index])))
+    annulus = float(np.add.reduce(_abs_sq(field.box_values[field.positions[lo:hi]])))
     return annulus, field.norm_sq - annulus
 
 
@@ -347,16 +408,15 @@ def _branch_weights(
 
 
 def _shift_weights(shells: ShellSums, zeta: tuple, interval: GapTriple, width: float):
-    """(annulus box positions, two-branch weights at xi + zeta, endpoint
-    norms that xi + zeta lands on), built once per ball, shift, interval and
-    width."""
+    """(two-branch weights at xi + zeta for the annulus points xi in ball
+    order, endpoint norms that xi + zeta lands on), built once per ball,
+    shift, interval and width."""
 
     def build():
-        lo, hi = annulus_range(shells.norms, interval.center, width)
+        lo, hi = _annulus_span(shells, interval.center, width)
         shifted_norms = ((shells.pts[lo:hi].astype(np.int64) + zeta) ** 2).sum(axis=1)
         w, in_gap = _branch_weights(shifted_norms, interval)
-        landed = sorted(set(shifted_norms[in_gap].tolist()))
-        return _annulus_index(shells, interval.center, width), w, landed
+        return w, sorted(set(shifted_norms[in_gap].tolist()))
 
     return shells.memo(("A", zeta, interval, width), build)
 
@@ -376,12 +436,13 @@ def functional_A(
     zeta = _shift(zeta, field.dim)
     if not any(zeta):
         raise ValidationError("zeta must be nonzero")
-    index, w, landed = _shift_weights(field.shells, zeta, interval, width)
+    w, landed = _shift_weights(field.shells, zeta, interval, width)
     if landed:
         raise NonSPrimeError(f"shift {zeta} lands on endpoint shells {landed}")
-    if index.size == 0:
+    if w.size == 0:
         return 0.0
-    return float(np.sum(w * field.box_weights_sq[index]))
+    lo, hi = _annulus_span(field.shells, interval.center, width)
+    return float(np.add.reduce(w * field.box_weights_sq[field.positions[lo:hi]]))
 
 
 def functional_B(field: FourierField, interval: GapTriple) -> float:
@@ -394,39 +455,41 @@ def functional_B(field: FourierField, interval: GapTriple) -> float:
         s = int(np.searchsorted(shells.shell_ms, interval.center))
         if s == shells.shell_ms.size or shells.shell_ms[s] != interval.center:
             return -1
-        return int(shells.ball_order()[shells.starts[s]])
+        return int(shells.starts[s])
 
     i = shells.memo(("xi0", interval.center), build)
     if i < 0:
         raise ValidationError(f"center shell {interval.center} outside the truncation set")
-    return float(field.box_weights_sq[i]) / interval.outer_gap**2
+    return float(field.box_weights_sq[field.positions[i]]) / interval.outer_gap**2
 
 
 def _complement_weights(shells: ShellSums, interval: GapTriple, width: float) -> np.ndarray:
-    """Two-branch endpoint weights on the box: nonzero on the ball points
-    outside the annulus and off the endpoint shells.  Built once per ball,
-    interval and width."""
-
-    def build():
-        lo, hi = annulus_range(shells.norms, interval.center, width)
-        # complement vectors on the endpoint shells fall in neither branch and
-        # carry weight zero by the strict inequalities
-        w = _branch_weights(shells.norms, interval)[0]
-        w[lo:hi] = 0.0
-        box = np.zeros(shells.box_size)
-        box[shells.ball_order()] = w
-        return box
-
-    return shells.memo(("C", interval, width), build)
+    """Two-branch endpoint weights in ball order: nonzero on the points
+    outside the annulus and off the endpoint shells."""
+    lo, hi = _annulus_span(shells, interval.center, width)
+    # a weight depends on |xi|^2 alone, so it is built per shell; complement
+    # vectors on the endpoint shells fall in neither branch and carry weight
+    # zero by the strict inequalities
+    w = np.repeat(_branch_weights(shells.shell_ms, interval)[0], shells.mult)
+    w[lo:hi] = 0.0
+    return w
 
 
 def functional_C(field: FourierField, interval: GapTriple, width: float) -> float:
     """Two-branch endpoint-coefficient sum over the annulus complement
     (within the truncation ball)."""
     shells = field.shells
-    rows = (-1, shells.box_shape[-1])
-    weights = _complement_weights(shells, interval, width).reshape(rows)
-    return float(_box_dot(weights, field.box_weights_sq.reshape(rows)))
+
+    def build():
+        # on the stored rows, built once per ball, interval, width and first
+        # row; xi and -xi write the same weight
+        box = np.zeros(field.box_weights_sq.size)
+        box[field.positions] = _complement_weights(shells, interval, width)
+        return box
+
+    weights = shells.memo(("C", interval, width, field.first), build)
+    return float(_box_dot(weights.reshape(field.shape),
+                          field.box_weights_sq.reshape(field.shape), field.row_weights))
 
 
 def sigma_sum(
@@ -441,7 +504,7 @@ def sigma_sum(
     zeta = _shift(zeta, shells.dim)
     if not any(zeta):
         raise ValidationError("zeta must be nonzero")
-    w = _shift_weights(shells, zeta, interval, width)[1]
+    w = _shift_weights(shells, zeta, interval, width)[0]
     return math.fsum(w), w.size / width**2
 
 

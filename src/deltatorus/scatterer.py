@@ -109,9 +109,16 @@ def common_phase(phases, n: int) -> float:
 
     Phases that differ by more than COMMON_PHASE_TOL in e^{i theta_j}
     raise ValidationError, a phase with e^{i theta_j} = -1
-    DegenerateExtensionError; theta is atan2 of e^{i theta_0}.
+    DegenerateExtensionError; theta is atan2 of e^{i theta_0}.  A trial
+    config repeats its spec's phases, so the check runs once per distinct
+    phase vector (keyed by its bits).
     """
-    eigs = np.exp(1j * _real_array("phases", phases, (n,)))
+    return _common_phase(_real_array("phases", phases, (n,)).tobytes())
+
+
+@lru_cache(maxsize=16)
+def _common_phase(phases: bytes) -> float:
+    eigs = np.exp(1j * np.frombuffer(phases))
     if np.min(np.abs(1.0 + eigs)) < DEGENERACY_TOL:
         raise DegenerateExtensionError("a phase puts -1 in the spectrum of U")
     z = complex(eigs[0])

@@ -574,12 +574,15 @@ def test_run_trials_reuses_a_context_across_the_per_trial_fields():
 
 def test_solver_trials_build_half_the_field(monkeypatch):
     # a solver root's d is an eigenvector of the real symmetric H, so its
-    # field is Hermitian and assemble_field computes only the box rows
-    # xi_0 >= 0: one product of isqrt(R) + 1 rows
+    # field is Hermitian and assemble_field computes and stores only the box
+    # rows xi_0 >= 0: one product of isqrt(R) + 1 rows, written into arrays
+    # of that many rows
     from deltatorus import measure
 
-    roots_seen, products = [], []
-    find, matmul = harness.find_new_eigenvalues, measure.one_thread_matmul
+    roots_seen, products, fields = [], [], []
+    find, matmul, assemble = (
+        harness.find_new_eigenvalues, measure.one_thread_matmul, harness.assemble_field
+    )
 
     def recording_find(*args, **kwargs):
         roots = find(*args, **kwargs)
@@ -590,14 +593,23 @@ def test_solver_trials_build_half_the_field(monkeypatch):
         products.append(out.shape)
         return matmul(a, b, out)
 
+    def recording_assemble(*args):
+        fields.append(assemble(*args))
+        return fields[-1]
+
     monkeypatch.setattr(harness, "find_new_eigenvalues", recording_find)
     monkeypatch.setattr(measure, "one_thread_matmul", recording_matmul)
+    monkeypatch.setattr(harness, "assemble_field", recording_assemble)
     spec = small_spec(n_scatterers=4, phases=[0.7] * 4)
     ctx = RunContext.build(spec)
     results = [run_trial(spec, t, ctx) for t in range(4)]
-    fields = [r for r in results if not r.no_root]
     assert fields and len(products) == len(fields) == len(roots_seen)
+    assert len(fields) == sum(not r.no_root for r in results)
     for roots in roots_seen:
         assert all(not r.d.imag.any() for r in roots)
-    side = 2 * math.isqrt(ctx.radius_sq) + 1
-    assert set(products) == {(math.isqrt(ctx.radius_sq) + 1, 2 * side)}
+    half = math.isqrt(ctx.radius_sq)
+    side = 2 * half + 1
+    assert set(products) == {(half + 1, 2 * side)}
+    for f in fields:
+        assert f.first == half and f.shape == (half + 1, side)
+        assert f.box_values.size == f.box_weights_sq.size == (half + 1) * side

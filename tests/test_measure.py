@@ -165,11 +165,11 @@ def _check_against_direct_exponentials(d, x, lam, radius_sq):
     assert np.max(np.abs(f.weights - direct)) <= 1e-12 * np.max(np.abs(direct))
     c = 1.0 / (FOUR_PI_SQ * shells.norms.astype(float) - lam.physical)
     assert np.max(np.abs(f.values - c * direct)) <= 1e-12 * np.max(np.abs(c * direct))
-    w_sq = f.box_weights_sq[shells.ball_order()]
+    w_sq = f.box_weights_sq[f.positions]
     assert np.max(np.abs(w_sq - np.abs(direct) ** 2)) <= 1e-12 * np.max(np.abs(direct) ** 2)
-    # the box holds D = 0 outside the ball
-    outside = np.ones(shells.box_size, dtype=bool)
-    outside[shells.ball_order()] = False
+    # the stored rows hold D = 0 outside the ball
+    outside = np.ones(f.box_values.size, dtype=bool)
+    outside[f.positions] = False
     assert not np.any(f.box_values[outside])
     assert f.norm_sq == pytest.approx(float(np.sum(np.abs(f.values) ** 2)), rel=1e-13)
     return f
@@ -188,19 +188,28 @@ def test_field_matches_direct_exponentials():
         if radius_sq == 900:
             side = ShellSums.get(dim, radius_sq).box_shape[-1]
             assert side ** (dim - 1) * 2 * side * 2 * n > 4 * ONE_THREAD_GEMM
-        _check_against_direct_exponentials(d, x, SpectralParameter(9.4), radius_sq)
+        f = _check_against_direct_exponentials(d, x, SpectralParameter(9.4), radius_sq)
+        shells = f.shells
+        assert f.first == 0 and f.box_values.size == shells.box_size
+        assert np.array_equal(f.positions, shells.ball_order())
+        assert np.all(f.row_weights == 1.0)
         # real coefficients, as every solver root has, make the field
-        # Hermitian: the rows xi_0 < 0 are the conjugate mirror of the rows
-        # xi_0 > 0, bit for bit, while the computed row xi_0 = 0 is its own
-        # mirror only to rounding
+        # Hermitian: only the rows xi_0 >= 0 are stored, a point xi with
+        # xi_0 < 0 reads the position of -xi, and a stored row other than
+        # xi_0 = 0 stands for its mirror too; the stored row xi_0 = 0 is
+        # its own mirror only to rounding
         real = d.real / np.linalg.norm(d.real)
         f = _check_against_direct_exponentials(real, x, SpectralParameter(9.4), radius_sq)
-        half = f.shells.half
-        values = f.box_values.reshape(2 * half + 1, -1)
-        weights_sq = f.box_weights_sq.reshape(2 * half + 1, -1)
-        assert np.array_equal(values[:half], np.conj(values[half + 1 :][::-1, ::-1]))
-        assert np.array_equal(weights_sq[:half], weights_sq[half + 1 :][::-1, ::-1])
-        row = values[half]
+        half, side = shells.half, shells.box_shape[0]
+        assert f.first == half and f.shape == (half + 1,) + (side,) * (dim - 1)
+        assert f.box_values.size == f.box_weights_sq.size == (half + 1) * side ** (dim - 1)
+        flip = f.pts[:, 0] < 0
+        mirror = np.ravel_multi_index(tuple((half - f.pts[flip]).T), shells.box_shape)
+        assert np.array_equal(f.positions[flip], mirror - half * side ** (dim - 1))
+        stored = shells.ball_order()[~flip]
+        assert np.array_equal(f.positions[~flip], stored - half * side ** (dim - 1))
+        assert f.row_weights.ravel().tolist() == [1.0] + [2.0] * half
+        row = f.box_values.reshape(half + 1, -1)[0]
         assert np.max(np.abs(row - np.conj(row[::-1]))) <= 1e-15 * np.max(np.abs(row))
 
 
@@ -232,7 +241,9 @@ def test_field_bits_do_not_depend_on_the_pool_buffer():
         lam = SpectralParameter(tri.center + 0.37)
         first = assemble_field(d, x, lam, radius_sq)
         shells = first.shells
-        size = shells.box_size
+        size = first.box_values.size
+        rows = shells.half + 1 if real else shells.box_shape[0]
+        assert size == rows * shells.box_shape[0] ** (dim - 1)
         shells.give(np.empty(2 * size + 1)[1 : 2 * size + 1].view(np.complex128))
         shells.give(np.empty(size + 1)[1:], np.empty(size + 1)[1:])
         second = assemble_field(d, x, lam, radius_sq)
@@ -248,11 +259,14 @@ def test_field_bits_do_not_depend_on_the_pool_buffer():
 
 
 def test_correlation_sum_matches_ball_order_oracle():
+    # complex coefficients store the whole box, real ones the rows xi_0 >= 0
+    # (a Hermitian field), where zeta_0 >= 2 reads the band of rows below
     rng = np.random.default_rng(19)
-    for dim, radius_sq in ((2, 200), (3, 60)):
-        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for dim, radius_sq, real in ((2, 200, False), (3, 60, False), (2, 200, True), (3, 60, True)):
+        d = rng.normal(size=3) + (0.0 if real else 1j * rng.normal(size=3))
         d /= np.linalg.norm(d)
         f = small_field(d, rng.uniform(size=(3, dim)), lam_norm=25.4, radius=radius_sq)
+        assert f.first == (f.shells.half if real else 0)
         lookup = {tuple(p): v for p, v in zip(f.pts.tolist(), f.values.tolist())}
         side = f.shells.box_shape[0]
         unit = [0] * (dim - 1)
@@ -276,6 +290,73 @@ def test_correlation_sum_matches_ball_order_oracle():
         assert correlation_sum(f, (0,) * dim) == f.norm_sq
         with pytest.raises(ValidationError):
             correlation_sum(f, (1,) * (dim + 1))
+
+
+def _abs_correlation(f, zeta):
+    """sum over xi of |D(xi)| |D(xi + zeta)|: the scale of S_zeta's rounding."""
+    half, side = f.shells.half, f.shells.box_shape[0]
+    box = np.zeros(f.shells.box_shape)
+    box[tuple((f.pts + half).T)] = np.abs(f.values)
+    src = tuple(slice(max(-z, 0), side - max(z, 0)) for z in zeta)
+    dst = tuple(slice(max(z, 0), side - max(-z, 0)) for z in zeta)
+    return float(np.sum(box[src] * box[dst]))
+
+
+@pytest.mark.parametrize("dim,radius_sq,m_center,a_shifts", [(2, 200, 25, [(2, 0), (0, 2), (3, 0)]),
+                                                             (3, 120, 50, [(3, 0, 0)])])
+def test_global_phase_leaves_every_reading_unchanged(dim, radius_sq, m_center, a_shifts):
+    # a real d stores the rows xi_0 >= 0 of its Hermitian field; e^{i pi/4} d
+    # has the same |g| and the same correlations but stores the whole box,
+    # so the two storages of one field must agree on everything read from it
+    rng = np.random.default_rng(53 + dim)
+    d = rng.normal(size=4)
+    d /= np.linalg.norm(d)
+    x = rng.uniform(size=(4, dim))
+    tri = enumerate_spectrum(dim, radius_sq).gap_triple(m_center)
+    lam = SpectralParameter(tri.center + 0.41)
+    half_box = assemble_field(d, x, lam, radius_sq)
+    full_box = assemble_field(np.exp(0.25j * math.pi) * d, x, lam, radius_sq)
+    half, side = half_box.shells.half, half_box.shells.box_shape[0]
+    assert (half_box.first, full_box.first) == (half, 0)
+
+    def close(a, b, scale):
+        assert abs(a - b) <= 1e-13 * scale
+
+    norm = half_box.norm_sq
+    close(norm, full_box.norm_sq, norm)
+    width = 30.0
+    for got, want in zip(split_annulus(half_box, tri.center, width),
+                         split_annulus(full_box, tri.center, width)):
+        close(got, want, norm)
+    close(functional_B(half_box, tri), functional_B(full_box, tri), functional_B(full_box, tri))
+    c = functional_C(full_box, tri, width)
+    assert c > 0
+    close(functional_C(half_box, tri, width), c, c)
+    for zeta in a_shifts:
+        a = functional_A(full_box, zeta, tri, width)
+        assert a > 0
+        close(functional_A(half_box, zeta, tri, width), a, a)
+
+    unit = (0,) * (dim - 2)
+    shifts = [
+        (0, 1, *unit), (0, -2, *unit), (0, *unit, 3),  # zeta_0 = 0
+        (1, 0, *unit), (1, -3, *unit),  # zeta_0 = 1
+        (2, 1, *unit), (5, -2, *unit), (half, 1, *unit), (half + 1, 0, *unit),  # the band
+        (-1, 0, *unit), (-3, 2, *unit), (0, -1, *unit),  # negative
+        (side - 2, 1, *unit), (half + 2, -half, *unit), (2, side - 1, *unit),  # across the edge
+    ]
+    for zeta in shifts:
+        scale = _abs_correlation(full_box, zeta)
+        assert scale > 0
+        s = correlation_sum(half_box, zeta)
+        close(s, correlation_sum(full_box, zeta), scale)
+        opposite = tuple(-z for z in zeta)
+        assert correlation_sum(half_box, opposite) == s.conjugate()
+        assert correlation_sum(full_box, opposite) == correlation_sum(full_box, zeta).conjugate()
+    for zeta in ((side, 0, *unit), (0, -side, *unit), (-side - 1, 2, *unit), (3 * side, 1, *unit)):
+        assert correlation_sum(half_box, zeta) == correlation_sum(full_box, zeta) == 0.0
+    one = Observable({(0,) * dim: 1.0})
+    assert pair_with_observable(half_box, one) == pair_with_observable(full_box, one) == 1.0
 
 
 @pytest.mark.parametrize(
