@@ -110,10 +110,8 @@ class ShellSums:
     Fourier fields live on the coordinate box |xi_c| <= half = isqrt(R),
     flat in C order with xi at index xi + half; a Hermitian field stores
     the rows xi_0 >= 0 alone.  The ball keeps what every field on it
-    shares: ``physical_box``, the lambda-free data ``memo`` stores for
-    ``measure`` and for the secular workspace, and a pool of field arrays
-    (``take``/``give``) so that trials reuse memory instead of faulting in
-    fresh pages.
+    shares: ``physical_box`` and the lambda-free data ``memo`` stores for
+    ``measure`` and for the secular workspace.  Each field owns its arrays.
     """
 
     def __init__(self, dim: int, radius_sq: int):
@@ -135,7 +133,6 @@ class ShellSums:
         self.box_shape = (2 * self.half + 1,) * dim
         self.box_size = math.prod(self.box_shape)
         self._memo: dict = {}
-        self._free: dict = {}
 
     @classmethod
     @lru_cache(maxsize=6)
@@ -303,18 +300,6 @@ class ShellSums:
         if value is None:
             value = self._memo[key] = build()
         return value
-
-    def take(self, dtype, size: int) -> np.ndarray:
-        """A flat array of size entries of dtype (contents undefined) from
-        this ball's pool; hand it back with ``give`` to reuse its memory.
-        The pool keeps arrays by dtype and size.  Each process has its own
-        pool and runs one trial at a time."""
-        free = self._free.get((np.dtype(dtype), size))
-        return free.pop() if free else np.empty(size, dtype=dtype)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        for arr in arrays:
-            self._free.setdefault((arr.dtype, arr.size), []).append(arr)
 
     def pole_check(self, lam: SpectralParameter) -> None:
         ln = lam.lambda_norm

@@ -330,7 +330,8 @@ def measure_config(
     The body of each Monte Carlo trial and of ``deltatorus measure``.  The
     solver reads the root count and the lowest root, so no later root is
     solved.  No root gives a result with no_root set; a shift landing on an
-    endpoint shell, one with endpoint_landing set and no A values.
+    endpoint shell, one with endpoint_landing set and no A values.  The
+    field and its arrays are garbage once the result is built.
     """
     interval = ctx.interval
 
@@ -377,8 +378,6 @@ def measure_config(
         field_, spec.observable, float(GAMMA_BY_DIM[spec.dim]), spec.n_scatterers
     )
     res.pair_one_exact = pair_with_observable(field_, ZERO_MODE[spec.dim]) == 1.0
-    # the last read of the field: its box arrays go back to the ball's pool
-    field_.shells.give(field_.box_values, field_.box_weights_sq)
     res.chain_c_ok = res.remainder_sq <= res.c_val
     res.chain_b_ok = res.annulus_sq >= res.b_val
     if res.b_val > 0:

@@ -3,18 +3,18 @@
 A new eigenfunction with coefficients d_j at positions x_j has Fourier data
 D(xi) = c_lambda(xi) * w(xi), where w(xi) = sum_j d_j e_xi(-x_j) is the
 position-dependent phase sum.  Everything here is a finite sum over a fixed
-truncation ball.  A field is stored once, on the ball's coordinate box
-(ShellSums): w factors over the coordinates, so it is one real matrix product
-written into the box, in row blocks that keep OpenBLAS on one core.  Real
-coefficients, as every solver root has, make the field Hermitian,
-D(-xi) = conj D(xi): only the box rows xi_0 >= 0 are computed and stored,
-while complex coefficients store the whole box.  Every reader goes through
-two per-ball tables: the stored position of each ball point (that of -xi
-where the row of xi is not stored) and the row weights (2 on a stored row
-whose mirror row is not stored, else 1).  The field is then queried
-read-only; the norm, the correlations and the complement functional are
-each one row-wise dot along the last box axis summed over the stored rows
-with their weights, the rest are gathers at fixed stored positions:
+truncation ball.  A field is stored once, in plain arrays it owns, on the
+ball's coordinate box (ShellSums): w factors over the coordinates, so it is
+one real matrix product written into the box, in row blocks that keep
+OpenBLAS on one core.  Real coefficients, as every solver root has, make the
+field Hermitian, D(-xi) = conj D(xi): only the box rows xi_0 >= 0 are
+computed and stored, while complex coefficients store the whole box.  Every
+reader goes through two per-ball tables: the stored position of each ball
+point (that of -xi where the row of xi is not stored) and the row weights (2
+on a stored row whose mirror row is not stored, else 1).  The field is then
+queried read-only; the norm, the correlations and the complement functional
+are each one row-wise dot along the last box axis summed over the stored
+rows with their weights, the rest are gathers at fixed stored positions:
 
   * observable pairings  <e_zeta g, g> = sum_xi D(xi) conj(D(xi+zeta)),
   * the annulus split of the L^2 mass around the interval center,
@@ -134,11 +134,9 @@ class FourierField:
     whose field is Hermitian, D(-xi) = conj D(xi) and |w(-xi)| = |w(xi)|.
     D is exactly 0 outside the ball.  ``positions`` maps the ball order to
     stored positions, ``row_weights`` counts the box rows each stored row
-    stands for.  The arrays come from the ball's array pool, and the field
-    owns them: only ``harness.measure_config``, after its last read, hands
-    them back with ``shells.give``.  ``weights`` and ``values`` are
-    ball-order copies made when read, for callers off the trial path;
-    ``weights`` is D / c_lambda.
+    stands for.  The field owns its box arrays; no later field writes into
+    them.  ``weights`` and ``values`` are ball-order copies made when read,
+    for callers off the trial path; ``weights`` is D / c_lambda.
     """
 
     lam: SpectralParameter
@@ -238,12 +236,13 @@ def assemble_field(
     The phase e_xi(-x_j) factors over the coordinates, so
     w = sum_j (d_j A_j) (x) B_j [(x) C_j] with the 1-D tables
     exp(-2*pi*i*a*x_{j,c}), a = -half..half.  That is one real matrix
-    product written straight into the float64 view of a pooled array:
+    product written straight into the float64 view of a new array:
     rows are every box axis but the last (the per-scatterer product of the
     first tables in d = 3), the inner dimension is re and im of d_j times
     those rows (k = 2N), and the columns are the last table interleaved
     re/im.  It runs in row blocks through ``one_thread_matmul``, so OpenBLAS
-    stays on one core.  |w|^2 is kept and w is scaled in place into D;
+    stays on one core.  |w|^2 is kept and w is scaled in place into D, with
+    one scratch array for c_lambda and no other box-sized temporary;
     c_lambda is 1/(n - lambda) on ``physical_box``, exactly 0 outside the
     ball, and norm_sq is the weighted sum of the row dots of D with itself.
 
@@ -282,7 +281,7 @@ def assemble_field(
     left = np.ascontiguousarray(np.concatenate((head.real, head.imag)).T)
     right = np.concatenate((tables[-1], 1j * tables[-1])).view(np.float64)
     size = left.shape[0] * side
-    values, w_sq, c = (shells.take(t, size) for t in (np.complex128, np.float64, np.float64))
+    values, w_sq, c = np.empty(size, np.complex128), np.empty(size), np.empty(size)
     one_thread_matmul(left, right, out=values.view(np.float64).reshape(left.shape[0], -1))
     np.multiply(values.real, values.real, out=w_sq)
     np.multiply(values.imag, values.imag, out=c)
@@ -290,7 +289,6 @@ def assemble_field(
     np.subtract(shells.physical_box()[shells.box_size - size :], lam.physical, out=c)
     np.divide(1.0, c, out=c)
     values *= c
-    shells.give(c)
     row_weights = _row_weights(shells, first)
     rows = values.view(np.float64).reshape(side - first, *shells.box_shape[1:-1], 2 * side)
     return FourierField(

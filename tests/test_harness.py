@@ -548,18 +548,6 @@ def test_run_trials_rejects_a_context_built_for_another_run(override):
         run_trials(small_spec(**override), ctx=ctx)
 
 
-def test_a_trial_hands_its_field_arrays_back_to_the_pool():
-    # the trial path reuses one set of box arrays instead of faulting in
-    # fresh pages for every field
-    spec = small_spec(trials=2)
-    ctx = RunContext.build(spec)
-    run_trial(spec, 0, ctx)
-    pooled = {dtype: [id(a) for a in arrays] for dtype, arrays in ctx.shells._free.items()}
-    assert all(pooled.values())
-    run_trial(spec, 1, ctx)
-    assert {dtype: [id(a) for a in arrays] for dtype, arrays in ctx.shells._free.items()} == pooled
-
-
 def test_run_trials_reuses_a_context_across_the_per_trial_fields():
     # the benchmark and the acceptance fixtures share one context between
     # runs that differ in seed, N, trial count, coefficient mode and tolerance

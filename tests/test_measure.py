@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from deltatorus.lattice import (
 )
 from deltatorus.measure import (
     Observable,
+    _box_dot,
     assemble_field,
     correlation_sum,
     equidistribution_error,
@@ -227,36 +229,54 @@ def test_a_field_owns_its_box_arrays():
     assert np.array_equal(values, kept)
 
 
-def test_field_bits_do_not_depend_on_the_pool_buffer():
-    # a second field from the same input lands in other pool arrays, here ones
-    # offset by 8 bytes from the allocator's alignment; every number a trial
-    # reads from it must be the same bits (thread-count reproducibility)
+def _copy_at_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of the flat array a whose data starts offset bytes past a
+    64-byte boundary."""
+    raw = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + a.nbytes].view(a.dtype)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_field_bits_do_not_depend_on_array_alignment():
+    # the same field with its box arrays copied to 8, 16 and 48 bytes past a
+    # 64-byte boundary: every number a trial reads from it must be the same
+    # bits wherever its arrays live (thread-count reproducibility)
     rng = np.random.default_rng(31)
     for dim, radius_sq, n, real in ((2, 16058, 8, False), (3, 900, 8, False), (2, 16058, 8, True),
                                     (3, 900, 8, True)):
         d = rng.normal(size=n) + (0.0 if real else 1j * rng.normal(size=n))
         d /= np.linalg.norm(d)
         x = rng.uniform(size=(n, dim))
-        tri = enumerate_spectrum(dim, radius_sq).gap_triple(100)
-        lam = SpectralParameter(tri.center + 0.37)
-        first = assemble_field(d, x, lam, radius_sq)
-        shells = first.shells
-        size = first.box_values.size
-        rows = shells.half + 1 if real else shells.box_shape[0]
-        assert size == rows * shells.box_shape[0] ** (dim - 1)
-        shells.give(np.empty(2 * size + 1)[1 : 2 * size + 1].view(np.complex128))
-        shells.give(np.empty(size + 1)[1:], np.empty(size + 1)[1:])
-        second = assemble_field(d, x, lam, radius_sq)
-        assert second.box_values.ctypes.data % 16 == 8
-        assert np.array_equal(first.box_values, second.box_values)
-        assert np.array_equal(first.box_weights_sq, second.box_weights_sq)
-        assert first.norm_sq == second.norm_sq
-        unit = [0] * (dim - 1)
-        for zeta in [(1, *unit), (0, *unit[:-1], 1), (3, -2, *unit[1:]), (-1, 2, *unit[1:])]:
-            assert correlation_sum(first, zeta) == correlation_sum(second, zeta)
+        # no unit shift of the annulus lands on an endpoint shell of these gaps
+        tri = enumerate_spectrum(dim, radius_sq).gap_triple({2: 130, 3: 210}[dim])
         width = FOUR_PI_SQ * 3.5
-        assert functional_C(first, tri, width) == functional_C(second, tri, width)
+        f = assemble_field(d, x, SpectralParameter(tri.center + 0.37), radius_sq)
+        unit = [0] * (dim - 1)
+        shifts = [(1, *unit), (0, *unit[:-1], 1), (0, *unit[:-1], -1), (2, *unit), (3, -2, *unit[1:]),
+                  (-1, 2, *unit[1:]), (-3, -1, *unit[1:])]
+        a_shifts = [(1, *unit), (0, *unit[:-1], 1)]
 
+        def readings(g):
+            rows = g.box_values.view(np.float64).reshape(*g.shape[:-1], 2 * g.shape[-1])
+            return (
+                _box_dot(rows, rows, g.row_weights),
+                [correlation_sum(g, zeta) for zeta in shifts],
+                split_annulus(g, tri.center, width),
+                [functional_A(g, zeta, tri, width) for zeta in a_shifts],
+                functional_B(g, tri),
+                functional_C(g, tri, width),
+            )
+
+        want = readings(f)
+        assert want[0] == f.norm_sq
+        for offset in (8, 16, 48):
+            moved = dataclasses.replace(f, box_values=_copy_at_offset(f.box_values, offset),
+                                        box_weights_sq=_copy_at_offset(f.box_weights_sq, offset))
+            assert moved.box_values.ctypes.data % 64 == offset
+            assert readings(moved) == want
 
 def test_correlation_sum_matches_ball_order_oracle():
     # complex coefficients store the whole box, real ones the rows xi_0 >= 0
