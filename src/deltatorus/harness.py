@@ -46,13 +46,10 @@ from .scatterer import (
     check_solver_tol,
     common_phase,
     find_new_eigenvalues,
-    pair_distances,
 )
 from .sprime import _n_power
 
 GAMMA_BY_DIM = {2: Fraction(17, 832), 3: Fraction(1, 12)}
-
-MIN_PAIR_DISTANCE = 1e-9
 
 #: the observable 1 per dimension: pairing a field with it gives exactly 1
 ZERO_MODE = {dim: Observable({(0,) * dim: 1.0}) for dim in GAMMA_BY_DIM}
@@ -103,17 +100,16 @@ def sample_positions(seed: int, trial_index: int, n: int, dim: int) -> np.ndarra
     """N uniform torus points, reproducible from (seed, trial_index) alone.
 
     Philox4x64 with the seed as key and the trial index in the counter;
-    coordinates are drawn row-major and the whole batch is redrawn from the
-    same stream while any two points come closer than MIN_PAIR_DISTANCE.
+    coordinates are drawn row-major, once.  ScattererConfig holds the pair
+    rule: two points closer than scatterer.MIN_PAIR_DISTANCE = 1e-9 are a
+    ValidationError there.  A draw breaks it with probability below
+    N^2 * pi * 1e-18, so dropping the redraw that the rule once triggered
+    here changes no drawn position in practice.
     """
     if n < 1:
         raise ValidationError("need at least one point")
     bg = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(trial_index)])
-    gen = np.random.Generator(bg)
-    while True:
-        pts = gen.uniform(size=(n, dim))
-        if np.all(pair_distances(pts) >= MIN_PAIR_DISTANCE):
-            return pts
+    return np.random.Generator(bg).uniform(size=(n, dim))
 
 
 @dataclass

@@ -63,6 +63,9 @@ from .lattice import FOUR_PI_SQ, GapTriple, _check_dim
 COMMON_PHASE_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
+#: the least torus distance between two scatterers of a config
+MIN_PAIR_DISTANCE = 1e-9
+
 #: steps a root search may take on one branch; bisection alone needs about 60
 MAX_BRANCH_STEPS = 200
 
@@ -136,7 +139,9 @@ class ScattererConfig:
 
     U = e^{i theta} Id is given as one phase per scatterer, all equal;
     common_phase sets theta, the angle of e^{i theta_0}, from them, and the
-    phases are kept for the JSON form.
+    phases are kept for the JSON form.  Positions are reduced mod 1, and a
+    config whose two points are closer than MIN_PAIR_DISTANCE in torus
+    distance is a ValidationError naming the pair.
     """
 
     dim: int
@@ -153,11 +158,13 @@ class ScattererConfig:
             raise ValidationError("positions must be an (N, dim) array with N >= 1")
         self.positions = np.mod(_real_array("positions", pos, (pos.shape[0], self.dim)), 1.0)
         n = self.positions.shape[0]
-        coincide = np.flatnonzero(pair_distances(self.positions) <= 0.0)
-        if coincide.size:
+        close = np.flatnonzero(pair_distances(self.positions) < MIN_PAIR_DISTANCE)
+        if close.size:
             rows, cols = pair_columns(n)
-            a, b = rows[coincide[0]], cols[coincide[0]]
-            raise ValidationError(f"positions {a} and {b} coincide")
+            a, b = rows[close[0]], cols[close[0]]
+            raise ValidationError(
+                f"positions {a} and {b} are closer than {MIN_PAIR_DISTANCE} on the torus"
+            )
         self.theta = common_phase(self.phases, n)
         self.phases = np.asarray(self.phases, dtype=np.float64)
 

@@ -1,3 +1,6 @@
+# deltatorus first: importing it pins OpenBLAS to one thread, which holds
+# only if numpy has not loaded OpenBLAS yet
+import deltatorus  # noqa: F401
 import numpy as np
 import pytest
 

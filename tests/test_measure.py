@@ -624,6 +624,18 @@ def test_equidistribution_error():
     )
 
 
+def test_equidistribution_error_keeps_its_own_precision():
+    # with ahat(+-1, 0) = 1e-20 the deviation is about 1e-20: adding the mean
+    # 1 and subtracting it again would round it to exactly 0
+    f = small_field([0.6, 0.8], [[0.33, 0.71], [0.12, 0.45]], lam_norm=25.4)
+    a = Observable({(0, 0): 1.0, (1, 0): 1e-20, (-1, 0): 1e-20})
+    terms = [v * correlation_sum(f, zeta) / f.norm_sq for zeta, v in a.coeffs.items() if any(zeta)]
+    want = abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
+    assert want > 1e-22
+    err, _ = equidistribution_error(f, a, 17.0 / 832.0, 2)
+    assert err == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_equidistribution_envelope_frozen_value():
     # N = 4, l1 = 1, lambda = 4 pi^2 * 10^4, gamma = 17/832
     lam = SpectralParameter(10**4)

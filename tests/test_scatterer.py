@@ -129,6 +129,19 @@ def test_config_validation():
             ScattererConfig.from_json(bad)
 
 
+@pytest.mark.parametrize(
+    "positions",
+    [[[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]],  # coincident
+     [[1e-13, 0.2], [0.5, 0.5], [1.0 - 9e-13, 0.2]]],  # 1e-12 apart across the seam
+    ids=["coincident", "across_the_seam"],
+)
+def test_config_rejects_a_close_pair_by_name(positions):
+    with pytest.raises(ValidationError, match="positions 0 and 2 are closer than 1e-09"):
+        ScattererConfig(2, positions, phases=np.zeros(3))
+    # 2e-9 apart across the seam is far enough
+    ScattererConfig(2, [[1e-9, 0.2], [0.5, 0.5], [1.0 - 1e-9, 0.2]], phases=np.zeros(3))
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = ScattererConfig(2, np.array([[0.12, 0.9], [0.5, 0.25]]), phases=np.array([-0.4, -0.4]))
     path = tmp_path / "cfg.json"
