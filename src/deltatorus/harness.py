@@ -103,8 +103,7 @@ def sample_positions(seed: int, trial_index: int, n: int, dim: int) -> np.ndarra
     coordinates are drawn row-major, once.  ScattererConfig holds the pair
     rule: two points closer than scatterer.MIN_PAIR_DISTANCE = 1e-9 are a
     ValidationError there.  A draw breaks it with probability below
-    N^2 * pi * 1e-18, so dropping the redraw that the rule once triggered
-    here changes no drawn position in practice.
+    N^2 * pi * 1e-18, so positions are never redrawn.
     """
     if n < 1:
         raise ValidationError("need at least one point")
