@@ -326,7 +326,7 @@ def measure_config(
     solver reads the root count and the lowest root, so no later root is
     solved.  No root gives a result with no_root set; a shift landing on an
     endpoint shell, one with endpoint_landing set and no A values.  The
-    field and its arrays are garbage once the result is built.
+    field is local to the call, and no later trial writes into its arrays.
     """
     interval = ctx.interval
 

@@ -1,10 +1,28 @@
 # deltatorus first: importing it pins OpenBLAS to one thread, which holds
 # only if numpy has not loaded OpenBLAS yet
+import sys
+
 import deltatorus  # noqa: F401
 import numpy as np
 import pytest
 
 from deltatorus.lattice import enumerate_spectrum
+
+
+def _os_threads() -> int:
+    """This process's OS thread count, from /proc/self/status (Linux)."""
+    with open("/proc/self/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+
+
+# counted once numpy has loaded OpenBLAS and before any test runs: the first
+# os.fork makes OpenBLAS stop its worker threads, so a later count misses them
+SESSION_THREADS = _os_threads() if sys.platform.startswith("linux") else None
+
+
+@pytest.fixture
+def session_threads():
+    return SESSION_THREADS
 
 
 @pytest.fixture(scope="session")

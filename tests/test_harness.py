@@ -316,13 +316,11 @@ def test_multi_worker_run_starts_no_thread():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.skipif(os.environ.get("OPENBLAS_NUM_THREADS") != "1",
                     reason="the caller set OPENBLAS_NUM_THREADS to another count")
-def test_the_test_session_runs_one_os_thread():
+def test_the_test_session_runs_one_os_thread(session_threads):
     # conftest imports deltatorus before numpy, so the package's OpenBLAS pin
     # holds here too and the in-process pool tests fork a process that has
     # no BLAS worker thread
-    with open("/proc/self/status", encoding="ascii") as f:
-        threads = next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
-    assert threads == 1
+    assert session_threads == 1
 
 
 def test_dead_worker_drops_the_pool(monkeypatch):

@@ -275,8 +275,8 @@ def test_field_bits_do_not_depend_on_array_alignment():
         for offset in (8, 16, 48):
             moved = dataclasses.replace(f, box_values=_copy_at_offset(f.box_values, offset),
                                         box_weights_sq=_copy_at_offset(f.box_weights_sq, offset))
-            assert moved.box_values.ctypes.data % 64 == offset
             assert readings(moved) == want
+
 
 def test_correlation_sum_matches_ball_order_oracle():
     # complex coefficients store the whole box, real ones the rows xi_0 >= 0
